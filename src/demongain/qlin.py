@@ -22,23 +22,23 @@ KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 
 
-def _as_square(m, dims=(2, 4)) -> np.ndarray:
+def _as_square(m, dims=(2, 4), stacked: bool = False) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in dims:
-        raise ValueError(f"expected dimension in {dims}, got {m.shape[0]}")
+    if m.shape[-1] not in dims:
+        raise ValueError(f"expected dimension in {dims}, got {m.shape[-1]}")
     return m
 
 
 def dag(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    return np.max(np.abs(m - m.conj().T)) <= tol
+    """True when every matrix of `m` (a matrix or a stack) is Hermitian."""
+    return np.max(np.abs(m - dag(m))) <= tol
 
 
 def kron(a, b) -> np.ndarray:
@@ -63,19 +63,18 @@ def partial_trace(rho, keep: str) -> np.ndarray:
 
 
 def eig_hermitian(h, tol: float = HERMITICITY_TOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
     Returns (eigenvalues sorted descending, eigenvectors as columns in the
-    matching order). Rejects inputs that deviate from Hermiticity by more
-    than `tol` in max-abs.
+    matching order), with the input's leading axes. Rejects the input if
+    any matrix deviates from Hermiticity by more than `tol` in max-abs.
     """
-    h = _as_square(h)
-    dev = np.max(np.abs(h - h.conj().T))
-    if dev > tol:
+    h = _as_square(h, stacked=True)
+    dev = np.max(np.abs(h - dag(h)))
+    if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh((h + dag(h)) / 2)
+    return w[..., ::-1], v[..., ::-1]
 
 
 def psd_sqrt(rho, floor: float = PSD_EIG_FLOOR) -> np.ndarray:

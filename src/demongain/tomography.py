@@ -9,7 +9,6 @@ energetically higher state). Outcomes per setting are ordered
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -30,9 +29,20 @@ _ROT_TO_Z = {
     "Y": (np.cos(np.pi / 4) * ID2 - 1j * np.sin(np.pi / 4) * PAULI_X),  # exp(-i pi X/4)
     "Z": ID2,
 }
+# (9, 4, 4) two-qubit basis changes, one per setting in ALL_SETTINGS order
+_ROTATIONS = np.array([kron(_ROT_TO_Z[a], _ROT_TO_Z[d]) for a, d in ALL_SETTINGS])
 
-# outcome index -> (sign_agent, sign_demon); + maps to |0> after rotation
-_OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# Outcome i of a setting (++, +-, -+, --) carries these signs of the
+# agent and demon Paulis; "+" maps to |0> after rotation.
+_AGENT_SIGN, _DEMON_SIGN = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])
+# Pauli products in the order linear_inversion adds them: identity, the
+# nine correlators, then the agent and demon terms per axis. Its sums run
+# in this fixed order, left to right: a reordered sum moves rho_hat in the
+# last digit, which can move a bootstrap probability between 0 and ~1e-17
+# and so change how many numbers its multinomial draw takes from the stream.
+_TERMS = (("I", "I"), *ALL_SETTINGS, *(t for p in AXES for t in ((p, "I"), ("I", p))))
+_PAULI_TERMS = np.array([kron(_PAULI[a], _PAULI[d]) for a, d in _TERMS])
+_YY = kron(PAULI_Y, PAULI_Y)
 
 
 @dataclass
@@ -58,12 +68,20 @@ class Tomogram:
     bootstrap: BootstrapSummary | None = None
 
 
+def _setting_dists(rho: np.ndarray) -> np.ndarray:
+    """(9, 4) Born probabilities of the settings in ALL_SETTINGS order."""
+    diag = np.real(np.diagonal(_ROTATIONS @ rho @ dag(_ROTATIONS), axis1=1, axis2=2))
+    diag = np.clip(diag, 0.0, None)
+    total = diag.sum(axis=1, keepdims=True)
+    for s, t in zip(ALL_SETTINGS, total[:, 0]):
+        if not t > 0:
+            raise ValueError(f"setting {s} diagonal not normalizable after clamping")
+    return diag / total
+
+
 def setting_probs(rho: np.ndarray, setting: tuple[str, str]) -> np.ndarray:
     """Born probabilities of the 4 outcomes of one Pauli setting."""
-    ua, ud = _ROT_TO_Z[setting[0]], _ROT_TO_Z[setting[1]]
-    u = kron(ua, ud)
-    diag = np.clip(np.real(np.diag(u @ rho @ dag(u))), 0.0, None)
-    return diag / diag.sum()
+    return _setting_dists(rho)[ALL_SETTINGS.index(tuple(setting))]
 
 
 def simulate_setting(
@@ -86,19 +104,34 @@ def simulate_tomogram_counts(
 
 def exact_moment_probs(rho: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
     """Infinite-shot outcome frequencies, for the inversion oracle."""
-    return {s: setting_probs(rho, s) for s in ALL_SETTINGS}
+    return dict(zip(ALL_SETTINGS, _setting_dists(rho)))
 
 
-def _freqs(counts_or_probs) -> dict[tuple[str, str], np.ndarray]:
-    out = {}
-    for s in ALL_SETTINGS:
-        if s not in counts_or_probs:
-            raise ValueError(f"missing tomography setting {s}")
-        v = np.asarray(counts_or_probs[s], dtype=float)
-        if v.shape != (4,):
-            raise ValueError(f"setting {s} must have 4 outcome entries")
-        out[s] = v / v.sum()
-    return out
+def _freqs(counts_or_probs) -> np.ndarray:
+    """(..., 9, 4) per-setting frequencies from counts or probabilities."""
+    if isinstance(counts_or_probs, dict):
+        for s in ALL_SETTINGS:
+            if s not in counts_or_probs:
+                raise ValueError(f"missing tomography setting {s}")
+            if np.shape(counts_or_probs[s]) != (4,):
+                raise ValueError(f"setting {s} must have 4 outcome entries")
+        counts_or_probs = [counts_or_probs[s] for s in ALL_SETTINGS]
+    v = np.asarray(counts_or_probs, dtype=float)
+    if v.shape[-2:] != (9, 4):
+        raise ValueError(f"expected (..., 9, 4) counts per setting, got shape {v.shape}")
+    total = v.sum(axis=-1, keepdims=True)
+    for j, s in enumerate(ALL_SETTINGS):
+        if not np.all(np.isfinite(v[..., j, :]) & (v[..., j, :] >= 0)):
+            raise ValueError(f"setting {s} has negative or non-finite counts")
+        if np.any(total[..., j, :] == 0):
+            raise ValueError(f"setting {s} has no counts")
+    return v / total
+
+
+def _signed_sum(f: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """sum_i sign_i f_i over the outcome axis, added left to right."""
+    g = f * sign
+    return g[..., 0] + g[..., 1] + g[..., 2] + g[..., 3]
 
 
 def linear_inversion(counts_or_probs) -> np.ndarray:
@@ -107,43 +140,23 @@ def linear_inversion(counts_or_probs) -> np.ndarray:
     Two-body correlators come from the matching setting; single-qubit
     expectations average the corresponding marginal over the three
     settings that measure the non-identity factor. Accepts raw counts or
-    probabilities per setting. The result has unit trace by construction
-    but is not necessarily positive.
+    probabilities: a dict keyed by setting with 4 entries each, giving
+    one (4, 4) state, or an array of shape (..., 9, 4) in ALL_SETTINGS
+    order, giving (..., 4, 4) states. The result has unit trace by
+    construction but is not necessarily positive.
     """
-    freqs = _freqs(counts_or_probs)
-    exp: dict[tuple[str, str], float] = {("I", "I"): 1.0}
-    for sa, sd in ALL_SETTINGS:
-        f = freqs[(sa, sd)]
-        exp[(sa, sd)] = sum(f[i] * a * d for i, (a, d) in enumerate(_OUTCOME_SIGNS))
-    for p in AXES:
-        exp[(p, "I")] = np.mean(
-            [
-                sum(f[i] * a for i, (a, _) in enumerate(_OUTCOME_SIGNS))
-                for q in AXES
-                for f in [freqs[(p, q)]]
-            ]
-        )
-        exp[("I", p)] = np.mean(
-            [
-                sum(f[i] * d for i, (_, d) in enumerate(_OUTCOME_SIGNS))
-                for q in AXES
-                for f in [freqs[(q, p)]]
-            ]
-        )
-    rho = np.zeros((4, 4), dtype=complex)
-    for (pa, pd), val in exp.items():
-        rho += val * kron(_PAULI[pa], _PAULI[pd])
+    f = _freqs(counts_or_probs)
+    batch = f.shape[:-2]
+    agent = _signed_sum(f, _AGENT_SIGN).reshape(*batch, 3, 3)  # [axis_a, axis_d]
+    demon = _signed_sum(f, _DEMON_SIGN).reshape(*batch, 3, 3)
+    corr = _signed_sum(f, _AGENT_SIGN * _DEMON_SIGN)
+    values = [np.ones(batch), *np.moveaxis(corr, -1, 0)]
+    for p in range(3):
+        values += [np.mean(agent[..., p, :], axis=-1), np.mean(demon[..., :, p], axis=-1)]
+    rho = np.zeros((*batch, 4, 4), dtype=complex)
+    for val, pauli in zip(values, _PAULI_TERMS):
+        rho += val[..., None, None] * pauli
     return rho / 4.0
-
-
-def clamp_to_physical(rho: np.ndarray) -> np.ndarray:
-    """Project onto valid states: zero out negative eigenvalues, renormalize."""
-    w, v = qlin.eig_hermitian(rho)
-    w = np.clip(w, 0.0, None)
-    if w.sum() <= 0:
-        raise ValueError("matrix has no positive spectral weight")
-    w /= w.sum()
-    return (v * w) @ v.conj().T
 
 
 # Eigenvalues this far below the leading one are treated as exact zeros
@@ -154,42 +167,45 @@ _SQRT_ZERO_TOL = 1e-13
 
 def _clamped_sqrt(w: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
-    w[w < _SQRT_ZERO_TOL * max(w.max(), 1.0)] = 0.0
+    w[w < _SQRT_ZERO_TOL * np.maximum(w.max(axis=-1, keepdims=True), 1.0)] = 0.0
     return np.sqrt(w)
 
 
-def concurrence(rho: np.ndarray) -> float:
+def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V^dag for eigenpairs with leading batch axes."""
+    return (v * w[..., None, :]) @ dag(v)
+
+
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Two-qubit concurrence via the spin-flipped overlap spectrum.
 
-    Negative eigenvalues of the input are clamped to zero first, so
-    linear-inversion outputs are accepted; the trace is deliberately not
-    renormalized (renormalizing shrinks the leading spin-flip eigenvalue
-    and roughly doubles the downward finite-shot bias on near-pure
-    states). The lambda_i are the descending eigenvalues of
-    sqrt(sqrt(rho) rho~ sqrt(rho)), computed spectrally with near-zero
-    eigenvalues snapped to 0 before each square root.
+    Takes one (4, 4) matrix, giving a float, or a (..., 4, 4) stack,
+    giving an array of the leading shape. Negative eigenvalues of the
+    input are clamped to zero first, so linear-inversion outputs are
+    accepted; the trace is deliberately not renormalized (renormalizing
+    shrinks the leading spin-flip eigenvalue and roughly doubles the
+    downward finite-shot bias on near-pure states). The lambda_i are the
+    descending eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)), computed
+    spectrally with near-zero eigenvalues snapped to 0 before each square
+    root (Wootters, PRL 80, 2245, 1998).
     """
-    rho = np.asarray(rho, dtype=complex)
-    if not qlin.is_hermitian(rho):
-        raise ValueError("concurrence requires a Hermitian matrix")
     w, v = qlin.eig_hermitian(rho)
     w = np.clip(w, 0.0, None)
-    rho = (v * w) @ v.conj().T
-    yy = kron(PAULI_Y, PAULI_Y)
-    rho_tilde = yy @ rho.conj() @ yy
-    sq = (v * _clamped_sqrt(w)) @ v.conj().T
+    rho_tilde = _YY @ _compose(v, w).conj() @ _YY
+    sq = _compose(v, _clamped_sqrt(w))
     m = sq @ rho_tilde @ sq
-    wm, _ = qlin.eig_hermitian((m + m.conj().T) / 2)
-    lam = np.sort(_clamped_sqrt(wm))[::-1]
-    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    wm, _ = qlin.eig_hermitian((m + dag(m)) / 2)
+    lam = np.sort(_clamped_sqrt(wm), axis=-1)[..., ::-1]
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
 
 
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2) on the raw matrix; may exceed 1 for non-PSD inversions."""
+def purity(rho: np.ndarray) -> float | np.ndarray:
+    """Tr(rho^2) of a (4, 4) matrix or (..., 4, 4) stack; may exceed 1 if not PSD."""
     rho = np.asarray(rho, dtype=complex)
     if not qlin.is_hermitian(rho):
         raise ValueError("purity requires a Hermitian matrix")
-    return np.trace(rho @ rho).real
+    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def bootstrap(
@@ -199,46 +215,30 @@ def bootstrap(
 
     Each resample redraws every setting's 4-outcome multinomial from the
     clamped, renormalized diagonal of rho_hat rotated into that setting's
-    basis, then re-inverts and recomputes the metrics. Resample r uses a
-    Philox stream keyed by (seed, r), so the summary is independent of
-    evaluation order.
+    basis, then re-inverts and recomputes the metrics. Resample r draws
+    its nine settings from a Philox stream keyed by (seed, r), so the
+    summary is independent of evaluation order; the resamples are then
+    inverted and scored as one stacked batch.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    dists = {}
-    for s in ALL_SETTINGS:
-        ua, ud = _ROT_TO_Z[s[0]], _ROT_TO_Z[s[1]]
-        u = kron(ua, ud)
-        diag = np.clip(np.real(np.diag(u @ rho_hat @ dag(u))), 0.0, None)
-        if diag.sum() <= 0:
-            raise ValueError(f"setting {s} diagonal not normalizable after clamping")
-        dists[s] = diag / diag.sum()
-    conc = np.empty(resamples)
-    pur = np.empty(resamples)
-    for r in range(resamples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, r]))
-        counts = {s: rng.multinomial(shots, dists[s]) for s in ALL_SETTINGS}
-        rho_r = linear_inversion(counts)
-        conc[r] = concurrence(rho_r)
-        pur[r] = purity(rho_r)
-    lo, hi = 16.0, 84.0
+    dists = _setting_dists(rho_hat)
+    counts = np.array([
+        np.random.Generator(np.random.Philox(key=[seed, r])).multinomial(shots, dists)
+        for r in range(resamples)
+    ])
+    rho_r = linear_inversion(counts)
+    metrics = {"concurrence": concurrence(rho_r), "purity": purity(rho_r)}
+    lo, hi = BootstrapSummary.percentiles
     return BootstrapSummary(
         resamples=resamples,
         point={"concurrence": concurrence(rho_hat), "purity": purity(rho_hat)},
-        lower={
-            "concurrence": float(np.percentile(conc, lo)),
-            "purity": float(np.percentile(pur, lo)),
-        },
-        upper={
-            "concurrence": float(np.percentile(conc, hi)),
-            "purity": float(np.percentile(pur, hi)),
-        },
+        lower={k: float(np.percentile(v, lo)) for k, v in metrics.items()},
+        upper={k: float(np.percentile(v, hi)) for k, v in metrics.items()},
     )
 
 
-def tomography_study(
-    rho: np.ndarray, shots: int, resamples: int, seed: int
-) -> Tomogram:
+def tomography_study(rho: np.ndarray, shots: int, resamples: int, seed: int) -> Tomogram:
     """Simulate counts, reconstruct, and attach bootstrap intervals."""
     counts = simulate_tomogram_counts(rho, shots, seed)
     rho_hat = linear_inversion(counts)
@@ -267,11 +267,10 @@ def fit_c0(points: list[tuple[float, float]]) -> tuple[float, float]:
     if sxx <= 1e-20:
         raise ValueError("all cos(theta) vanish; c0 is unidentifiable")
     c0 = float(np.sum(c * x) / sxx)
-    n = len(points)
-    if n <= 1:
+    if len(points) == 1:
         return c0, 0.0
     ssr = float(np.sum((c - c0 * x) ** 2))
-    return c0, float(np.sqrt(ssr / (n - 1) / sxx))
+    return c0, float(np.sqrt(ssr / (len(points) - 1) / sxx))
 
 
 # ---------------------------------------------------------------------------

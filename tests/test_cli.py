@@ -1,6 +1,7 @@
 """End-to-end tests of the four CLI subcommands."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from demongain.noisefit import model_curves
 from demongain.protocol import write_tables_csv
 
 HALF_PI = np.pi / 2
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _write_manifest(tmp_path, payload, name="manifest.json"):
@@ -159,6 +161,32 @@ class TestTomo:
         assert (out1 / "tomo_metrics.json").read_bytes() == (
             out2 / "tomo_metrics.json"
         ).read_bytes()
+
+    def test_default_manifest_matches_golden_metrics(self, tmp_path):
+        # tomo_metrics.json of manifests/tomo_default.json as written by the
+        # per-resample bootstrap loop that the stacked bootstrap replaced;
+        # covers theta = 0 and theta = pi/2 among its nine points
+        golden = json.loads((ROOT / "tests/data/tomo_default_metrics.json").read_text())
+        manifest = str(ROOT / "manifests/tomo_default.json")
+        assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        got = json.loads((tmp_path / "tomo_metrics.json").read_text())
+        assert [p["theta"] for p in got["points"]][::8] == [0.0, HALF_PI]
+
+        def compare(a, b, path):
+            if isinstance(a, dict):
+                assert a.keys() == b.keys(), path
+                for k in a:
+                    compare(a[k], b[k], f"{path}/{k}")
+            elif isinstance(a, list):
+                assert len(a) == len(b), path
+                for i, (u, v) in enumerate(zip(a, b)):
+                    compare(u, v, f"{path}[{i}]")
+            elif isinstance(a, float):
+                assert abs(a - b) <= 1e-12, path
+            else:
+                assert a == b, path
+
+        compare(got, golden, "")
 
 
 class TestFit:

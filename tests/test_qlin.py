@@ -110,6 +110,25 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(m)
 
+    def test_stack_matches_single(self, rng):
+        stack = np.array([random_density(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        w, v = eig_hermitian(stack)
+        assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for j in range(3):
+                wi, vi = eig_hermitian(stack[i, j])
+                assert np.array_equal(w[i, j], wi) and np.array_equal(v[i, j], vi)
+
+    def test_rejects_non_hermitian_stack_member(self, rng):
+        stack = np.array([random_density(rng) for _ in range(5)])
+        stack[2, 1, 3] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(stack)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            eig_hermitian(np.full((4, 4), np.nan))
+
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_density_eigenvalues_sum_to_one(self, seed):

@@ -11,7 +11,6 @@ from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concur
 from demongain.qlin import ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z, kron
 from demongain.tomography import (
     bootstrap,
-    clamp_to_physical,
     concurrence,
     exact_moment_probs,
     fit_c0,
@@ -95,6 +94,36 @@ class TestLinearInversion:
         with pytest.raises(ValueError, match="4 outcome"):
             linear_inversion(probs)
 
+    def test_all_zero_setting_rejected(self):
+        counts = simulate_tomogram_counts(BELL, 100, seed=7)
+        counts[("X", "Y")] = np.zeros(4)
+        with pytest.raises(ValueError, match=r"setting \('X', 'Y'\) has no counts"):
+            linear_inversion(counts)
+
+    def test_negative_counts_rejected(self):
+        counts = simulate_tomogram_counts(BELL, 100, seed=7)
+        counts[("Z", "X")] = np.array([60, -10, 30, 20])
+        with pytest.raises(ValueError, match=r"setting \('Z', 'X'\) has negative"):
+            linear_inversion(counts)
+
+    def test_bad_member_of_stack_rejected(self):
+        stack = np.ones((5, 9, 4))
+        stack[3, 4, 2] = -1.0
+        with pytest.raises(ValueError, match=r"setting \('Y', 'Y'\) has negative"):
+            linear_inversion(stack)
+        stack[3, 4] = 0.0
+        with pytest.raises(ValueError, match=r"setting \('Y', 'Y'\) has no counts"):
+            linear_inversion(stack)
+
+    def test_array_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., 9, 4\)"):
+            linear_inversion(np.ones((8, 4)))
+
+    def test_dict_and_array_inputs_agree(self):
+        counts = simulate_tomogram_counts(BELL, 100, seed=7)
+        stacked = np.array([counts[s] for s in tg.ALL_SETTINGS])
+        assert np.array_equal(linear_inversion(counts), linear_inversion(stacked))
+
 
 class TestConcurrence:
     def test_bell_state_one(self):
@@ -158,21 +187,44 @@ class TestPurity:
         assert purity(rho) == pytest.approx(1.1**2 + 0.01, abs=1e-12)
 
 
-class TestClampToPhysical:
-    def test_idempotent_on_physical(self, rng):
-        rho = random_density(rng)
-        assert np.max(np.abs(clamp_to_physical(rho) - rho)) < 1e-10
+class TestStackedKernels:
+    """A stack of R items gives what R single-item calls give."""
 
-    def test_output_is_physical(self):
-        rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 60, seed=11))
-        rho_c = clamp_to_physical(rho_hat)
-        w = np.linalg.eigvalsh(rho_c)
-        assert w.min() > -1e-12
-        assert abs(np.trace(rho_c) - 1.0) < 1e-12
+    @pytest.fixture
+    def counts(self):
+        rho = prepare_resource(ProtocolConfig(theta=np.pi / 5))
+        return np.array([
+            [simulate_tomogram_counts(rho, 80, seed)[s] for s in tg.ALL_SETTINGS]
+            for seed in range(40)
+        ])
 
-    def test_rejects_negative_definite(self):
-        with pytest.raises(ValueError, match="positive"):
-            clamp_to_physical(-np.eye(4, dtype=complex))
+    def test_linear_inversion(self, counts):
+        stacked = linear_inversion(counts)
+        assert stacked.shape == (40, 4, 4)
+        single = np.array([linear_inversion(c) for c in counts])
+        assert np.max(np.abs(stacked - single)) <= 1e-14
+
+    def test_concurrence_and_purity(self, counts):
+        rhos = linear_inversion(counts)
+        for f in (concurrence, purity):
+            stacked = f(rhos)
+            assert stacked.shape == (40,)
+            assert np.max(np.abs(stacked - [f(r) for r in rhos])) <= 1e-14
+
+    def test_leading_axes_kept(self, counts):
+        rhos = linear_inversion(counts.reshape(4, 10, 9, 4))
+        assert rhos.shape == (4, 10, 4, 4)
+        assert concurrence(rhos).shape == purity(rhos).shape == (4, 10)
+
+    def test_single_matrix_gives_float(self):
+        assert isinstance(concurrence(BELL), float)
+
+    def test_non_hermitian_member_rejected(self, counts):
+        rhos = linear_inversion(counts)
+        rhos[17, 0, 1] += 1e-6
+        for f in (concurrence, purity):
+            with pytest.raises(ValueError, match="Hermitian"):
+                f(rhos)
 
 
 class TestSimulateSetting:
@@ -222,6 +274,25 @@ class TestBootstrap:
             b = t.bootstrap
             widths.append(b.upper["concurrence"] - b.lower["concurrence"])
         assert widths[1] < widths[0] / 3
+
+    def test_matches_per_resample_loop(self):
+        # resample r draws the nine settings in turn from Philox(seed, r)
+        rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
+        s = bootstrap(rho_hat, 100, 60, seed=4)
+        dists = [setting_probs(rho_hat, st) for st in tg.ALL_SETTINGS]
+        conc, pur = [], []
+        for r in range(60):
+            rng = np.random.Generator(np.random.Philox(key=[4, r]))
+            counts = dict(zip(tg.ALL_SETTINGS, [rng.multinomial(100, p) for p in dists]))
+            conc.append(concurrence(linear_inversion(counts)))
+            pur.append(purity(linear_inversion(counts)))
+        for k, v in (("concurrence", conc), ("purity", pur)):
+            assert abs(s.lower[k] - np.percentile(v, 16.0)) <= 1e-14
+            assert abs(s.upper[k] - np.percentile(v, 84.0)) <= 1e-14
+
+    def test_rejects_unnormalizable_setting(self):
+        with pytest.raises(ValueError, match="not normalizable"):
+            bootstrap(np.zeros((4, 4), dtype=complex), 100, 10, seed=0)
 
     def test_rejects_too_few_resamples(self):
         with pytest.raises(ValueError, match="resamples"):
