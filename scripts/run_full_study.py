@@ -6,7 +6,7 @@ exact and shot-sampled theta sweeps, a tomography study with bootstrap
 intervals, a phase-deviation fit on a planted dataset, and the invariant
 verification report. All artifacts land under --out (default out/study).
 
-    python3 scripts/run_full_study.py --out out/study --jobs 4
+    python3 scripts/run_full_study.py --out out/study
 """
 
 import argparse
@@ -18,8 +18,6 @@ import numpy as np
 
 from demongain.cli import main as cli_main
 from demongain.gates import NoiseParams
-from demongain.noisefit import model_curves
-from demongain.protocol import write_tables_csv
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFESTS = REPO / "manifests"
@@ -39,15 +37,12 @@ def run(argv: list[str]) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="out/study", help="output directory")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes")
     ap.add_argument("--seed", type=int, default=None, help="override manifest seeds")
     args = ap.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    common = ["--jobs", str(args.jobs)] + (
-        ["--seed", str(args.seed)] if args.seed is not None else []
-    )
+    common = ["--seed", str(args.seed)] if args.seed is not None else []
 
     run(["sweep", "--manifest", str(MANIFESTS / "sweep_exact.json"),
          "--out", str(out / "sweep_exact"), *common])
@@ -56,15 +51,11 @@ def main() -> None:
     run(["tomo", "--manifest", str(MANIFESTS / "tomo_default.json"),
          "--out", str(out / "tomo"), *common])
 
-    # plant the reference deviations, generate exact curves, and fit them back
+    # fit the exact curves of the planted deviations back
+    # (manifests/data/planted_tables.csv, 17 theta)
     fit_dir = out / "fit"
-    fit_dir.mkdir(parents=True, exist_ok=True)
-    ds = model_curves(PLANTED, np.linspace(0.0, HALF_PI, 17))
-    dataset = fit_dir / "planted_tables.csv"
-    write_tables_csv(dataset, list(zip(ds.thetas, ds.tables)))
-    manifest = fit_dir / "fit_manifest.json"
-    manifest.write_text(json.dumps({"fit": {"dataset": str(dataset)}}, indent=2))
-    run(["fit", "--manifest", str(manifest), "--out", str(fit_dir), *common])
+    run(["fit", "--manifest", str(MANIFESTS / "fit_planted.json"),
+         "--out", str(fit_dir), *common])
 
     planted = np.array(PLANTED.delta_phi)
     fitted = np.array(json.loads((fit_dir / "fit_result.json").read_text())["delta_phi"])

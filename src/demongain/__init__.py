@@ -4,7 +4,7 @@ Exact and shot-sampled simulation of the agent-demon protocol, Pauli
 tomography with parametric bootstrap, and coherent gate-phase fitting.
 """
 
-from .gates import GateOp, NoiseParams
+from .gates import NoiseParams
 from .protocol import (
     OutcomeTable,
     ProtocolConfig,
@@ -21,7 +21,6 @@ from .protocol import (
 from .tomography import bootstrap, concurrence, fit_c0, linear_inversion, purity
 
 __all__ = [
-    "GateOp",
     "NoiseParams",
     "OutcomeTable",
     "ProtocolConfig",

@@ -15,8 +15,10 @@ Runs are driven by a JSON manifest with one section per subcommand:
       "verify": {"tolerances": {"relation": 1e-12, ...}}
     }
 
-Every JSON artifact carries a schema_version field; CSV numbers are
-written with 12 significant digits.
+A relative "dataset" path is read from the manifest's directory. Every
+JSON artifact carries a schema_version field; CSV numbers are written
+with 12 significant digits. Unreadable or malformed input ends the run
+with a one-line error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -77,19 +78,7 @@ def _write_json(path: Path, payload: dict) -> None:
 # sweep
 
 
-def _sweep_point(args):
-    theta, noise_dp, shots, seed, mode = args
-    cfg = ProtocolConfig(
-        theta=theta, noise=NoiseParams(noise_dp), shots=shots, seed=seed
-    )
-    if mode == "exact":
-        table = protocol.outcome_table_exact(cfg)
-    else:
-        table = protocol.run_shots(cfg)
-    return theta, table
-
-
-def cmd_sweep(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
+def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
     sec = _section(manifest, "sweep")
     start = float(sec.get("theta_start", 0.0))
     end = float(sec.get("theta_end", np.pi / 2))
@@ -102,12 +91,11 @@ def cmd_sweep(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
     noise = _noise_from(sec)
     thetas = np.linspace(start, end, steps)
 
-    work = [(t, noise.delta_phi, shots, seed, mode) for t in thetas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_sweep_point, work))
-    else:
-        entries = [_sweep_point(w) for w in work]
+    table_at = protocol.outcome_table_exact if mode == "exact" else protocol.run_shots
+    entries = [
+        (t, table_at(ProtocolConfig(theta=t, noise=noise, shots=shots, seed=seed)))
+        for t in thetas
+    ]
 
     protocol.write_tables_csv(out_dir / "outcome_tables.csv", entries)
     with open(out_dir / "energies.csv", "w", newline="") as fh:
@@ -134,25 +122,7 @@ def cmd_sweep(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
 # tomo
 
 
-def _tomo_point(args):
-    theta, noise_dp, shots, resamples, seed, exact_moments = args
-    cfg = ProtocolConfig(theta=theta, noise=NoiseParams(noise_dp), seed=seed)
-    rho = protocol.prepare_resource(cfg)
-    if exact_moments:
-        rho_hat = tomography.linear_inversion(tomography.exact_moment_probs(rho))
-        tomo = tomography.Tomogram(
-            counts={},
-            shots_per_setting=0,
-            rho_hat=rho_hat,
-            concurrence=tomography.concurrence(rho_hat),
-            purity=tomography.purity(rho_hat),
-        )
-    else:
-        tomo = tomography.tomography_study(rho, shots, resamples, seed)
-    return theta, tomo
-
-
-def cmd_tomo(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
+def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
     sec = _section(manifest, "tomo")
     thetas = [float(t) for t in sec.get("thetas", list(np.linspace(0, np.pi / 2, 9)))]
     shots = int(sec.get("shots_per_setting", 100))
@@ -161,15 +131,21 @@ def cmd_tomo(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
     exact_moments = bool(sec.get("exact_moments", False))
     noise = _noise_from(sec)
 
-    work = [
-        (t, noise.delta_phi, shots, resamples, seed + i, exact_moments)
-        for i, t in enumerate(thetas)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_tomo_point, work))
-    else:
-        entries = [_tomo_point(w) for w in work]
+    entries = []
+    for i, theta in enumerate(thetas):
+        rho = protocol.prepare_resource(ProtocolConfig(theta=theta, noise=noise))
+        if exact_moments:
+            rho_hat = tomography.linear_inversion(tomography.exact_moment_probs(rho))
+            tomo = tomography.Tomogram(
+                counts={},
+                shots_per_setting=0,
+                rho_hat=rho_hat,
+                concurrence=tomography.concurrence(rho_hat),
+                purity=tomography.purity(rho_hat),
+            )
+        else:
+            tomo = tomography.tomography_study(rho, shots, resamples, seed + i)
+        entries.append((theta, tomo))
 
     for i, (theta, tomo) in enumerate(entries):
         if tomo.counts:
@@ -197,12 +173,12 @@ def cmd_tomo(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
 # fit
 
 
-def cmd_fit(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
+def cmd_fit(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
     sec = _section(manifest, "fit")
     dataset_path = sec.get("dataset")
     if not dataset_path:
         raise SystemExit("fit section needs a 'dataset' CSV path")
-    entries = protocol.read_tables_csv(dataset_path)
+    entries = protocol.read_tables_csv(manifest_dir / dataset_path)
     data = noisefit.CurveDataset(
         thetas=np.array([t for t, _ in entries]), tables=[tab for _, tab in entries]
     )
@@ -232,7 +208,7 @@ def cmd_fit(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
         w = csv.writer(fh)
         w.writerow(["theta", "d", "d_prime", "a_prime", "data", "model"])
         for i, theta in enumerate(data.thetas):
-            for c in noisefit.CELLS:
+            for c in protocol.CELLS:
                 w.writerow(
                     [_fmt(theta), *c, _fmt(data.tables[i].pr_joint[c]),
                      _fmt(model.tables[i].pr_joint[c])]
@@ -329,7 +305,7 @@ def _verify_checks(tol: dict):
     yield "conditional swap is the optimal policy", ok, 0.0
 
 
-def cmd_verify(manifest: dict, out_dir: Path, seed_override, jobs: int) -> int:
+def cmd_verify(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
     sec = manifest.get("verify", {})
     tol = sec.get("tolerances", {})
     failures = 0
@@ -356,19 +332,22 @@ def main(argv=None) -> int:
         p.add_argument("--manifest", required=(name != "verify"), help="JSON run manifest")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override manifest seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
 
     manifest = _load_manifest(args.manifest) if args.manifest else {}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_dir = Path(args.manifest).parent if args.manifest else Path(".")
     handler = {
         "sweep": cmd_sweep,
         "tomo": cmd_tomo,
         "fit": cmd_fit,
         "verify": cmd_verify,
     }[args.command]
-    return handler(manifest, out_dir, args.seed, args.jobs)
+    try:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return handler(manifest, manifest_dir, out_dir, args.seed)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"demongain {args.command}: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Two-qubit circuit blocks for the feedback energy-extraction protocol.
 
+This module is the only description of the preparation circuit: the
+density-matrix path (`protocol.prepare_resource`) multiplies its blocks,
+and the state-vector kernel `kets` applies the same factors to kets.
+
 The native set is single-qubit rotations R(theta, phi) about axes in the
 XY plane and the entangling phase gate U_ZZ = exp[-i (pi/8) Z(x)Z]. A
 composite controlled-Z pi/2 block is two U_ZZ gates with a simultaneous
@@ -7,6 +11,10 @@ X(x)X echo in between. Three such blocks appear in the circuit (one in
 the Bell preparation, two inside the parametric controlled-Y); each may
 carry a coherent phase deviation delta_phi relative to its preset pi/2
 two-qubit phase.
+
+Every block takes scalar angles or arrays of angles; array arguments
+broadcast against each other and give an (..., 4, 4) stack whose items
+equal the scalar calls bit for bit.
 
 Angle convention for the controlled-Y: cy(theta) acts as exp[-i theta Y]
 on the agent when the demon is in |0>, so that cy(theta) applied to the
@@ -16,19 +24,19 @@ in the (|00>, |01>, |10>, |11>) basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron
-
-UNITARITY_TOL = 1e-10
+from .qlin import ID2, PAULI_X, PAULI_Y, dag, kron
 
 _XX = kron(PAULI_X, PAULI_X)
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+_RZ = np.diag(np.exp([0.25j * np.pi, -0.25j * np.pi]))  # Rz(-pi/2)
+_RZRZ = kron(_RZ, _RZ)
 
 
 @dataclass(frozen=True)
@@ -49,32 +57,15 @@ class NoiseParams:
         return cls((0.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """A 4x4 unitary with provenance metadata."""
-
-    matrix: np.ndarray
-    label: str
-    delta_phi_slot: int | None = None
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix, dtype=complex)
-        if u.shape != (4, 4):
-            raise ValueError(f"gate matrix must be 4x4, got {u.shape}")
-        dev = np.max(np.abs(dag(u) @ u - np.eye(4)))
-        if dev > UNITARITY_TOL:
-            raise ValueError(f"gate is not unitary: max |U^dag U - I| = {dev:.3e}")
-        object.__setattr__(self, "matrix", u)
+def _col(x) -> np.ndarray:
+    """Angles as an array with two trailing unit axes, for matrix broadcasting."""
+    return np.asarray(x, dtype=float)[..., None, None]
 
 
-def _rot2(theta: float, phi: float) -> np.ndarray:
+def _rot2(theta, phi) -> np.ndarray:
     """exp[-i (theta/2) (cos(phi) X + sin(phi) Y)]."""
-    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
-    return np.cos(theta / 2) * ID2 - 1j * np.sin(theta / 2) * axis
-
-
-def _rz2(alpha: float) -> np.ndarray:
-    return np.diag(np.exp([-0.5j * alpha, 0.5j * alpha]))
+    axis = np.cos(_col(phi)) * PAULI_X + np.sin(_col(phi)) * PAULI_Y
+    return np.cos(_col(theta) / 2) * ID2 - 1j * np.sin(_col(theta) / 2) * axis
 
 
 def _embed(u2: np.ndarray, target: str) -> np.ndarray:
@@ -85,56 +76,53 @@ def _embed(u2: np.ndarray, target: str) -> np.ndarray:
     raise ValueError(f"target must be 'A' or 'D', got {target!r}")
 
 
-def local_rot(theta: float, phi: float, target: str) -> GateOp:
+def local_rot(theta, phi, target: str) -> np.ndarray:
     """Single-qubit rotation about an XY-plane axis, embedded on one qubit."""
-    return GateOp(_embed(_rot2(theta, phi), target), "LocalRot")
+    return _embed(_rot2(theta, phi), target)
 
 
-def u_zz(delta_phi: float = 0.0) -> GateOp:
+_H_A = _embed(_HADAMARD, "A")
+_BELL_OPEN = local_rot(np.pi / 2, np.pi / 2, "A") @ local_rot(np.pi / 2, np.pi / 2, "D")
+_BELL_CLOSE = local_rot(np.pi / 2, np.pi, "A")
+
+
+def u_zz(delta_phi=0.0) -> np.ndarray:
     """exp[-i (pi/8 + delta_phi/4) Z(x)Z]; half of a controlled-Z pi/2 block."""
-    angle = np.pi / 8 + delta_phi / 4
+    angle = np.pi / 8 + np.asarray(delta_phi, dtype=float)[..., None] / 4
     zz = np.array([1, -1, -1, 1])
-    return GateOp(np.diag(np.exp(-1j * angle * zz)), "Uzz")
+    diag = np.exp(-1j * angle * zz)
+    out = np.zeros(diag.shape + (4,), dtype=complex)
+    out[..., range(4), range(4)] = diag
+    return out
 
 
-def cz_half(slot: int, noise: NoiseParams | None = None) -> GateOp:
+def cz_half(delta_phi=0.0) -> np.ndarray:
     """Controlled-Z pi/2 block: u_zz . (X(x)X) . u_zz . (X(x)X).
 
-    Total two-qubit phase is pi/2 + delta_phi[slot-1]; the deviation is
-    split evenly over the two u_zz halves (the split is unobservable at
-    the composite level since the halves commute).
+    Total two-qubit phase is pi/2 + delta_phi; the deviation is split
+    evenly over the two u_zz halves (the split is unobservable at the
+    composite level since the halves commute).
     """
-    if slot not in (1, 2, 3):
-        raise ValueError(f"slot must be 1, 2 or 3, got {slot}")
-    noise = noise or NoiseParams.zeros()
-    d = noise.delta_phi[slot - 1]
-    half = u_zz(d).matrix
-    return GateOp(half @ _XX @ half @ _XX, "CZHalf", delta_phi_slot=slot)
+    half = u_zz(delta_phi)
+    return half @ _XX @ half @ _XX
 
 
-def _cnot_d_to_a(slot: int, noise: NoiseParams | None) -> np.ndarray:
+def _cnot_d_to_a(delta_phi) -> np.ndarray:
     """CNOT with demon control and agent target, built from one cz_half block."""
-    cz = kron(_rz2(-np.pi / 2), _rz2(-np.pi / 2)) @ cz_half(slot, noise).matrix
+    cz = _RZRZ @ cz_half(delta_phi)
     cz = np.exp(-1j * np.pi / 4) * cz  # fixes cz to diag(1,1,1,-1) at zero noise
-    h_a = _embed(_HADAMARD, "A")
-    return h_a @ cz @ h_a
+    return _H_A @ cz @ _H_A
 
 
-def bell_prep(noise: NoiseParams | None = None) -> GateOp:
+def bell_prep(delta_phi=0.0) -> np.ndarray:
     """Preparation block mapping |00> to the odd-parity Bell state.
 
     Simultaneous pi/2 rotations about Y on both qubits, one controlled-Z
-    pi/2 block (slot 1), and a closing pi/2 rotation about -X on the
-    agent. With zero noise the output on |00> is (|01> + |10>)/sqrt(2)
-    up to a global phase.
+    pi/2 block (deviation delta_phi_1), and a closing pi/2 rotation about
+    -X on the agent. With zero noise the output on |00> is
+    (|01> + |10>)/sqrt(2) up to a global phase.
     """
-    open_rots = _embed(_rot2(np.pi / 2, np.pi / 2), "A") @ _embed(
-        _rot2(np.pi / 2, np.pi / 2), "D"
-    )
-    close_rot = _embed(_rot2(np.pi / 2, np.pi), "A")
-    return GateOp(
-        close_rot @ cz_half(1, noise).matrix @ open_rots, "BellPrep", delta_phi_slot=1
-    )
+    return _BELL_CLOSE @ cz_half(delta_phi) @ _BELL_OPEN
 
 
 def cy_exact(theta: float) -> np.ndarray:
@@ -145,7 +133,7 @@ def cy_exact(theta: float) -> np.ndarray:
     return kron(ry, p0) + kron(ID2, p1)
 
 
-def cy(theta: float, noise: NoiseParams | None = None) -> GateOp:
+def cy(theta, delta_phi_2=0.0, delta_phi_3=0.0) -> np.ndarray:
     """Parametric controlled-Y, decomposed around cz_half blocks 2 and 3.
 
     Decomposition: CNOT(slot 3) . Ry_A(theta) . CNOT(slot 2) . Ry_A(theta),
@@ -153,23 +141,31 @@ def cy(theta: float, noise: NoiseParams | None = None) -> GateOp:
     rotation on the |1_D> branch so the two halves cancel there. Equals
     cy_exact(theta) exactly at zero noise.
     """
-    ry_half = _embed(_rot2(theta, np.pi / 2), "A")
-    u = _cnot_d_to_a(3, noise) @ ry_half @ _cnot_d_to_a(2, noise) @ ry_half
-    return GateOp(u, "ControlledY")
+    ry_half = local_rot(theta, np.pi / 2, "A")
+    return _cnot_d_to_a(delta_phi_3) @ ry_half @ _cnot_d_to_a(delta_phi_2) @ ry_half
 
 
-def swap() -> GateOp:
+def kets(params, thetas) -> np.ndarray:
+    """(m, n, 4) circuit output on |00> for (m, 3) deviations and n angles.
+
+    Column 0 of bell_prep, then the four factors of cy applied to the
+    state vectors, so no (m, n, 4, 4) product is formed.
+    """
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    ry_half = local_rot(np.asarray(thetas, dtype=float), np.pi / 2, "A")
+    s = bell_prep(params[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
+    for u in (ry_half, _cnot_d_to_a(params[:, 1])[:, None], ry_half,
+              _cnot_d_to_a(params[:, 2])[:, None]):
+        s = u @ s
+    return s[..., 0]
+
+
+def swap() -> np.ndarray:
     """Exchange the two qubits."""
-    return GateOp(_SWAP.copy(), "Swap")
+    return _SWAP.copy()
 
 
-def pauli(which: str, target: str) -> GateOp:
-    """Embedded Pauli gate on one qubit."""
-    p = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}[which]
-    return GateOp(_embed(p, target), f"Pauli{which}")
-
-
-def apply(u: GateOp | np.ndarray, rho: np.ndarray) -> np.ndarray:
+def apply(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Conjugate a density matrix by a unitary: U rho U^dag."""
-    m = u.matrix if isinstance(u, GateOp) else np.asarray(u, dtype=complex)
+    m = np.asarray(u, dtype=complex)
     return m @ rho @ dag(m)

@@ -1,11 +1,12 @@
 """Least-squares fit of the three controlled-Z phase deviations.
 
-The model is the exact-mode protocol simulator evaluated under candidate
-(delta_phi_1, delta_phi_2, delta_phi_3); the loss is the plain sum of
-squared differences over all eight joint outcome cells at every theta
-grid point (inverse-variance weighted when per-cell weights are given).
-Optimization is a coarse grid scan followed by Nelder-Mead refinement;
-both stages are deterministic.
+The model is the exact-mode protocol evaluated under candidate
+(delta_phi_1, delta_phi_2, delta_phi_3): `gates.kets` batched over both
+the candidates and the theta grid, read out by `protocol.joint_cells`.
+The loss is the plain sum of squared differences over all eight joint
+outcome cells at every theta grid point (inverse-variance weighted when
+per-cell weights are given). Optimization is a coarse grid scan followed
+by Nelder-Mead refinement; both stages are deterministic.
 """
 
 from __future__ import annotations
@@ -17,61 +18,13 @@ from itertools import product
 import numpy as np
 from scipy.optimize import minimize
 
+from . import gates
 from .gates import NoiseParams
-from .protocol import OutcomeTable, ProtocolConfig, outcome_table_exact
-
-CELLS = tuple(product((0, 1), (0, 1), (0, 1)))  # (d, d', a')
+from .protocol import CELLS, OutcomeTable, ProtocolConfig, joint_cells, outcome_table_exact
 
 DEFAULT_BOUNDS = ((-np.pi / 4, np.pi / 4),) * 3
 DEFAULT_GRID_STEP = 0.01 * np.pi / 2
 DEFAULT_GRID_MAX = 0.25 * np.pi / 2
-
-# --- vectorized pure-state model -------------------------------------------
-# The preparation circuit keeps the two-qubit state pure, so the model
-# cells can be evaluated on 4-component state vectors batched over both
-# parameter sets and theta grid. This path is verified against
-# outcome_table_exact in the test suite and exists purely for speed.
-
-_H_A = np.kron(np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(2)).astype(complex)
-_ZZ_SIGNS = np.array([1, -1, -1, 1])
-_RZRZ = np.exp(-0.25j * np.pi * np.array([-2, 0, 0, 2]))  # Rz(-pi/2) (x) Rz(-pi/2)
-_SWAP_PERM = np.array([0, 2, 1, 3])
-
-
-def _cz_diag(delta: np.ndarray) -> np.ndarray:
-    """(m, 4) diagonal of the composite controlled-Z pi/2 block."""
-    angle = np.pi / 4 + np.asarray(delta)[:, None] / 2
-    return np.exp(-1j * angle * _ZZ_SIGNS)
-
-
-def _cnot_batch(delta: np.ndarray) -> np.ndarray:
-    """(m, 4, 4) CNOT (demon control, agent target) with a noisy cz block."""
-    diag = np.exp(-1j * np.pi / 4) * _RZRZ * _cz_diag(delta)
-    return np.einsum("ij,mj,jk->mik", _H_A, diag, _H_A)
-
-
-def _bell_kets(delta1: np.ndarray) -> np.ndarray:
-    """(m, 4) output of the Bell block on |00> with a noisy slot-1 cz."""
-    r_open = np.kron(
-        np.array([[1, -1], [1, 1]]) / np.sqrt(2),
-        np.array([[1, -1], [1, 1]]) / np.sqrt(2),
-    ).astype(complex)
-    r_close = np.kron(
-        np.array([[1, 1j], [1j, 1]]) / np.sqrt(2), np.eye(2)
-    ).astype(complex)
-    psi0 = r_open[:, 0]
-    return np.einsum("ij,mj->mi", r_close, _cz_diag(delta1) * psi0)
-
-
-def _ry_batch(thetas: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) agent rotation exp[-i (theta/2) Y_A]."""
-    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
-    out = np.zeros((len(thetas), 4, 4), dtype=complex)
-    out[:, 0, 0] = out[:, 1, 1] = c
-    out[:, 2, 2] = out[:, 3, 3] = c
-    out[:, 0, 2] = out[:, 1, 3] = -s
-    out[:, 2, 0] = out[:, 3, 1] = s
-    return out
 
 
 def model_cells(params: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -80,32 +33,7 @@ def model_cells(params: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     `params` is an (m, 3) array of candidate phase deviations, `thetas`
     the length-n preparation-angle grid.
     """
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    thetas = np.asarray(thetas, dtype=float)
-    bell = _bell_kets(params[:, 0])
-    cnot2 = _cnot_batch(params[:, 1])
-    cnot3 = _cnot_batch(params[:, 2])
-    ry = _ry_batch(thetas)
-    s = np.einsum("nij,mj->mni", ry, bell)
-    s = np.einsum("mij,mnj->mni", cnot2, s)
-    s = np.einsum("nij,mnj->mni", ry, s)
-    s = np.einsum("mij,mnj->mni", cnot3, s)
-    p = np.abs(s) ** 2  # (m, n, 4), index 2a + d
-    # d=0 branch, fed through SWAP: component 2a+0 moves to index a
-    v0 = np.zeros_like(s)
-    v0[..., 0] = s[..., 0]
-    v0[..., 2] = s[..., 2]
-    v0 = v0[..., _SWAP_PERM]
-    p0 = np.abs(v0) ** 2
-    cells = np.empty(p.shape[:2] + (8,))
-    for j, (d, dp, ap) in enumerate(CELLS):
-        if d == 0:
-            cells[..., j] = p0[..., 2 * ap + dp]
-        else:
-            # the d=1 branch keeps the demon in |1> through the identity
-            # feedback, so only d'=1 cells are populated
-            cells[..., j] = p[..., 2 * ap + 1] if dp == 1 else 0.0
-    return cells
+    return joint_cells(gates.kets(params, thetas))
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Measurement-feedback energy-extraction protocol on two qubits.
 
-Exact mode propagates 4x4 density matrices through the circuit; sampled
-mode draws individual shots with QND-emulation semantics (the demon's
-qubit is re-prepared in the recorded outcome state before the feedback).
+The circuit is built from `gates`: `prepare_resource` gives the 4x4
+density matrix, and exact outcome tables and shot sampling read the
+circuit's output kets (`gates.kets`). Sampled mode draws individual
+shots with QND-emulation semantics (the demon's qubit is re-prepared in
+the recorded outcome state before the feedback).
 All energies are reported in units of the qubit splitting epsilon, so the
 demon's local Hamiltonian is H_D = I_A (x) |1><1|.
 """
@@ -10,13 +12,13 @@ demon's local Hamiltonian is H_D = I_A (x) |1><1|.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from . import gates, qlin
-from .gates import GateOp, NoiseParams
+from . import gates
+from .gates import NoiseParams
 from .qlin import ID2, KET0, KET1, kron
 
 DEFAULT_SHOTS = 3500
@@ -27,8 +29,8 @@ PROJ1 = np.outer(KET1, KET1.conj())
 H_DEMON = kron(ID2, PROJ1)  # demon excitation number, units of epsilon
 H_AGENT = kron(PROJ1, ID2)
 
-DENSITY_TOL = 1e-10
 _PROB_FLOOR = 1e-12
+CELLS = tuple(product((0, 1), (0, 1), (0, 1)))  # (d, d', a')
 
 
 @dataclass(frozen=True)
@@ -94,21 +96,6 @@ class OutcomeTable:
                 raise ValueError(f"joint cells for d={d} do not sum to Pr(d)")
 
 
-def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a 4x4 state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if not qlin.is_hermitian(rho, tol):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
-    w, _ = qlin.eig_hermitian(rho)
-    if np.min(w) < qlin.PSD_EIG_FLOOR:
-        raise ValueError(f"negative eigenvalue {np.min(w):.3e}")
-    return rho
-
-
 def resource_ket(theta: float) -> np.ndarray:
     """Ideal resource state amplitudes in the (|00>,|01>,|10>,|11>) basis."""
     return np.array(
@@ -118,10 +105,11 @@ def resource_ket(theta: float) -> np.ndarray:
 
 def prepare_resource(cfg: ProtocolConfig) -> np.ndarray:
     """Run the preparation circuit (Bell block then controlled-Y) on |00>."""
+    d1, d2, d3 = cfg.noise.delta_phi
     rho0 = np.zeros((4, 4), dtype=complex)
     rho0[0, 0] = 1.0
-    rho = gates.apply(gates.bell_prep(cfg.noise), rho0)
-    return gates.apply(gates.cy(cfg.theta, cfg.noise), rho)
+    rho = gates.apply(gates.bell_prep(d1), rho0)
+    return gates.apply(gates.cy(cfg.theta, d2, d3), rho)
 
 
 def measure_demon(rho: np.ndarray) -> list[Branch]:
@@ -142,8 +130,36 @@ def measure_demon(rho: np.ndarray) -> list[Branch]:
     return branches
 
 
-_U_SWAP = gates.swap().matrix
+_U_SWAP = gates.swap()
 _U_ID = np.eye(4, dtype=complex)
+_SWAP_PERM = np.array([0, 2, 1, 3])  # _U_SWAP as a permutation of index 2a + d
+
+
+def _feedback_cells(agent_pops: np.ndarray, demon: int, recorded: int) -> np.ndarray:
+    """Final-readout probabilities, index 2a' + d', of one branch.
+
+    `agent_pops` (2,) are the agent's populations, the demon's qubit sits
+    in |demon>, and the recorded outcome selects the feedback: SWAP on 0,
+    identity on 1. The readouts are diagonal and the feedback a
+    permutation, so coherences never reach a cell.
+    """
+    cells = np.kron(agent_pops, np.eye(2)[demon])  # state |a, demon>
+    return cells[_SWAP_PERM] if recorded == 0 else cells
+
+
+# joint_cells as a gather: for each cell (d, d', a') in CELLS order, 1 + the
+# ket index 2a + d whose |amplitude|^2 lands there, 0 for an empty cell. The
+# demon keeps its measured state (demon = recorded = d), and the reorder
+# 2a' + d' -> 2d' + a' is the same transposition as the SWAP.
+_JOINT_GATHER = np.concatenate(
+    [_feedback_cells(np.array([d + 1, d + 3]), d, d)[_SWAP_PERM] for d in (0, 1)]
+).astype(int)
+
+
+def joint_cells(kets: np.ndarray) -> np.ndarray:
+    """(..., 8) joint probabilities Pr(d, d', a') in CELLS order from (..., 4) kets."""
+    p = np.abs(kets) ** 2
+    return np.concatenate([np.zeros_like(p[..., :1]), p], axis=-1)[..., _JOINT_GATHER]
 
 
 def apply_feedback(
@@ -211,24 +227,19 @@ def gain_lower_bound(c: float) -> float:
 
 def outcome_table_exact(cfg: ProtocolConfig) -> OutcomeTable:
     """Exact joint outcome probabilities Pr(d, d', a') of the full protocol."""
-    rho = prepare_resource(cfg)
-    branches = measure_demon(rho)
-    pr_d = {b.d: b.prob for b in branches}
-    pr_joint: dict[tuple[int, int, int], float] = {}
-    for b in branches:
-        if b.post_state is None:
-            for dp in (0, 1):
-                for ap in (0, 1):
-                    pr_joint[(b.d, dp, ap)] = 0.0
-            continue
-        final = gates.apply((_U_SWAP, _U_ID)[b.d], b.post_state)
-        diag = np.diag(final).real
-        for ap in (0, 1):
-            for dp in (0, 1):
-                pr_joint[(b.d, dp, ap)] = b.prob * diag[2 * ap + dp]
-    table = OutcomeTable(pr_d=pr_d, pr_joint=pr_joint)
+    cells = joint_cells(_ket(cfg))
+    pr_joint = {c: float(p) for c, p in zip(CELLS, cells)}
+    table = OutcomeTable(pr_d=_marginals(pr_joint), pr_joint=pr_joint)
     table.validate()
     return table
+
+
+def _ket(cfg: ProtocolConfig) -> np.ndarray:
+    return gates.kets(cfg.noise.delta_phi, [cfg.theta])[0, 0]
+
+
+def _marginals(pr_joint: dict) -> dict[int, float]:
+    return {d: sum(p for (dd, _, _), p in pr_joint.items() if dd == d) for d in (0, 1)}
 
 
 def run_shots(cfg: ProtocolConfig) -> OutcomeTable:
@@ -239,49 +250,36 @@ def run_shots(cfg: ProtocolConfig) -> OutcomeTable:
     is a pure function of (seed, shot index) and bit-for-bit reproducible
     regardless of evaluation order.
     """
-    rho = prepare_resource(cfg)
-    p1 = np.trace((kron(ID2, PROJ1)) @ rho).real
-    branches = measure_demon(rho)
-    agent_marginals = {
-        b.d: None if b.post_state is None else qlin.partial_trace(b.post_state, "A")
-        for b in branches
-    }
-
-    # Final-readout cell probabilities depend on the physical branch (agent
-    # marginal), the re-prepared demon state and the recorded outcome (which
-    # selects the feedback unitary). Only a handful of combinations occur,
-    # so shots are processed vectorized, grouped by combination.
-    def cumdist(d_true: int, demon_state: int, recorded: int) -> np.ndarray:
-        agent = agent_marginals[d_true]
-        reprep = kron(agent, (PROJ0, PROJ1)[demon_state])
-        final = gates.apply((_U_SWAP, _U_ID)[recorded], reprep)
-        cells = np.clip(np.diag(final).real, 0.0, None)
-        return np.cumsum(cells / cells.sum())
+    p = np.abs(_ket(cfg)) ** 2  # index 2a + d
+    # unnormalized agent populations of each physical branch
+    agent_pops = [p[[d, 2 + d]] for d in (0, 1)]
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     u = rng.random((cfg.shots, 4))
-    d_true = (u[:, 0] < p1).astype(int)
+    d_true = (u[:, 0] < agent_pops[1].sum()).astype(int)
     recorded = d_true ^ (u[:, 1] < cfg.qnd_detect_error)
     demon_state = recorded ^ (u[:, 2] < cfg.qnd_reprep_error)
 
-    # cell index within a branch is 2*a' + d'; global count index 4*recorded + cell
+    # Final-readout cells depend on the physical branch, the re-prepared
+    # demon state and the recorded outcome (which selects the feedback).
+    # Only a handful of combinations occur, so shots are processed
+    # vectorized, grouped by combination. Cell index within a branch is
+    # 2*a' + d'; global count index 4*recorded + cell.
     raw = np.zeros(8, dtype=int)
     for dt in (0, 1):
-        if agent_marginals[dt] is None:
+        if agent_pops[dt].sum() < _PROB_FLOOR:
             continue
         for dm in (0, 1):
             for rec in (0, 1):
                 mask = (d_true == dt) & (demon_state == dm) & (recorded == rec)
                 if not mask.any():
                     continue
-                k = np.searchsorted(cumdist(dt, dm, rec), u[mask, 3], side="right")
+                cells = _feedback_cells(agent_pops[dt], dm, rec)
+                cdf = np.cumsum(cells / cells.sum())
+                k = np.searchsorted(cdf, u[mask, 3], side="right")
                 raw += np.bincount(4 * rec + np.minimum(k, 3), minlength=8)
 
-    counts: dict[tuple[int, int, int], int] = {}
-    for rec in (0, 1):
-        for ap in (0, 1):
-            for dp in (0, 1):
-                counts[(rec, dp, ap)] = int(raw[4 * rec + 2 * ap + dp])
+    counts = {(d, dp, ap): int(raw[4 * d + 2 * ap + dp]) for d, dp, ap in CELLS}
     mid = {d: int(np.sum(recorded == d)) for d in (0, 1)}
     pr_d = {d: mid[d] / cfg.shots for d in (0, 1)}
     pr_joint = {k: v / cfg.shots for k, v in counts.items()}
@@ -311,46 +309,53 @@ def write_tables_csv(path, entries: list[tuple[float, OutcomeTable]]) -> None:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         for theta, t in entries:
-            for d in (0, 1):
-                for dp in (0, 1):
-                    for ap in (0, 1):
-                        c = "" if t.counts is None else t.counts[(d, dp, ap)]
-                        w.writerow(
-                            [_fmt(theta), d, dp, ap, c, _fmt(t.pr_joint[(d, dp, ap)])]
-                        )
+            for cell in CELLS:
+                c = "" if t.counts is None else t.counts[cell]
+                w.writerow([_fmt(theta), *cell, c, _fmt(t.pr_joint[cell])])
 
 
 def read_tables_csv(path) -> list[tuple[float, OutcomeTable]]:
-    """Inverse of write_tables_csv; marginals are rebuilt from the cells."""
+    """Inverse of write_tables_csv; marginals are rebuilt from the cells.
+
+    Every theta needs all eight (d, d', a') rows with a probability in
+    [0, 1]; a ValueError names the theta and cell that break this.
+    """
     grouped: dict[str, dict] = {}
-    order: list[str] = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_HEADER if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
             key = row["theta"]
-            if key not in grouped:
-                grouped[key] = {"joint": {}, "counts": {}, "has_counts": True}
-                order.append(key)
-            cell = (int(row["d"]), int(row["d_prime"]), int(row["a_prime"]))
-            grouped[key]["joint"][cell] = float(row["probability"])
-            if row["count"] == "":
-                grouped[key]["has_counts"] = False
-            else:
-                grouped[key]["counts"][cell] = int(row["count"])
+            where = f"{path}: theta {key}, cell ({row['d']}, {row['d_prime']}, {row['a_prime']})"
+            try:
+                theta = float(key)
+                cell = (int(row["d"]), int(row["d_prime"]), int(row["a_prime"]))
+                p = float(row["probability"])
+                count = None if row["count"] == "" else int(row["count"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: not a number") from None
+            g = grouped.setdefault(key, {"theta": theta, "joint": {}, "counts": {}})
+            if cell not in CELLS or cell in g["joint"]:
+                raise ValueError(f"{where}: unknown or repeated cell")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{where}: probability {p} outside [0, 1]")
+            g["joint"][cell] = p
+            g["counts"][cell] = count
     out = []
-    for key in order:
-        g = grouped[key]
-        pr_d = {
-            d: sum(p for (dd, _, _), p in g["joint"].items() if dd == d)
-            for d in (0, 1)
-        }
-        counts = g["counts"] if g["has_counts"] else None
-        shots = sum(counts.values()) if counts else None
-        out.append(
-            (
-                float(key),
-                OutcomeTable(pr_d=pr_d, pr_joint=g["joint"], counts=counts, shots=shots),
-            )
+    for key, g in grouped.items():
+        absent = [c for c in CELLS if c not in g["joint"]]
+        if absent:
+            raise ValueError(f"{path}: theta {key} has no row for cell {absent[0]}")
+        counts = None if None in g["counts"].values() else g["counts"]
+        table = OutcomeTable(
+            pr_d=_marginals(g["joint"]),
+            pr_joint=g["joint"],
+            counts=counts,
+            shots=sum(counts.values()) if counts else None,
         )
+        out.append((g["theta"], table))
     return out
 
 

@@ -42,10 +42,14 @@ def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices; first factor is the agent qubit."""
-    a = _as_square(a, dims=(2,))
-    b = _as_square(b, dims=(2,))
-    return np.kron(a, b)
+    """Kronecker product of two 2x2 matrices; first factor is the agent qubit.
+
+    Either factor may be an (..., 2, 2) stack; leading axes broadcast.
+    """
+    a = _as_square(a, dims=(2,), stacked=True)
+    b = _as_square(b, dims=(2,), stacked=True)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:

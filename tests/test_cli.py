@@ -1,6 +1,8 @@
 """End-to-end tests of the four CLI subcommands."""
 
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from demongain.noisefit import model_curves
 from demongain.protocol import write_tables_csv
 
 HALF_PI = np.pi / 2
+PLANTED = (0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -63,17 +66,6 @@ class TestSweep:
         _run(["sweep", "--manifest", manifest, "--out", str(out1)])
         _run(["sweep", "--manifest", manifest, "--out", str(out2)])
         for name in ("outcome_tables.csv", "energies.csv", "sweep_summary.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_jobs_parity(self, tmp_path):
-        manifest = _write_manifest(
-            tmp_path,
-            {"sweep": {"theta_steps": 6, "mode": "sampled", "shots": 200, "seed": 3}},
-        )
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        _run(["sweep", "--manifest", manifest, "--out", str(out1)])
-        _run(["sweep", "--manifest", manifest, "--out", str(out2), "--jobs", "2"])
-        for name in ("outcome_tables.csv", "sweep_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_override(self, tmp_path):
@@ -144,24 +136,6 @@ class TestTomo:
             out2 / "tomo_metrics.json"
         ).read_bytes()
 
-    def test_jobs_parity(self, tmp_path):
-        manifest = _write_manifest(
-            tmp_path,
-            {
-                "tomo": {
-                    "thetas": [0.0, 0.4, 0.8],
-                    "shots_per_setting": 40,
-                    "resamples": 5,
-                }
-            },
-        )
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        _run(["tomo", "--manifest", manifest, "--out", str(out1)])
-        _run(["tomo", "--manifest", manifest, "--out", str(out2), "--jobs", "3"])
-        assert (out1 / "tomo_metrics.json").read_bytes() == (
-            out2 / "tomo_metrics.json"
-        ).read_bytes()
-
     def test_default_manifest_matches_golden_metrics(self, tmp_path):
         # tomo_metrics.json of manifests/tomo_default.json as written by the
         # per-resample bootstrap loop that the stacked bootstrap replaced;
@@ -191,7 +165,7 @@ class TestTomo:
 
 class TestFit:
     def test_fit_recovers_planted(self, tmp_path):
-        planted = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI))
+        planted = NoiseParams(PLANTED)
         ds = model_curves(planted, np.linspace(0, HALF_PI, 9))
         dataset = tmp_path / "tables.csv"
         write_tables_csv(dataset, list(zip(ds.thetas, ds.tables)))
@@ -208,6 +182,57 @@ class TestFit:
         manifest = _write_manifest(tmp_path, {"fit": {}})
         with pytest.raises(SystemExit, match="dataset"):
             _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+
+    def test_missing_dataset_file_exits(self, tmp_path):
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": "absent.csv"}})
+        with pytest.raises(SystemExit, match="absent.csv"):
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    def test_missing_cell_exits(self, tmp_path):
+        rows = (ROOT / "manifests/data/planted_tables.csv").read_text().splitlines()
+        # drop the (d, d', a') = (0, 0, 1) row of the first theta
+        (tmp_path / "tables.csv").write_text("\n".join(rows[:2] + rows[3:]) + "\n")
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(tmp_path / "tables.csv")}})
+        with pytest.raises(SystemExit, match=r"theta 0 has no row for cell \(0, 0, 1\)"):
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    def test_non_numeric_probability_exits(self, tmp_path):
+        rows = (ROOT / "manifests/data/planted_tables.csv").read_text().splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",abc"
+        (tmp_path / "tables.csv").write_text("\n".join(rows) + "\n")
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(tmp_path / "tables.csv")}})
+        with pytest.raises(SystemExit, match=r"theta 0, cell \(1, 0, 0\): not a number"):
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "manifests").glob("*.json")), ids=lambda p: p.name)
+def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
+    # from an unrelated working directory, so relative paths must resolve
+    # against the manifest itself
+    monkeypatch.chdir(tmp_path)
+    for command in json.loads(path.read_text()):
+        assert _run([command, "--manifest", str(path), "--out", command]) == 0
+
+
+def test_planted_dataset_matches_study_deviations(tmp_path):
+    # manifests/data/planted_tables.csv holds the exact curves of the
+    # deviations the study script reports as planted
+    study = runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="study")
+    ds = model_curves(study["PLANTED"], np.linspace(0.0, HALF_PI, 17))
+    write_tables_csv(tmp_path / "tables.csv", list(zip(ds.thetas, ds.tables)))
+    checked_in = (ROOT / "manifests/data/planted_tables.csv").read_bytes()
+    assert (tmp_path / "tables.csv").read_bytes() == checked_in
+
+
+def test_full_study_with_relative_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", "out/study"])
+    runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="__main__")
+    fit = json.loads((tmp_path / "out/study/fit/fit_result.json").read_text())
+    assert np.max(np.abs(np.array(fit["delta_phi"]) - PLANTED)) < 1e-3 * HALF_PI
+    report = json.loads((tmp_path / "out/study/verify/verify_report.json").read_text())
+    assert all(c["passed"] for c in report["checks"])
 
 
 class TestVerify:

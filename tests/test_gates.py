@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demongain import gates
-from demongain.gates import GateOp, NoiseParams, apply, bell_prep, cy, cy_exact, cz_half, local_rot, swap, u_zz
+from demongain.gates import NoiseParams, apply, bell_prep, cy, cy_exact, cz_half, kets, local_rot, swap, u_zz
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
 from conftest import haar_unitary, random_density
@@ -24,22 +24,17 @@ def test_noise_params_validation():
         NoiseParams((np.pi / 2, 0.0, 0.0))
 
 
-def test_gateop_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        GateOp(np.diag([1.0, 1, 1, 0.5]).astype(complex), "Bad")
-
-
 class TestLocalRot:
     def test_pi_about_x_is_pauli(self):
-        u = local_rot(np.pi, 0.0, "A").matrix
+        u = local_rot(np.pi, 0.0, "A")
         assert np.allclose(u, -1j * kron(PAULI_X, ID2))
 
     def test_zero_angle_identity(self):
         for phi in (0.0, 1.0, 2.5):
-            assert np.allclose(local_rot(0.0, phi, "D").matrix, np.eye(4))
+            assert np.allclose(local_rot(0.0, phi, "D"), np.eye(4))
 
     def test_half_pi_about_y_superposes(self):
-        u = local_rot(np.pi / 2, np.pi / 2, "A").matrix
+        u = local_rot(np.pi / 2, np.pi / 2, "A")
         out = u @ np.array([1, 0, 0, 0], dtype=complex)
         assert np.allclose(out, np.array([1, 0, 1, 0]) / np.sqrt(2))
 
@@ -47,51 +42,45 @@ class TestLocalRot:
 class TestUzz:
     def test_ideal_diagonal(self):
         expect = np.diag(np.exp(-1j * np.pi / 8 * np.array([1, -1, -1, 1])))
-        assert np.allclose(u_zz().matrix, expect)
+        assert np.allclose(u_zz(), expect)
 
     def test_composition_doubles_angle(self):
-        u = u_zz().matrix
+        u = u_zz()
         expect = np.diag(np.exp(-1j * np.pi / 4 * np.array([1, -1, -1, 1])))
         assert np.allclose(u @ u, expect)
 
     def test_unitary_for_any_deviation(self, rng):
         for d in rng.uniform(-1, 1, 5):
-            u = u_zz(d).matrix
+            u = u_zz(d)
             assert np.allclose(u.conj().T @ u, np.eye(4))
 
 
 class TestCzHalf:
     def test_ideal_equals_quarter_zz(self):
         expect = np.diag(np.exp(-1j * np.pi / 4 * np.array([1, -1, -1, 1])))
-        for slot in (1, 2, 3):
-            assert np.allclose(cz_half(slot).matrix, expect, atol=1e-12)
+        assert np.allclose(cz_half(), expect, atol=1e-12)
 
     def test_half_pi_deviation_doubles_phase(self):
-        nz = NoiseParams((np.pi / 2 - 1e-9, 0.0, 0.0))
-        got = cz_half(1, nz).matrix
+        got = cz_half(np.pi / 2 - 1e-9)
         expect = np.diag(np.exp(-1j * np.pi / 2 * np.array([1, -1, -1, 1])))
         assert np.max(np.abs(got - expect)) < 1e-8
-
-    def test_slot_out_of_range(self):
-        with pytest.raises(ValueError):
-            cz_half(4)
 
 
 class TestBellPrep:
     def test_maps_vacuum_to_odd_bell(self):
-        psi = bell_prep().matrix @ np.array([1, 0, 0, 0], dtype=complex)
+        psi = bell_prep() @ np.array([1, 0, 0, 0], dtype=complex)
         assert abs(np.vdot(BELL, psi)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_output_concurrence_is_one(self):
         from demongain.tomography import concurrence
 
-        psi = bell_prep().matrix @ np.array([1, 0, 0, 0], dtype=complex)
+        psi = bell_prep() @ np.array([1, 0, 0, 0], dtype=complex)
         assert concurrence(np.outer(psi, psi.conj())) == pytest.approx(1.0, abs=1e-10)
 
     def test_noisy_fidelity_regression(self):
         # frozen output of this simulator at the largest paper deviation
         nz = NoiseParams((0.165 * np.pi / 2, 0.0, 0.0))
-        psi = bell_prep(nz).matrix @ np.array([1, 0, 0, 0], dtype=complex)
+        psi = bell_prep(nz.delta_phi[0]) @ np.array([1, 0, 0, 0], dtype=complex)
         fid = abs(np.vdot(BELL, psi)) ** 2
         assert fid < 1.0
         assert fid == pytest.approx(0.9833000510084537, abs=1e-12)
@@ -99,22 +88,22 @@ class TestBellPrep:
 
 class TestControlledY:
     def test_zero_angle_identity(self):
-        assert max_abs_after_phase(cy(0.0).matrix, np.eye(4)) < 1e-12
+        assert max_abs_after_phase(cy(0.0), np.eye(4)) < 1e-12
 
     @pytest.mark.parametrize("theta", np.arange(0, np.pi / 2 + 1e-9, np.pi / 8))
     def test_matches_closed_form(self, theta):
-        assert max_abs_after_phase(cy(theta).matrix, cy_exact(theta)) <= 1e-9
+        assert max_abs_after_phase(cy(theta), cy_exact(theta)) <= 1e-9
 
     def test_bell_to_resource_state(self):
         th = 1.1
-        psi = cy(th).matrix @ BELL
+        psi = cy(th) @ BELL
         expect = np.array([-np.sin(th), 1, np.cos(th), 0], dtype=complex) / np.sqrt(2)
         assert max_abs_after_phase(psi.reshape(4, 1), expect.reshape(4, 1)) < 1e-12
 
     def test_demon_zero_block_rotation(self):
         # on the demon-|0> block cy(theta) acts as exp[-i theta Y_A]
         th = 0.9
-        u = cy(th).matrix
+        u = cy(th)
         block = u[np.ix_([0, 2], [0, 2])]
         ry = np.cos(th) * ID2 - 1j * np.sin(th) * PAULI_Y
         assert np.max(np.abs(block - ry)) < 1e-12
@@ -125,24 +114,24 @@ class TestSwap:
     def test_exchanges_basis_states(self):
         v = np.zeros(4, dtype=complex)
         v[1] = 1  # |0_A 1_D>
-        out = swap().matrix @ v
+        out = swap() @ v
         assert out[2] == 1  # |1_A 0_D>
 
     def test_involution(self):
-        s = swap().matrix
+        s = swap()
         assert np.allclose(s @ s, np.eye(4))
 
     def test_conjugation_swaps_factors(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        s = swap().matrix
+        s = swap()
         assert np.allclose(s @ kron(a, b) @ s.conj().T, kron(b, a))
 
 
 class TestApply:
     def test_identity(self, rng):
         rho = random_density(rng)
-        assert np.allclose(apply(GateOp(np.eye(4, dtype=complex), "Id"), rho), rho)
+        assert np.allclose(apply(np.eye(4, dtype=complex), rho), rho)
 
     def test_bell_state_swap_invariant(self):
         rho = np.outer(BELL, BELL.conj())
@@ -160,18 +149,57 @@ class TestApply:
 
 def test_zero_noise_gates_equal_ideal():
     nz = NoiseParams.zeros()
-    assert np.array_equal(cz_half(2, nz).matrix, cz_half(2).matrix)
-    assert np.array_equal(bell_prep(nz).matrix, bell_prep().matrix)
-    assert np.array_equal(cy(0.4, nz).matrix, cy(0.4).matrix)
+    assert np.array_equal(cz_half(nz.delta_phi[1]), cz_half())
+    assert np.array_equal(bell_prep(nz.delta_phi[0]), bell_prep())
+    assert np.array_equal(cy(0.4, *nz.delta_phi[1:]), cy(0.4))
 
 
 def test_all_gates_unitary_under_noise():
-    for g in (
-        bell_prep(PAPER_DELTAS),
-        cy(0.7, PAPER_DELTAS),
-        cz_half(3, PAPER_DELTAS),
+    for u in (
+        bell_prep(PAPER_DELTAS.delta_phi[0]),
+        cy(0.7, *PAPER_DELTAS.delta_phi[1:]),
+        cz_half(PAPER_DELTAS.delta_phi[2]),
         swap(),
         local_rot(1.2, 0.3, "D"),
     ):
-        u = g.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
+
+
+class TestBatched:
+    """Array arguments give stacks whose items equal the scalar calls exactly."""
+
+    def test_blocks_equal_per_item_calls(self, rng):
+        th = rng.uniform(0, np.pi / 2, 40)
+        d = rng.uniform(-0.7, 0.7, (40, 3))
+        stacks = {
+            "u_zz": (u_zz(d[:, 0]), lambda i: u_zz(d[i, 0])),
+            "cz_half": (cz_half(d[:, 1]), lambda i: cz_half(d[i, 1])),
+            "bell_prep": (bell_prep(d[:, 2]), lambda i: bell_prep(d[i, 2])),
+            "cy": (cy(th, d[:, 1], d[:, 2]), lambda i: cy(th[i], d[i, 1], d[i, 2])),
+            "local_rot": (local_rot(th, d[:, 0], "D"), lambda i: local_rot(th[i], d[i, 0], "D")),
+        }
+        for name, (stack, item) in stacks.items():
+            assert stack.shape == (40, 4, 4), name
+            for i in range(40):
+                assert np.array_equal(stack[i], item(i)), (name, i)
+
+    def test_angles_broadcast(self):
+        assert cy(np.zeros((2, 1)), np.zeros(3)).shape == (2, 3, 4, 4)
+
+    def test_kron_of_stacks(self, rng):
+        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        b = rng.normal(size=(2, 2))
+        got = kron(a, b)
+        assert got.shape == (3, 4, 4)
+        for i in range(3):
+            assert np.array_equal(got[i], np.kron(a[i], b))
+
+    def test_kets_match_block_product(self, rng):
+        params = rng.uniform(-0.4, 0.4, (5, 3))
+        thetas = np.linspace(0, np.pi / 2, 7)
+        got = kets(params, thetas)
+        assert got.shape == (5, 7, 4)
+        for m, (d1, d2, d3) in enumerate(params):
+            for n, th in enumerate(thetas):
+                ref = cy(th, d2, d3) @ bell_prep(d1)[:, 0]
+                assert np.max(np.abs(got[m, n] - ref)) < 1e-14

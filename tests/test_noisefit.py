@@ -1,5 +1,7 @@
 """Tests for the three-parameter phase-deviation fit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,12 @@ from demongain.noisefit import (
     residual,
     write_fit_json,
 )
-from demongain.protocol import ProtocolConfig, outcome_table_exact
+from demongain.protocol import (
+    ProtocolConfig,
+    apply_feedback,
+    measure_demon,
+    prepare_resource,
+)
 
 HALF_PI = np.pi / 2
 # the deviation triple used throughout as the planted ground truth
@@ -27,7 +34,8 @@ THETAS = np.linspace(0.0, HALF_PI, 17)
 
 class TestModelCells:
     def test_matches_exact_simulator(self):
-        # the vectorized model must agree with the density-matrix path
+        # the ket model must agree with the density-matrix path: cells from
+        # each measured branch's post-feedback diagonal, built here
         rng = np.random.default_rng(3)
         params = rng.uniform(-0.2 * HALF_PI, 0.2 * HALF_PI, size=(6, 3))
         thetas = rng.uniform(0.0, HALF_PI, size=5)
@@ -35,11 +43,17 @@ class TestModelCells:
         cells = model_cells(params, thetas)
         for m, p in enumerate(params):
             for n, th in enumerate(thetas):
-                table = outcome_table_exact(
+                rho = prepare_resource(
                     ProtocolConfig(theta=float(th), noise=NoiseParams(tuple(p)))
                 )
-                ref = np.array([table.pr_joint[c] for c in CELLS])
-                assert np.max(np.abs(cells[m, n] - ref)) < 1e-12
+                ref = {}
+                for b in measure_demon(rho):
+                    diag = np.diag(apply_feedback([replace(b, prob=1.0)])).real
+                    for ap in (0, 1):
+                        for dp in (0, 1):
+                            ref[(b.d, dp, ap)] = b.prob * diag[2 * ap + dp]
+                ref = np.array([ref[c] for c in CELLS])
+                assert np.max(np.abs(cells[m, n] - ref)) < 1e-14
 
     def test_rows_normalized(self):
         cells = model_cells(np.zeros((1, 3)), THETAS)

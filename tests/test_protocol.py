@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from demongain.protocol import (
 )
 
 THETA_GRID = np.linspace(0, np.pi / 2, 33)
+RUN_SHOTS_FIXTURE = Path(__file__).resolve().parent / "data" / "run_shots_counts.json"
 PAPER_DELTAS = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
 
 
@@ -211,6 +215,23 @@ class TestRunShots:
                 assert t.pr_joint[cell] == 0.0
             else:
                 assert abs(t.pr_joint[cell] - p) <= 5 * se
+
+    @pytest.mark.parametrize("case", json.loads(RUN_SHOTS_FIXTURE.read_text()))
+    def test_counts_match_recorded_fixture(self, case):
+        # counts written by the density-matrix shot sampler that the ket
+        # path replaced: noisy gates, with and without QND flip errors
+        c = case["config"]
+        cfg = ProtocolConfig(
+            theta=c["theta"],
+            noise=NoiseParams(tuple(c["noise"])),
+            shots=c["shots"],
+            seed=c["seed"],
+            qnd_detect_error=c["qnd_detect_error"],
+            qnd_reprep_error=c["qnd_reprep_error"],
+        )
+        t = run_shots(cfg)
+        assert {f"{d}{dp}{ap}": n for (d, dp, ap), n in t.counts.items()} == case["counts"]
+        assert {str(d): p for d, p in t.pr_d.items()} == case["pr_d"]
 
     def test_detection_error_shifts_marginal(self):
         clean = run_shots(ProtocolConfig(theta=0.0, shots=20000, seed=3))
