@@ -91,18 +91,16 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
     noise = _noise_from(sec)
     thetas = np.linspace(start, end, steps)
 
-    table_at = protocol.outcome_table_exact if mode == "exact" else protocol.run_shots
-    entries = [
-        (t, table_at(ProtocolConfig(theta=t, noise=noise, shots=shots, seed=seed)))
-        for t in thetas
-    ]
+    if mode == "exact":
+        table = protocol.outcome_table_exact(thetas, noise)
+    else:
+        table = protocol.run_shots(thetas, noise, shots, seed)
 
-    protocol.write_tables_csv(out_dir / "outcome_tables.csv", entries)
+    protocol.write_tables_csv(out_dir / "outcome_tables.csv", table)
     with open(out_dir / "energies.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta", "w_i", "w_f", "delta_w", "concurrence_analytic", "bound"])
-        for theta, table in entries:
-            wi, wf, dw = protocol.energies_from_table(table)
+        for theta, (wi, wf, dw) in zip(table.thetas, protocol.energies_from_table(table)):
             c = protocol.analytic_concurrence(theta)
             w.writerow([_fmt(v) for v in (theta, wi, wf, dw, c, protocol.gain_lower_bound(c))])
     _write_json(
@@ -112,7 +110,7 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
             "shots": shots,
             "seed": seed,
             "noise": list(noise.delta_phi),
-            "points": [protocol.table_to_json_dict(t, tab) for t, tab in entries],
+            "points": protocol.table_to_json_dicts(table),
         },
     )
     return 0
@@ -178,10 +176,7 @@ def cmd_fit(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) ->
     dataset_path = sec.get("dataset")
     if not dataset_path:
         raise SystemExit("fit section needs a 'dataset' CSV path")
-    entries = protocol.read_tables_csv(manifest_dir / dataset_path)
-    data = noisefit.CurveDataset(
-        thetas=np.array([t for t, _ in entries]), tables=[tab for _, tab in entries]
-    )
+    data = protocol.read_tables_csv(manifest_dir / dataset_path)
     init = None
     if sec.get("init") is not None:
         init = NoiseParams(tuple(float(x) for x in sec["init"]))
@@ -207,12 +202,9 @@ def cmd_fit(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) ->
     with open(out_dir / "fit_overlay.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta", "d", "d_prime", "a_prime", "data", "model"])
-        for i, theta in enumerate(data.thetas):
-            for c in protocol.CELLS:
-                w.writerow(
-                    [_fmt(theta), *c, _fmt(data.tables[i].pr_joint[c]),
-                     _fmt(model.tables[i].pr_joint[c])]
-                )
+        for theta, obs, fitted in zip(data.thetas, data.cells, model.cells):
+            for c, p, q in zip(protocol.CELLS, obs, fitted):
+                w.writerow([_fmt(theta), *c, _fmt(p), _fmt(q)])
     return 0
 
 
@@ -280,11 +272,10 @@ def _verify_checks(tol: dict):
 
     en_tol = tol.get("energies", 1e-12)
     dev = 0.0
-    for t in thetas:
-        cfg = ProtocolConfig(theta=t)
-        rho = protocol.prepare_resource(cfg)
+    table = protocol.outcome_table_exact(thetas, NoiseParams.zeros())
+    for t, dw in zip(thetas, protocol.energies_from_table(table)[:, 2]):
+        rho = protocol.prepare_resource(ProtocolConfig(theta=t))
         rho_p = protocol.apply_feedback(protocol.measure_demon(rho))
-        _, _, dw = protocol.energies_from_table(protocol.outcome_table_exact(cfg))
         dev = max(dev, abs(dw - protocol.demonic_gain(rho, rho_p)))
     yield "table energies match state gain", dev <= en_tol, dev
 

@@ -2,7 +2,8 @@
 
 The circuit is built from `gates`: `prepare_resource` gives the 4x4
 density matrix, and exact outcome tables and shot sampling read the
-circuit's output kets (`gates.kets`). Sampled mode draws individual
+circuit's output kets (`gates.kets`) for a whole theta grid at once,
+into one `OutcomeTable` of (n, 8) arrays. Sampled mode draws individual
 shots with QND-emulation semantics (the demon's qubit is re-prepared in
 the recorded outcome state before the feedback).
 All energies are reported in units of the qubit splitting epsilon, so the
@@ -33,32 +34,24 @@ _PROB_FLOOR = 1e-12
 CELLS = tuple(product((0, 1), (0, 1), (0, 1)))  # (d, d', a')
 
 
+def _check_thetas(thetas) -> np.ndarray:
+    """The angles as a float array; each must lie in [0, pi/2]."""
+    thetas = np.asarray(thetas, dtype=float)
+    bad = thetas[~((thetas >= 0.0) & (thetas <= np.pi / 2))]
+    if bad.size:
+        raise ValueError(f"theta must lie in [0, pi/2], got {bad[0]}")
+    return thetas
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Parameters of one protocol run.
-
-    `feedback_weights` selects how the mixed post-feedback state is
-    assembled: "measured" uses the actual branch probabilities, "half"
-    hard-codes the balanced 1/2 prefactors of the ideal protocol.
-    `qnd_detect_error` / `qnd_reprep_error` are per-shot flip rates of the
-    mid-circuit detection and of the demon re-preparation (default 0).
-    """
+    """Preparation angle and gate deviations of one resource state."""
 
     theta: float
     noise: NoiseParams = field(default_factory=NoiseParams.zeros)
-    shots: int = DEFAULT_SHOTS
-    seed: int = DEFAULT_SEED
-    feedback_weights: str = "measured"
-    qnd_detect_error: float = 0.0
-    qnd_reprep_error: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi / 2:
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.feedback_weights not in ("measured", "half"):
-            raise ValueError(f"unknown feedback_weights {self.feedback_weights!r}")
+        _check_thetas(self.theta)
 
 
 @dataclass(frozen=True)
@@ -70,30 +63,32 @@ class Branch:
     post_state: np.ndarray | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutcomeTable:
-    """Joint probabilities Pr(d, d', a') of the protocol's two readouts.
+    """Joint probabilities Pr(d, d', a') of the two readouts over a theta grid.
 
-    pr_joint maps (d, d_prime, a_prime) to a joint (not conditional)
-    probability; pr_d holds the mid-circuit marginals. For sampled tables
-    `counts` holds raw shot counts and `shots` their total.
+    Row i of `cells` (n, 8) holds the joint (not conditional) probabilities
+    at `thetas[i]`, in CELLS order. Sampled tables also carry the integer
+    shot `counts` (n, 8) the cells were read from.
     """
 
-    pr_d: dict[int, float]
-    pr_joint: dict[tuple[int, int, int], float]
-    counts: dict[tuple[int, int, int], int] | None = None
-    shots: int | None = None
+    thetas: np.ndarray
+    cells: np.ndarray
+    counts: np.ndarray | None = None
 
-    def validate(self, tol: float = 1e-9) -> None:
-        for p in self.pr_joint.values():
-            if not -tol <= p <= 1 + tol:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if abs(sum(self.pr_d.values()) - 1.0) > tol:
-            raise ValueError("mid-circuit marginals do not sum to 1")
-        for d in (0, 1):
-            s = sum(p for (dd, _, _), p in self.pr_joint.items() if dd == d)
-            if abs(s - self.pr_d[d]) > tol:
-                raise ValueError(f"joint cells for d={d} do not sum to Pr(d)")
+    @property
+    def pr_d(self) -> np.ndarray:
+        """(n, 2) mid-circuit marginals Pr(d)."""
+        if self.counts is None:
+            # the four cells of each d added left to right
+            return np.cumsum(self.cells.reshape(-1, 2, 4), axis=-1)[..., -1]
+        per_d = self.counts.reshape(-1, 2, 4).sum(axis=-1)
+        return per_d / per_d.sum(axis=-1, keepdims=True)
+
+    @property
+    def shots(self) -> int | None:
+        """Total shots over the grid; None for exact tables."""
+        return None if self.counts is None else int(self.counts.sum())
 
 
 def resource_ket(theta: float) -> np.ndarray:
@@ -165,13 +160,11 @@ def joint_cells(kets: np.ndarray) -> np.ndarray:
 def apply_feedback(
     branches: list[Branch],
     policy: tuple[np.ndarray, np.ndarray] = (_U_SWAP, _U_ID),
-    weights: str = "measured",
 ) -> np.ndarray:
     """Mix the measurement branches after the conditioned unitaries.
 
     The default policy is the protocol's conditional SWAP: U_0 = SWAP on
-    outcome 0, U_1 = identity on outcome 1. `weights="half"` replaces the
-    measured branch probabilities with the ideal balanced 1/2 factors.
+    outcome 0, U_1 = identity on outcome 1.
     """
     total = sum(b.prob for b in branches)
     if abs(total - 1.0) > 1e-9:
@@ -180,8 +173,7 @@ def apply_feedback(
     for b in branches:
         if b.post_state is None:
             continue
-        w = b.prob if weights == "measured" else 0.5
-        rho_out += w * gates.apply(policy[b.d], b.post_state)
+        rho_out += b.prob * gates.apply(policy[b.d], b.post_state)
     return rho_out
 
 
@@ -225,72 +217,76 @@ def gain_lower_bound(c: float) -> float:
     return 0.5 * (1.0 - np.sqrt(1.0 - c * c))
 
 
-def outcome_table_exact(cfg: ProtocolConfig) -> OutcomeTable:
-    """Exact joint outcome probabilities Pr(d, d', a') of the full protocol."""
-    cells = joint_cells(_ket(cfg))
-    pr_joint = {c: float(p) for c, p in zip(CELLS, cells)}
-    table = OutcomeTable(pr_d=_marginals(pr_joint), pr_joint=pr_joint)
-    table.validate()
-    return table
+def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
+    """Exact joint outcome probabilities Pr(d, d', a') at every theta."""
+    thetas = _check_thetas(thetas)
+    cells = joint_cells(gates.kets(noise.delta_phi, thetas)[0])
+    tol = 1e-9
+    if not (np.all((cells >= -tol) & (cells <= 1 + tol))
+            and np.all(np.abs(cells.sum(axis=-1) - 1.0) <= tol)):
+        raise ValueError("exact cells are not probabilities summing to 1")
+    return OutcomeTable(thetas=thetas, cells=cells)
 
 
-def _ket(cfg: ProtocolConfig) -> np.ndarray:
-    return gates.kets(cfg.noise.delta_phi, [cfg.theta])[0, 0]
-
-
-def _marginals(pr_joint: dict) -> dict[int, float]:
-    return {d: sum(p for (dd, _, _), p in pr_joint.items() if dd == d) for d in (0, 1)}
-
-
-def run_shots(cfg: ProtocolConfig) -> OutcomeTable:
+def run_shots(
+    thetas,
+    noise: NoiseParams,
+    shots: int,
+    seed: int,
+    qnd_detect_error: float = 0.0,
+    qnd_reprep_error: float = 0.0,
+) -> OutcomeTable:
     """Shot-sampled protocol emulation with QND mid-circuit measurement.
 
     Randomness comes from a counter-based Philox stream keyed by the run
     seed; shot i consumes a fixed row of pre-drawn uniforms, so the table
     is a pure function of (seed, shot index) and bit-for-bit reproducible
-    regardless of evaluation order.
+    regardless of evaluation order. Every theta reuses the same stream,
+    so shot noise is correlated across the grid. `qnd_detect_error` and
+    `qnd_reprep_error` are per-shot flip rates of the mid-circuit
+    detection and of the demon re-preparation.
     """
-    p = np.abs(_ket(cfg)) ** 2  # index 2a + d
-    # unnormalized agent populations of each physical branch
-    agent_pops = [p[[d, 2 + d]] for d in (0, 1)]
+    thetas = _check_thetas(thetas)
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    probs = np.abs(gates.kets(noise.delta_phi, thetas)[0]) ** 2  # index 2a + d
+    counts = np.zeros((len(thetas), 8), dtype=int)
+    for row, p in zip(counts, probs):
+        # unnormalized agent populations of each physical branch
+        agent_pops = [p[[d, 2 + d]] for d in (0, 1)]
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    u = rng.random((cfg.shots, 4))
-    d_true = (u[:, 0] < agent_pops[1].sum()).astype(int)
-    recorded = d_true ^ (u[:, 1] < cfg.qnd_detect_error)
-    demon_state = recorded ^ (u[:, 2] < cfg.qnd_reprep_error)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        u = rng.random((shots, 4))
+        d_true = (u[:, 0] < agent_pops[1].sum()).astype(int)
+        recorded = d_true ^ (u[:, 1] < qnd_detect_error)
+        demon_state = recorded ^ (u[:, 2] < qnd_reprep_error)
 
-    # Final-readout cells depend on the physical branch, the re-prepared
-    # demon state and the recorded outcome (which selects the feedback).
-    # Only a handful of combinations occur, so shots are processed
-    # vectorized, grouped by combination. Cell index within a branch is
-    # 2*a' + d'; global count index 4*recorded + cell.
-    raw = np.zeros(8, dtype=int)
-    for dt in (0, 1):
-        if agent_pops[dt].sum() < _PROB_FLOOR:
-            continue
-        for dm in (0, 1):
-            for rec in (0, 1):
-                mask = (d_true == dt) & (demon_state == dm) & (recorded == rec)
-                if not mask.any():
-                    continue
-                cells = _feedback_cells(agent_pops[dt], dm, rec)
-                cdf = np.cumsum(cells / cells.sum())
-                k = np.searchsorted(cdf, u[mask, 3], side="right")
-                raw += np.bincount(4 * rec + np.minimum(k, 3), minlength=8)
-
-    counts = {(d, dp, ap): int(raw[4 * d + 2 * ap + dp]) for d, dp, ap in CELLS}
-    mid = {d: int(np.sum(recorded == d)) for d in (0, 1)}
-    pr_d = {d: mid[d] / cfg.shots for d in (0, 1)}
-    pr_joint = {k: v / cfg.shots for k, v in counts.items()}
-    return OutcomeTable(pr_d=pr_d, pr_joint=pr_joint, counts=counts, shots=cfg.shots)
+        # Final-readout cells depend on the physical branch, the re-prepared
+        # demon state and the recorded outcome (which selects the feedback).
+        # Only a handful of combinations occur, so shots are processed
+        # vectorized, grouped by combination. Cell index within a branch is
+        # 2*a' + d'; _SWAP_PERM maps it to the CELLS index 2*d' + a'.
+        for dt in (0, 1):
+            if agent_pops[dt].sum() < _PROB_FLOOR:
+                continue
+            for dm in (0, 1):
+                for rec in (0, 1):
+                    mask = (d_true == dt) & (demon_state == dm) & (recorded == rec)
+                    if not mask.any():
+                        continue
+                    cells = _feedback_cells(agent_pops[dt], dm, rec)
+                    cdf = np.cumsum(cells / cells.sum())
+                    k = np.searchsorted(cdf, u[mask, 3], side="right")
+                    row += np.bincount(4 * rec + _SWAP_PERM[np.minimum(k, 3)], minlength=8)
+    return OutcomeTable(thetas=thetas, cells=counts / shots, counts=counts)
 
 
-def energies_from_table(t: OutcomeTable) -> tuple[float, float, float]:
-    """(W_i, W_f, delta_W) in units of epsilon from a joint outcome table."""
-    w_i = t.pr_d[1]
-    w_f = sum(p for (_, dp, _), p in t.pr_joint.items() if dp == 1)
-    return w_i, w_f, w_f - w_i
+def energies_from_table(t: OutcomeTable) -> np.ndarray:
+    """(n, 3) rows (W_i, W_f, delta_W) in units of epsilon from an outcome table."""
+    w_i = t.pr_d[:, 1]
+    # the cells with d' = 1, added left to right
+    w_f = np.cumsum(t.cells[:, [2, 3, 6, 7]], axis=-1)[:, -1]
+    return np.stack([w_i, w_f, w_f - w_i], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +299,24 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_tables_csv(path, entries: list[tuple[float, OutcomeTable]]) -> None:
-    """Write (theta, OutcomeTable) pairs to CSV; count is empty in exact mode."""
+def write_tables_csv(path, table: OutcomeTable) -> None:
+    """Write one row per (theta, cell); count is empty in exact mode."""
+    n = len(table.thetas)
+    counts = [[""] * 8] * n if table.counts is None else table.counts.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for theta, t in entries:
-            for cell in CELLS:
-                c = "" if t.counts is None else t.counts[cell]
-                w.writerow([_fmt(theta), *cell, c, _fmt(t.pr_joint[cell])])
+        for theta, cells, row_counts in zip(table.thetas.tolist(), table.cells.tolist(), counts):
+            for cell, p, c in zip(CELLS, cells, row_counts):
+                w.writerow([_fmt(theta), *cell, c, _fmt(p)])
 
 
-def read_tables_csv(path) -> list[tuple[float, OutcomeTable]]:
-    """Inverse of write_tables_csv; marginals are rebuilt from the cells.
+def read_tables_csv(path) -> OutcomeTable:
+    """Inverse of write_tables_csv, thetas in file order.
 
     Every theta needs all eight (d, d', a') rows with a probability in
-    [0, 1]; a ValueError names the theta and cell that break this.
+    [0, 1], summing to 1 within 1e-9; a ValueError names the theta and
+    cell that break this. Counts are kept when every row has one.
     """
     grouped: dict[str, dict] = {}
     with open(path, newline="") as fh:
@@ -336,36 +334,43 @@ def read_tables_csv(path) -> list[tuple[float, OutcomeTable]]:
                 count = None if row["count"] == "" else int(row["count"])
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: not a number") from None
-            g = grouped.setdefault(key, {"theta": theta, "joint": {}, "counts": {}})
-            if cell not in CELLS or cell in g["joint"]:
+            g = grouped.setdefault(key, {"theta": theta, "rows": {}})
+            if cell not in CELLS or cell in g["rows"]:
                 raise ValueError(f"{where}: unknown or repeated cell")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{where}: probability {p} outside [0, 1]")
-            g["joint"][cell] = p
-            g["counts"][cell] = count
-    out = []
+            g["rows"][cell] = (p, count)
     for key, g in grouped.items():
-        absent = [c for c in CELLS if c not in g["joint"]]
+        absent = [c for c in CELLS if c not in g["rows"]]
         if absent:
             raise ValueError(f"{path}: theta {key} has no row for cell {absent[0]}")
-        counts = None if None in g["counts"].values() else g["counts"]
-        table = OutcomeTable(
-            pr_d=_marginals(g["joint"]),
-            pr_joint=g["joint"],
-            counts=counts,
-            shots=sum(counts.values()) if counts else None,
+        total = sum(p for p, _ in g["rows"].values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"{path}: theta {key}: probabilities sum to {total:.12g}, not 1")
+    cells = [[g["rows"][c][0] for c in CELLS] for g in grouped.values()]
+    counts = [[g["rows"][c][1] for c in CELLS] for g in grouped.values()]
+    if any(None in r for r in counts):
+        counts = None
+    return OutcomeTable(
+        thetas=np.array([g["theta"] for g in grouped.values()]),
+        cells=np.array(cells).reshape(-1, 8),
+        counts=None if counts is None else np.array(counts, dtype=int).reshape(-1, 8),
+    )
+
+
+def table_to_json_dicts(t: OutcomeTable) -> list[dict]:
+    """One JSON-ready dict per theta; cell keys read "d d' a'", e.g. "010"."""
+    keys = [f"{d}{dp}{ap}" for d, dp, ap in CELLS]
+    counts = [None] * len(t.thetas) if t.counts is None else t.counts.tolist()
+    return [
+        {
+            "theta": theta,
+            "pr_d": {"0": pr_d[0], "1": pr_d[1]},
+            "pr_joint": dict(zip(keys, cells)),
+            "counts": None if c is None else dict(zip(keys, c)),
+            "shots": None if c is None else sum(c),
+        }
+        for theta, pr_d, cells, c in zip(
+            t.thetas.tolist(), t.pr_d.tolist(), t.cells.tolist(), counts
         )
-        out.append((g["theta"], table))
-    return out
-
-
-def table_to_json_dict(theta: float, t: OutcomeTable) -> dict:
-    return {
-        "theta": theta,
-        "pr_d": {str(k): v for k, v in t.pr_d.items()},
-        "pr_joint": {f"{d}{dp}{ap}": p for (d, dp, ap), p in t.pr_joint.items()},
-        "counts": None
-        if t.counts is None
-        else {f"{d}{dp}{ap}": c for (d, dp, ap), c in t.counts.items()},
-        "shots": t.shots,
-    }
+    ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-PSD_EIG_FLOOR = -1e-9
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -79,16 +78,3 @@ def eig_hermitian(h, tol: float = HERMITICITY_TOL):
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
     w, v = np.linalg.eigh((h + dag(h)) / 2)
     return w[..., ::-1], v[..., ::-1]
-
-
-def psd_sqrt(rho, floor: float = PSD_EIG_FLOOR) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [floor, 0) are clamped to zero; anything below `floor`
-    is rejected as non-PSD.
-    """
-    w, v = eig_hermitian(rho)
-    if np.min(w) < floor:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {np.min(w):.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T

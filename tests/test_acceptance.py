@@ -13,6 +13,8 @@ from demongain import protocol, tomography
 from demongain.gates import NoiseParams
 from demongain.noisefit import CELLS, bootstrap_spread, fit, model_curves
 from demongain.protocol import (
+    DEFAULT_SEED,
+    DEFAULT_SHOTS,
     OutcomeTable,
     ProtocolConfig,
     analytic_concurrence,
@@ -115,18 +117,18 @@ def test_criterion_05_sampled_conditionals_within_five_sigma():
     t0 = time.perf_counter()
     worst_z = 0.0
     ok = True
-    for theta in GRID:
-        cfg = ProtocolConfig(theta=float(theta))  # default 3500 shots, default seed
-        exact = outcome_table_exact(cfg)
-        sampled = run_shots(cfg)
+    exact = outcome_table_exact(GRID, NoiseParams.zeros())
+    sampled = run_shots(GRID, NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED)
+    for i in range(len(GRID)):
         for d in (0, 1):
-            n_d = sum(sampled.counts[(dd, dp, ap)] for (dd, dp, ap) in CELLS if dd == d)
+            n_d = sampled.counts[i, 4 * d : 4 * d + 4].sum()
             if n_d == 0:
                 continue
             for dp in (0, 1):
                 for ap in (0, 1):
-                    p = exact.pr_joint[(d, dp, ap)] / exact.pr_d[d]
-                    p_hat = sampled.counts[(d, dp, ap)] / n_d
+                    j = CELLS.index((d, dp, ap))
+                    p = exact.cells[i, j] / exact.pr_d[i, d]
+                    p_hat = sampled.counts[i, j] / n_d
                     se = np.sqrt(p * (1 - p) / n_d)
                     if se == 0.0:
                         ok &= abs(p_hat - p) == 0.0
@@ -222,22 +224,12 @@ def test_criterion_08_noise_fit_recovery():
     exact_fit = fit(ds)
     exact_err = float(np.max(np.abs(np.array(exact_fit.delta_phi) - planted.delta_phi)))
 
-    base = ds.cell_matrix()
     shots = 3500
     fits = np.empty((20, 3))
     for seed in range(20):
         rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-        tables = []
-        for i in range(len(thetas)):
-            counts = rng.multinomial(shots, base[i])
-            pr = {c: counts[j] / shots for j, c in enumerate(CELLS)}
-            pr_d = {
-                d: sum(v for (dd, _, _), v in pr.items() if dd == d) for d in (0, 1)
-            }
-            tables.append(OutcomeTable(pr_d=pr_d, pr_joint=pr))
-        from demongain.noisefit import CurveDataset
-
-        fits[seed] = fit(CurveDataset(thetas=thetas, tables=tables)).delta_phi
+        counts = rng.multinomial(shots, ds.cells)
+        fits[seed] = fit(OutcomeTable(thetas=thetas, cells=counts / shots)).delta_phi
     spread = fits.std(axis=0)
     noisy_dev = np.abs(fits.mean(axis=0) - np.array(planted.delta_phi))
     noisy_ok = bool(np.all(noisy_dev <= 3 * spread))

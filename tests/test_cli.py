@@ -1,6 +1,7 @@
 """End-to-end tests of the four CLI subcommands."""
 
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -26,6 +27,22 @@ def _write_manifest(tmp_path, payload, name="manifest.json"):
 
 def _run(argv):
     return main(argv)
+
+
+def _compare(a, b, path):
+    """Same keys and lengths, floats within 1e-12, everything else equal."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            _compare(a[k], b[k], f"{path}/{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (u, v) in enumerate(zip(a, b)):
+            _compare(u, v, f"{path}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= 1e-12, path
+    else:
+        assert a == b, path
 
 
 class TestSweep:
@@ -80,6 +97,15 @@ class TestSweep:
         b = json.loads((out2 / "sweep_summary.json").read_text())
         assert a["seed"] == 1 and b["seed"] == 99
         assert a["points"] != b["points"]
+
+    @pytest.mark.parametrize("name", ["sweep_exact", "sweep_sampled_noisy"])
+    def test_manifest_matches_golden_summary(self, name, tmp_path):
+        # sweep_summary.json of the checked-in manifest as written when each
+        # theta's outcome table was a dict of cells; counts compare exactly
+        golden = json.loads((ROOT / f"tests/data/{name}_summary.json").read_text())
+        manifest = str(ROOT / f"manifests/{name}.json")
+        assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        _compare(json.loads((tmp_path / "sweep_summary.json").read_text()), golden, "")
 
     def test_bad_mode_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"sweep": {"mode": "guess"}})
@@ -145,30 +171,14 @@ class TestTomo:
         assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path)]) == 0
         got = json.loads((tmp_path / "tomo_metrics.json").read_text())
         assert [p["theta"] for p in got["points"]][::8] == [0.0, HALF_PI]
-
-        def compare(a, b, path):
-            if isinstance(a, dict):
-                assert a.keys() == b.keys(), path
-                for k in a:
-                    compare(a[k], b[k], f"{path}/{k}")
-            elif isinstance(a, list):
-                assert len(a) == len(b), path
-                for i, (u, v) in enumerate(zip(a, b)):
-                    compare(u, v, f"{path}[{i}]")
-            elif isinstance(a, float):
-                assert abs(a - b) <= 1e-12, path
-            else:
-                assert a == b, path
-
-        compare(got, golden, "")
+        _compare(got, golden, "")
 
 
 class TestFit:
     def test_fit_recovers_planted(self, tmp_path):
         planted = NoiseParams(PLANTED)
-        ds = model_curves(planted, np.linspace(0, HALF_PI, 9))
         dataset = tmp_path / "tables.csv"
-        write_tables_csv(dataset, list(zip(ds.thetas, ds.tables)))
+        write_tables_csv(dataset, model_curves(planted, np.linspace(0, HALF_PI, 9)))
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
         out = tmp_path / "out"
         assert _run(["fit", "--manifest", manifest, "--out", str(out)]) == 0
@@ -205,6 +215,18 @@ class TestFit:
         with pytest.raises(SystemExit, match=r"theta 0, cell \(1, 0, 0\): not a number"):
             _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
 
+    def test_probabilities_not_summing_to_one_exit(self, tmp_path):
+        rows = (ROOT / "manifests/data/planted_tables.csv").read_text().splitlines()
+        # the second theta's (0, 0, 0) cell loses 0.01: each cell stays in
+        # [0, 1], but the eight no longer sum to 1
+        theta, *cell, count, p = rows[9].split(",")
+        rows[9] = ",".join([theta, *cell, count, repr(float(p) - 0.01)])
+        (tmp_path / "tables.csv").write_text("\n".join(rows) + "\n")
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(tmp_path / "tables.csv")}})
+        with pytest.raises(SystemExit, match=rf"theta {re.escape(theta)}: probabilities sum to 0\.9899") as exc:
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+        assert "\n" not in str(exc.value)
+
 
 @pytest.mark.parametrize("path", sorted((ROOT / "manifests").glob("*.json")), ids=lambda p: p.name)
 def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
@@ -220,7 +242,7 @@ def test_planted_dataset_matches_study_deviations(tmp_path):
     # deviations the study script reports as planted
     study = runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="study")
     ds = model_curves(study["PLANTED"], np.linspace(0.0, HALF_PI, 17))
-    write_tables_csv(tmp_path / "tables.csv", list(zip(ds.thetas, ds.tables)))
+    write_tables_csv(tmp_path / "tables.csv", ds)
     checked_in = (ROOT / "manifests/data/planted_tables.csv").read_bytes()
     assert (tmp_path / "tables.csv").read_bytes() == checked_in
 

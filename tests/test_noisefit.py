@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from demongain.gates import NoiseParams
 from demongain.noisefit import (
     CELLS,
-    CurveDataset,
     FitResult,
     bootstrap_spread,
     fit,
     model_cells,
     model_curves,
     residual,
-    write_fit_json,
 )
 from demongain.protocol import (
+    OutcomeTable,
     ProtocolConfig,
     apply_feedback,
     measure_demon,
@@ -70,19 +69,16 @@ class TestModelCells:
 
 
 class TestCurveDataset:
-    def test_requires_matching_lengths(self):
-        tables = model_curves(NoiseParams.zeros(), [0.1, 0.2]).tables
-        with pytest.raises(ValueError, match="one table per theta"):
-            CurveDataset(thetas=np.array([0.1]), tables=tables)
+    """The fit's dataset: one OutcomeTable over the theta grid."""
 
     def test_requires_increasing_thetas(self):
-        ds = model_curves(NoiseParams.zeros(), [0.1, 0.2])
+        ds = model_curves(NoiseParams.zeros(), [0.2, 0.1])
         with pytest.raises(ValueError, match="increasing"):
-            CurveDataset(thetas=np.array([0.2, 0.1]), tables=ds.tables)
+            fit(ds)
 
     def test_cell_matrix_shape(self):
         ds = model_curves(NoiseParams.zeros(), THETAS)
-        assert ds.cell_matrix().shape == (len(THETAS), 8)
+        assert ds.cells.shape == (len(THETAS), 8)
 
 
 class TestResidual:
@@ -131,9 +127,7 @@ class TestFit:
         assert fit(ds).delta_phi == fit(ds).delta_phi
 
     def test_rejects_empty_dataset(self):
-        ds = model_curves(PLANTED, THETAS)
-        ds.tables = []
-        ds.thetas = np.array([])
+        ds = OutcomeTable(thetas=np.array([]), cells=np.empty((0, 8)))
         with pytest.raises(ValueError, match="empty"):
             fit(ds)
 
@@ -173,13 +167,10 @@ class TestBootstrapSpread:
 
 
 class TestFitJson:
-    def test_write(self, tmp_path):
+    def test_write(self):
         import json
 
         res = FitResult(delta_phi=(0.01, 0.02, 0.03), residual=1e-9, converged=True)
-        path = tmp_path / "fit.json"
-        write_fit_json(path, res)
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
+        payload = json.loads(json.dumps(res.to_json_dict()))
         assert payload["delta_phi"] == [0.01, 0.02, 0.03]
         assert payload["delta_phi_over_half_pi"][0] == pytest.approx(0.01 / HALF_PI)

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from demongain import protocol
 from demongain.gates import NoiseParams
 from demongain.protocol import (
-    OutcomeTable,
+    CELLS,
     ProtocolConfig,
     analytic_concurrence,
     apply_feedback,
@@ -22,10 +23,12 @@ from demongain.protocol import (
     prepare_resource,
     read_tables_csv,
     run_shots,
+    table_to_json_dicts,
     write_tables_csv,
 )
 
 THETA_GRID = np.linspace(0, np.pi / 2, 33)
+IDEAL = NoiseParams.zeros()
 RUN_SHOTS_FIXTURE = Path(__file__).resolve().parent / "data" / "run_shots_counts.json"
 PAPER_DELTAS = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
 
@@ -97,14 +100,6 @@ class TestFeedback:
         rho_p = apply_feedback(measure_demon(rho), policy=(eye, eye))
         assert demonic_gain(rho, rho_p) == pytest.approx(0.0, abs=1e-12)
 
-    def test_half_weights_match_measured_when_balanced(self):
-        branches = measure_demon(prepare_resource(ProtocolConfig(theta=0.7)))
-        assert np.allclose(
-            apply_feedback(branches, weights="measured"),
-            apply_feedback(branches, weights="half"),
-            atol=1e-12,
-        )
-
     def test_rejects_bad_probabilities(self):
         b = measure_demon(prepare_resource(ProtocolConfig(theta=0.2)))
         bad = [protocol.Branch(0, 0.3, b[0].post_state), protocol.Branch(1, 0.3, b[1].post_state)]
@@ -154,31 +149,32 @@ class TestOutcomeTableExact:
         [(0.0, 0.5, 0.0, 0.5), (np.pi / 2, 0.0, 0.5, 0.5)],
     )
     def test_ideal_corners(self, theta, green, blue, yellow):
-        t = outcome_table_exact(ProtocolConfig(theta=theta))
-        assert t.pr_joint[(0, 1, 0)] == pytest.approx(green, abs=1e-12)
-        assert t.pr_joint[(0, 0, 0)] == pytest.approx(blue, abs=1e-12)
-        assert t.pr_joint[(1, 1, 0)] == pytest.approx(yellow, abs=1e-12)
-        red = t.pr_joint[(0, 1, 1)] + t.pr_joint[(1, 1, 1)]
+        t = outcome_table_exact([theta], IDEAL)
+        cell = dict(zip(CELLS, t.cells[0]))
+        assert cell[(0, 1, 0)] == pytest.approx(green, abs=1e-12)
+        assert cell[(0, 0, 0)] == pytest.approx(blue, abs=1e-12)
+        assert cell[(1, 1, 0)] == pytest.approx(yellow, abs=1e-12)
+        red = cell[(0, 1, 1)] + cell[(1, 1, 1)]
         assert red == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_closed_forms(self):
-        for th in THETA_GRID:
-            t = outcome_table_exact(ProtocolConfig(theta=th))
-            assert t.pr_joint[(0, 1, 0)] == pytest.approx(np.cos(th) ** 2 / 2, abs=1e-12)
-            assert t.pr_joint[(0, 0, 0)] == pytest.approx(np.sin(th) ** 2 / 2, abs=1e-12)
-            assert t.pr_joint[(1, 1, 0)] == pytest.approx(0.5, abs=1e-12)
+        t = outcome_table_exact(THETA_GRID, IDEAL)
+        for th, row in zip(THETA_GRID, t.cells):
+            cell = dict(zip(CELLS, row))
+            assert cell[(0, 1, 0)] == pytest.approx(np.cos(th) ** 2 / 2, abs=1e-12)
+            assert cell[(0, 0, 0)] == pytest.approx(np.sin(th) ** 2 / 2, abs=1e-12)
+            assert cell[(1, 1, 0)] == pytest.approx(0.5, abs=1e-12)
 
     def test_gate_errors_populate_red_channel(self):
-        t = outcome_table_exact(ProtocolConfig(theta=np.pi / 4, noise=PAPER_DELTAS))
-        red = t.pr_joint[(0, 1, 1)] + t.pr_joint[(1, 1, 1)]
+        t = outcome_table_exact([np.pi / 4], PAPER_DELTAS)
+        red = t.cells[0, CELLS.index((0, 1, 1))] + t.cells[0, CELLS.index((1, 1, 1))]
         assert red > 1e-4
 
     def test_energies_match_state_gain(self):
-        for th in THETA_GRID:
-            cfg = ProtocolConfig(theta=th)
-            rho = prepare_resource(cfg)
+        energies = energies_from_table(outcome_table_exact(THETA_GRID, IDEAL))
+        for th, (_, _, dw) in zip(THETA_GRID, energies):
+            rho = prepare_resource(ProtocolConfig(theta=th))
             rho_p = apply_feedback(measure_demon(rho))
-            _, _, dw = energies_from_table(outcome_table_exact(cfg))
             assert dw == pytest.approx(demonic_gain(rho, rho_p), abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -186,61 +182,57 @@ class TestOutcomeTableExact:
         [(0.0, (0.5, 1.0, 0.5)), (np.pi / 2, (0.5, 0.5, 0.0)), (np.pi / 4, (0.5, 0.75, 0.25))],
     )
     def test_energy_triples(self, theta, expect):
-        got = energies_from_table(outcome_table_exact(ProtocolConfig(theta=theta)))
+        got = energies_from_table(outcome_table_exact([theta], IDEAL))[0]
         assert got == pytest.approx(expect, abs=1e-12)
 
 
 class TestRunShots:
     def test_seed_determinism(self):
-        cfg = ProtocolConfig(theta=0.6, shots=2000, seed=99)
-        assert run_shots(cfg).counts == run_shots(cfg).counts
+        args = ([0.6], IDEAL, 2000, 99)
+        assert np.array_equal(run_shots(*args).counts, run_shots(*args).counts)
 
     def test_single_shot(self):
-        t = run_shots(ProtocolConfig(theta=0.3, shots=1, seed=4))
-        assert sum(t.counts.values()) == 1
-        assert sum(1 for v in t.counts.values() if v) == 1
+        t = run_shots([0.3], IDEAL, shots=1, seed=4)
+        assert t.counts.sum() == 1
+        assert np.count_nonzero(t.counts) == 1
 
     def test_empirical_matches_binomial_bound(self):
-        cfg = ProtocolConfig(theta=0.0, shots=3500, seed=11)
-        t = run_shots(cfg)
-        assert abs(t.pr_joint[(0, 1, 0)] - 0.5) <= 3 * np.sqrt(0.25 / 3500)
+        t = run_shots([0.0], IDEAL, shots=3500, seed=11)
+        assert abs(t.cells[0, CELLS.index((0, 1, 0))] - 0.5) <= 3 * np.sqrt(0.25 / 3500)
 
     def test_converges_to_exact(self):
-        cfg = ProtocolConfig(theta=0.9, shots=10**6, seed=77)
-        t = run_shots(cfg)
-        ex = outcome_table_exact(ProtocolConfig(theta=0.9))
-        for cell, p in ex.pr_joint.items():
-            se = np.sqrt(p * (1 - p) / cfg.shots)
+        shots = 10**6
+        t = run_shots([0.9], IDEAL, shots=shots, seed=77)
+        ex = outcome_table_exact([0.9], IDEAL)
+        for got, p in zip(t.cells[0], ex.cells[0]):
+            se = np.sqrt(p * (1 - p) / shots)
             if se == 0:
-                assert t.pr_joint[cell] == 0.0
+                assert got == 0.0
             else:
-                assert abs(t.pr_joint[cell] - p) <= 5 * se
+                assert abs(got - p) <= 5 * se
 
     @pytest.mark.parametrize("case", json.loads(RUN_SHOTS_FIXTURE.read_text()))
     def test_counts_match_recorded_fixture(self, case):
         # counts written by the density-matrix shot sampler that the ket
         # path replaced: noisy gates, with and without QND flip errors
         c = case["config"]
-        cfg = ProtocolConfig(
-            theta=c["theta"],
-            noise=NoiseParams(tuple(c["noise"])),
+        t = run_shots(
+            [c["theta"]],
+            NoiseParams(tuple(c["noise"])),
             shots=c["shots"],
             seed=c["seed"],
             qnd_detect_error=c["qnd_detect_error"],
             qnd_reprep_error=c["qnd_reprep_error"],
         )
-        t = run_shots(cfg)
-        assert {f"{d}{dp}{ap}": n for (d, dp, ap), n in t.counts.items()} == case["counts"]
-        assert {str(d): p for d, p in t.pr_d.items()} == case["pr_d"]
+        assert {f"{d}{dp}{ap}": n for (d, dp, ap), n in zip(CELLS, t.counts[0])} == case["counts"]
+        assert {str(d): p for d, p in enumerate(t.pr_d[0])} == case["pr_d"]
 
     def test_detection_error_shifts_marginal(self):
-        clean = run_shots(ProtocolConfig(theta=0.0, shots=20000, seed=3))
-        noisy = run_shots(
-            ProtocolConfig(theta=0.0, shots=20000, seed=3, qnd_detect_error=0.2)
-        )
+        clean = run_shots([0.0], IDEAL, shots=20000, seed=3)
+        noisy = run_shots([0.0], IDEAL, shots=20000, seed=3, qnd_detect_error=0.2)
         # theta=0 marginal stays balanced; the red channel opens up instead
-        assert noisy.pr_d[1] == pytest.approx(clean.pr_d[1], abs=0.02)
-        assert sum(noisy.counts[(d, 1, 1)] for d in (0, 1)) > 0
+        assert noisy.pr_d[0, 1] == pytest.approx(clean.pr_d[0, 1], abs=0.02)
+        assert sum(noisy.counts[0, CELLS.index((d, 1, 1))] for d in (0, 1)) > 0
 
 
 class TestPolicyOptimality:
@@ -268,37 +260,56 @@ class TestPolicyOptimality:
 
 class TestSerialization:
     def test_csv_round_trip_sampled(self, tmp_path):
-        entries = [
-            (th, run_shots(ProtocolConfig(theta=th, shots=500, seed=8)))
-            for th in (0.0, 0.5, 1.0)
-        ]
+        table = run_shots([0.0, 0.5, 1.0], IDEAL, shots=500, seed=8)
         path = tmp_path / "tables.csv"
-        write_tables_csv(path, entries)
+        write_tables_csv(path, table)
         back = read_tables_csv(path)
-        assert [t for t, _ in back] == [t for t, _ in entries]
-        for (_, a), (_, b) in zip(entries, back):
-            assert a.counts == b.counts
-            assert a.pr_joint == pytest.approx(b.pr_joint)
+        assert back.thetas.tolist() == table.thetas.tolist()
+        assert np.array_equal(back.counts, table.counts)
+        assert back.cells == pytest.approx(table.cells)
 
     def test_csv_round_trip_exact(self, tmp_path):
-        entries = [(0.3, outcome_table_exact(ProtocolConfig(theta=0.3)))]
+        table = outcome_table_exact([0.3], IDEAL)
         path = tmp_path / "tables.csv"
-        write_tables_csv(path, entries)
+        write_tables_csv(path, table)
         back = read_tables_csv(path)
-        assert back[0][1].counts is None
-        for cell, p in entries[0][1].pr_joint.items():
-            assert back[0][1].pr_joint[cell] == pytest.approx(p, abs=1e-11)
+        assert back.counts is None
+        assert back.cells == pytest.approx(table.cells, abs=1e-11)
 
-    def test_table_validation(self):
-        t = OutcomeTable(pr_d={0: 0.6, 1: 0.4}, pr_joint={(0, 0, 0): 0.6, (1, 1, 0): 0.3})
-        with pytest.raises(ValueError):
-            t.validate()
+    @given(
+        thetas=st.lists(
+            st.floats(0, np.pi / 2), min_size=1, max_size=6, unique_by=lambda t: f"{t:.12g}"
+        ),
+        deltas=st.tuples(*[st.floats(-0.7, 0.7)] * 3),
+        shots=st.none() | st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_random_grids(self, thetas, deltas, shots, seed):
+        noise = NoiseParams(deltas)
+        if shots is None:
+            table = outcome_table_exact(thetas, noise)
+        else:
+            table = run_shots(thetas, noise, shots, seed)
+        with tempfile.TemporaryDirectory() as d:
+            write_tables_csv(Path(d) / "tables.csv", table)
+            back = read_tables_csv(Path(d) / "tables.csv")
+        # the CSV keeps 12 significant digits and the counts exactly
+        assert np.allclose(back.thetas, table.thetas, rtol=1e-11, atol=0)
+        assert np.allclose(back.cells, table.cells, rtol=1e-11, atol=0)
+        if shots is None:
+            assert back.counts is None
+        else:
+            assert np.array_equal(back.counts, table.counts)
+        points = json.loads(json.dumps(table_to_json_dicts(table)))
+        assert [p["theta"] for p in points] == table.thetas.tolist()
+        assert [p["shots"] for p in points] == [shots] * len(thetas)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(theta=-0.1)
     with pytest.raises(ValueError):
-        ProtocolConfig(theta=0.2, shots=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(theta=0.2, feedback_weights="oops")
+        run_shots([0.2], IDEAL, shots=0, seed=1)
+    with pytest.raises(ValueError, match="theta"):
+        outcome_table_exact([0.1, 2.0], IDEAL)

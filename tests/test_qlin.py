@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demongain import qlin
-from demongain.qlin import ID2, PAULI_X, PAULI_Y, eig_hermitian, kron, partial_trace, psd_sqrt
+from demongain.qlin import ID2, PAULI_X, PAULI_Y, eig_hermitian, kron, partial_trace
 
 from conftest import random_density
 
@@ -95,8 +95,8 @@ class TestEigHermitian:
         rho = np.outer(psi, psi.conj())
         yy = kron(PAULI_Y, PAULI_Y)
         rho_tilde = yy @ rho.conj() @ yy
-        sq = psd_sqrt(rho)
-        w, _ = eig_hermitian(sq @ rho_tilde @ sq)
+        # a pure state's projector is its own square root
+        w, _ = eig_hermitian(rho @ rho_tilde @ rho)
         assert np.allclose(w, [1, 0, 0, 0], atol=1e-10)
 
     def test_reconstruction(self, rng):
@@ -135,31 +135,6 @@ class TestEigHermitian:
         rho = random_density(np.random.default_rng(seed))
         w, _ = eig_hermitian(rho)
         assert abs(w.sum() - 1.0) <= 1e-10
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(np.eye(4)), np.eye(4))
-
-    def test_diagonal(self):
-        assert np.allclose(psd_sqrt(np.diag([4.0, 1, 0, 0])), np.diag([2.0, 1, 0, 0]))
-
-    def test_pure_state_idempotent(self):
-        th = 0.7
-        psi = np.array([-np.sin(th), 1, np.cos(th), 0], dtype=complex) / np.sqrt(2)
-        rho = np.outer(psi, psi.conj())
-        assert np.allclose(psd_sqrt(rho), rho, atol=1e-8)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="PSD"):
-            psd_sqrt(np.diag([1.0, 1, 1, -1e-6]))
-
-    @given(st.integers(0, 2**31))
-    @settings(max_examples=25, deadline=None)
-    def test_square_recovers_input(self, seed):
-        rho = random_density(np.random.default_rng(seed))
-        s = psd_sqrt(rho)
-        assert np.max(np.abs(s @ s - rho)) <= 1e-8
 
 
 def test_adjoint_round_trip(rng):
