@@ -129,27 +129,17 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
     exact_moments = bool(sec.get("exact_moments", False))
     noise = _noise_from(sec)
 
-    entries = []
-    for i, theta in enumerate(thetas):
-        rho = protocol.prepare_resource(ProtocolConfig(theta=theta, noise=noise))
+    # every theta is checked before the first tomogram CSV is written
+    rhos = [protocol.prepare_resource(ProtocolConfig(theta=t, noise=noise)) for t in thetas]
+    points = []
+    for i, (theta, rho) in enumerate(zip(thetas, rhos)):
         if exact_moments:
-            rho_hat = tomography.linear_inversion(tomography.exact_moment_probs(rho))
-            tomo = tomography.Tomogram(
-                counts={},
-                shots_per_setting=0,
-                rho_hat=rho_hat,
-                concurrence=tomography.concurrence(rho_hat),
-                purity=tomography.purity(rho_hat),
-            )
+            tomo = tomography.Tomogram(tomography.linear_inversion(tomography.setting_probs(rho)))
         else:
             tomo = tomography.tomography_study(rho, shots, resamples, seed + i)
-        entries.append((theta, tomo))
-
-    for i, (theta, tomo) in enumerate(entries):
-        if tomo.counts:
             tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", tomo.counts)
-    points = [(t, tomo.concurrence) for t, tomo in entries]
-    c0, stderr = tomography.fit_c0(points)
+        points.append(tomography.summary_to_json_dict(theta, tomo))
+    c0, stderr = tomography.fit_c0(thetas, [p["concurrence"] for p in points])
     _write_json(
         out_dir / "tomo_metrics.json",
         {
@@ -158,9 +148,7 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
             "seed": seed,
             "noise": list(noise.delta_phi),
             "exact_moments": exact_moments,
-            "points": [
-                tomography.summary_to_json_dict(t, tomo) for t, tomo in entries
-            ],
+            "points": points,
             "c0_fit": {"c0": c0, "stderr": stderr},
         },
     )
@@ -216,14 +204,15 @@ def _verify_checks(tol: dict):
     """Yield (name, passed, measure) for every library invariant."""
     thetas = np.linspace(0, np.pi / 2, 33)
     rng = np.random.default_rng(0)
+    rhos = [protocol.prepare_resource(ProtocolConfig(theta=t)) for t in thetas]
+    branches = [protocol.measure_demon(rho) for rho in rhos]
+    gains = [
+        protocol.demonic_gain(rho, protocol.apply_feedback(b))
+        for rho, b in zip(rhos, branches)
+    ]
 
     rel_tol = tol.get("relation", 1e-12)
-    dev = 0.0
-    for t in thetas:
-        cfg = ProtocolConfig(theta=t)
-        rho = protocol.prepare_resource(cfg)
-        rho_p = protocol.apply_feedback(protocol.measure_demon(rho))
-        dev = max(dev, abs(protocol.demonic_gain(rho, rho_p) - np.cos(t) ** 2 / 2))
+    dev = max(abs(g - np.cos(t) ** 2 / 2) for t, g in zip(thetas, gains))
     yield "gain equals half squared concurrence", dev <= rel_tol, dev
 
     bound_tol = tol.get("bound", 1e-12)
@@ -241,23 +230,11 @@ def _verify_checks(tol: dict):
     ), min_slack
 
     bal_tol = tol.get("balanced", 1e-12)
-    dev = max(
-        abs(b.prob - 0.5)
-        for t in thetas
-        for b in protocol.measure_demon(
-            protocol.prepare_resource(ProtocolConfig(theta=t))
-        )
-    )
+    dev = max(abs(b.prob - 0.5) for bs in branches for b in bs)
     yield "balanced mid-circuit probabilities", dev <= bal_tol, dev
 
     conc_tol = tol.get("concurrence", 1e-10)
-    dev = max(
-        abs(
-            tomography.concurrence(protocol.prepare_resource(ProtocolConfig(theta=t)))
-            - abs(np.cos(t))
-        )
-        for t in thetas
-    )
+    dev = max(abs(tomography.concurrence(rho) - abs(np.cos(t))) for t, rho in zip(thetas, rhos))
     yield "concurrence law |cos(theta)|", dev <= conc_tol, dev
 
     inv_tol = tol.get("inversion", 1e-12)
@@ -266,25 +243,20 @@ def _verify_checks(tol: dict):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        rec = tomography.linear_inversion(tomography.exact_moment_probs(rho))
+        rec = tomography.linear_inversion(tomography.setting_probs(rho))
         dev = max(dev, np.max(np.abs(rec - rho)))
     yield "linear inversion exact on moments", dev <= inv_tol, dev
 
     en_tol = tol.get("energies", 1e-12)
-    dev = 0.0
     table = protocol.outcome_table_exact(thetas, NoiseParams.zeros())
-    for t, dw in zip(thetas, protocol.energies_from_table(table)[:, 2]):
-        rho = protocol.prepare_resource(ProtocolConfig(theta=t))
-        rho_p = protocol.apply_feedback(protocol.measure_demon(rho))
-        dev = max(dev, abs(dw - protocol.demonic_gain(rho, rho_p)))
+    dev = max(abs(dw - g) for dw, g in zip(protocol.energies_from_table(table)[:, 2], gains))
     yield "table energies match state gain", dev <= en_tol, dev
 
     swap_u = protocol._U_SWAP
     x_d = np.kron(np.eye(2), np.array([[0, 1], [1, 0]])).astype(complex)
     candidates = [np.eye(4, dtype=complex), swap_u, x_d, x_d @ swap_u]
     ok = True
-    for t in thetas:
-        rho = protocol.prepare_resource(ProtocolConfig(theta=t))
+    for rho in rhos:
         ref = protocol.policy_gain(rho, (swap_u, np.eye(4, dtype=complex)))
         best = max(
             protocol.policy_gain(rho, (u0, u1))
@@ -337,7 +309,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handler(manifest, manifest_dir, out_dir, args.seed)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise SystemExit(f"demongain {args.command}: {exc}")
 
 

@@ -300,15 +300,28 @@ def _fmt(x: float) -> str:
 
 
 def write_tables_csv(path, table: OutcomeTable) -> None:
-    """Write one row per (theta, cell); count is empty in exact mode."""
-    n = len(table.thetas)
-    counts = [[""] * 8] * n if table.counts is None else table.counts.tolist()
+    """Write one row per (theta, cell); count is empty in exact mode.
+
+    read_tables_csv groups rows by the written theta, so a grid with two
+    thetas alike at 12 significant digits is refused before the file opens.
+    """
+    thetas = table.thetas.tolist()
+    keys = [_fmt(t) for t in thetas]
+    seen = {}
+    for theta, key in zip(thetas, keys):
+        if key in seen:
+            raise ValueError(
+                f"thetas {seen[key]!r} and {theta!r} both print as {key} "
+                "at 12 significant digits"
+            )
+        seen[key] = theta
+    counts = [[""] * 8] * len(keys) if table.counts is None else table.counts.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for theta, cells, row_counts in zip(table.thetas.tolist(), table.cells.tolist(), counts):
+        for key, cells, row_counts in zip(keys, table.cells.tolist(), counts):
             for cell, p, c in zip(CELLS, cells, row_counts):
-                w.writerow([_fmt(theta), *cell, c, _fmt(p)])
+                w.writerow([key, *cell, c, _fmt(p)])
 
 
 def read_tables_csv(path) -> OutcomeTable:

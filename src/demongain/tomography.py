@@ -2,14 +2,15 @@
 
 Sign convention: outcome "+" is the +1 eigenvalue of the measured Pauli
 operator, so in the energy basis <Z> = Pr(0) - Pr(1) (|1> is the
-energetically higher state). Outcomes per setting are ordered
-(++, +-, -+, --) with the agent sign first.
+energetically higher state). Counts and probabilities are (..., 9, 4)
+arrays: settings in ALL_SETTINGS order, outcomes (++, +-, -+, --) with
+the agent sign first. Of the outputs, only the counts CSV names them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -45,31 +46,41 @@ _PAULI_TERMS = np.array([kron(_PAULI[a], _PAULI[d]) for a, d in _TERMS])
 _YY = kron(PAULI_Y, PAULI_Y)
 
 
+PERCENTILES = (16.0, 84.0)  # of the bootstrap interval
+
+
 @dataclass
 class BootstrapSummary:
     """Percentile spread of tomography metrics over parametric resamples."""
 
     resamples: int
-    point: dict[str, float]
     lower: dict[str, float]
     upper: dict[str, float]
-    percentiles: tuple[float, float] = (16.0, 84.0)
 
 
 @dataclass
 class Tomogram:
-    """Counts, reconstruction and metrics of one tomography run."""
+    """Reconstruction and metrics of one tomography run.
 
-    counts: dict[tuple[str, str], np.ndarray]
-    shots_per_setting: int
+    `counts` (9, 4) are the shots it was read from, None for exact moments.
+    """
+
     rho_hat: np.ndarray
-    concurrence: float
-    purity: float
+    counts: np.ndarray | None = None
     bootstrap: BootstrapSummary | None = None
+    concurrence: float = field(init=False)
+    purity: float = field(init=False)
+
+    def __post_init__(self):
+        self.concurrence = concurrence(self.rho_hat)
+        self.purity = purity(self.rho_hat)
 
 
-def _setting_dists(rho: np.ndarray) -> np.ndarray:
-    """(9, 4) Born probabilities of the settings in ALL_SETTINGS order."""
+def setting_probs(rho: np.ndarray) -> np.ndarray:
+    """(9, 4) Born probabilities of every setting's outcomes.
+
+    These are also the infinite-shot frequencies of the inversion oracle.
+    """
     diag = np.real(np.diagonal(_ROTATIONS @ rho @ dag(_ROTATIONS), axis1=1, axis2=2))
     diag = np.clip(diag, 0.0, None)
     total = diag.sum(axis=1, keepdims=True)
@@ -79,44 +90,19 @@ def _setting_dists(rho: np.ndarray) -> np.ndarray:
     return diag / total
 
 
-def setting_probs(rho: np.ndarray, setting: tuple[str, str]) -> np.ndarray:
-    """Born probabilities of the 4 outcomes of one Pauli setting."""
-    return _setting_dists(rho)[ALL_SETTINGS.index(tuple(setting))]
-
-
-def simulate_setting(
-    rho: np.ndarray, setting: tuple[str, str], shots: int, seed: int
-) -> np.ndarray:
-    """Multinomial shot counts for one setting; deterministic under seed."""
+def simulate_tomogram_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """(9, 4) multinomial shot counts; setting j draws from Philox(key=[seed, j])."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    idx = ALL_SETTINGS.index(tuple(setting))
-    rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
-    return rng.multinomial(shots, setting_probs(rho, setting))
+    return np.array([
+        np.random.Generator(np.random.Philox(key=[seed, j])).multinomial(shots, p)
+        for j, p in enumerate(setting_probs(rho))
+    ])
 
 
-def simulate_tomogram_counts(
-    rho: np.ndarray, shots: int, seed: int
-) -> dict[tuple[str, str], np.ndarray]:
-    """Counts for all nine settings."""
-    return {s: simulate_setting(rho, s, shots, seed) for s in ALL_SETTINGS}
-
-
-def exact_moment_probs(rho: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
-    """Infinite-shot outcome frequencies, for the inversion oracle."""
-    return dict(zip(ALL_SETTINGS, _setting_dists(rho)))
-
-
-def _freqs(counts_or_probs) -> np.ndarray:
+def _freqs(counts) -> np.ndarray:
     """(..., 9, 4) per-setting frequencies from counts or probabilities."""
-    if isinstance(counts_or_probs, dict):
-        for s in ALL_SETTINGS:
-            if s not in counts_or_probs:
-                raise ValueError(f"missing tomography setting {s}")
-            if np.shape(counts_or_probs[s]) != (4,):
-                raise ValueError(f"setting {s} must have 4 outcome entries")
-        counts_or_probs = [counts_or_probs[s] for s in ALL_SETTINGS]
-    v = np.asarray(counts_or_probs, dtype=float)
+    v = np.asarray(counts, dtype=float)
     if v.shape[-2:] != (9, 4):
         raise ValueError(f"expected (..., 9, 4) counts per setting, got shape {v.shape}")
     total = v.sum(axis=-1, keepdims=True)
@@ -134,18 +120,16 @@ def _signed_sum(f: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return g[..., 0] + g[..., 1] + g[..., 2] + g[..., 3]
 
 
-def linear_inversion(counts_or_probs) -> np.ndarray:
+def linear_inversion(counts) -> np.ndarray:
     """Reconstruct rho = (1/4) sum <P(x)Q> P(x)Q from empirical frequencies.
 
     Two-body correlators come from the matching setting; single-qubit
     expectations average the corresponding marginal over the three
-    settings that measure the non-identity factor. Accepts raw counts or
-    probabilities: a dict keyed by setting with 4 entries each, giving
-    one (4, 4) state, or an array of shape (..., 9, 4) in ALL_SETTINGS
-    order, giving (..., 4, 4) states. The result has unit trace by
-    construction but is not necessarily positive.
+    settings that measure the non-identity factor. Takes raw counts or
+    probabilities of shape (..., 9, 4) and gives (..., 4, 4) states. The
+    result has unit trace by construction but is not necessarily positive.
     """
-    f = _freqs(counts_or_probs)
+    f = _freqs(counts)
     batch = f.shape[:-2]
     agent = _signed_sum(f, _AGENT_SIGN).reshape(*batch, 3, 3)  # [axis_a, axis_d]
     demon = _signed_sum(f, _DEMON_SIGN).reshape(*batch, 3, 3)
@@ -222,17 +206,16 @@ def bootstrap(
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    dists = _setting_dists(rho_hat)
+    dists = setting_probs(rho_hat)
     counts = np.array([
         np.random.Generator(np.random.Philox(key=[seed, r])).multinomial(shots, dists)
         for r in range(resamples)
     ])
     rho_r = linear_inversion(counts)
     metrics = {"concurrence": concurrence(rho_r), "purity": purity(rho_r)}
-    lo, hi = BootstrapSummary.percentiles
+    lo, hi = PERCENTILES
     return BootstrapSummary(
         resamples=resamples,
-        point={"concurrence": concurrence(rho_hat), "purity": purity(rho_hat)},
         lower={k: float(np.percentile(v, lo)) for k, v in metrics.items()},
         upper={k: float(np.percentile(v, hi)) for k, v in metrics.items()},
     )
@@ -243,34 +226,30 @@ def tomography_study(rho: np.ndarray, shots: int, resamples: int, seed: int) -> 
     counts = simulate_tomogram_counts(rho, shots, seed)
     rho_hat = linear_inversion(counts)
     return Tomogram(
-        counts=counts,
-        shots_per_setting=shots,
-        rho_hat=rho_hat,
-        concurrence=concurrence(rho_hat),
-        purity=purity(rho_hat),
-        bootstrap=bootstrap(rho_hat, shots, resamples, seed) if resamples else None,
+        rho_hat, counts, bootstrap(rho_hat, shots, resamples, seed) if resamples else None
     )
 
 
-def fit_c0(points: list[tuple[float, float]]) -> tuple[float, float]:
+def fit_c0(thetas, c) -> tuple[float, float]:
     """One-parameter least-squares fit of c = c0 * cos(theta).
 
     Closed form: c0 = sum(c cos) / sum(cos^2); the standard error comes
     from the residual variance (0 for a single point).
     """
-    if not points:
+    x = np.cos(np.asarray(thetas, dtype=float))
+    c = np.asarray(c, dtype=float)
+    if x.shape != c.shape or x.ndim != 1:
+        raise ValueError(f"need 1-d thetas and c of one length, got {x.shape} and {c.shape}")
+    if not x.size:
         raise ValueError("need at least one point")
-    th = np.array([p[0] for p in points], dtype=float)
-    c = np.array([p[1] for p in points], dtype=float)
-    x = np.cos(th)
     sxx = np.sum(x * x)
     if sxx <= 1e-20:
         raise ValueError("all cos(theta) vanish; c0 is unidentifiable")
     c0 = float(np.sum(c * x) / sxx)
-    if len(points) == 1:
+    if x.size == 1:
         return c0, 0.0
     ssr = float(np.sum((c - c0 * x) ** 2))
-    return c0, float(np.sqrt(ssr / (len(points) - 1) / sxx))
+    return c0, float(np.sqrt(ssr / (x.size - 1) / sxx))
 
 
 # ---------------------------------------------------------------------------
@@ -280,38 +259,32 @@ COUNTS_CSV_HEADER = ["setting_a", "setting_d", "outcome", "count"]
 _OUTCOME_NAMES = ("++", "+-", "-+", "--")
 
 
-def write_counts_csv(path, counts: dict[tuple[str, str], np.ndarray]) -> None:
+def write_counts_csv(path, counts: np.ndarray) -> None:
+    """One row per setting and outcome of (9, 4) counts, in ALL_SETTINGS order."""
+    counts = np.asarray(counts)
+    if counts.shape != (9, 4):
+        raise ValueError(f"expected (9, 4) counts per setting, got shape {counts.shape}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(COUNTS_CSV_HEADER)
-        for (sa, sd), vec in counts.items():
-            for i, name in enumerate(_OUTCOME_NAMES):
-                w.writerow([sa, sd, name, int(vec[i])])
-
-
-def read_counts_csv(path) -> dict[tuple[str, str], np.ndarray]:
-    counts: dict[tuple[str, str], np.ndarray] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["setting_a"], row["setting_d"])
-            counts.setdefault(key, np.zeros(4))
-            counts[key][_OUTCOME_NAMES.index(row["outcome"])] = int(row["count"])
-    return counts
+        for (sa, sd), row in zip(ALL_SETTINGS, counts.tolist()):
+            for name, c in zip(_OUTCOME_NAMES, row):
+                w.writerow([sa, sd, name, int(c)])
 
 
 def summary_to_json_dict(theta: float, t: Tomogram) -> dict:
+    point = {"concurrence": t.concurrence, "purity": t.purity}
     d = {
         "theta": theta,
-        "shots_per_setting": t.shots_per_setting,
-        "concurrence": t.concurrence,
-        "purity": t.purity,
+        "shots_per_setting": 0 if t.counts is None else int(t.counts[0].sum()),
+        **point,
     }
     if t.bootstrap is not None:
         b = t.bootstrap
         d["bootstrap"] = {
             "resamples": b.resamples,
-            "percentiles": list(b.percentiles),
-            "point": b.point,
+            "percentiles": list(PERCENTILES),
+            "point": point,
             "lower": b.lower,
             "upper": b.upper,
         }

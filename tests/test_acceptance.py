@@ -150,7 +150,7 @@ def test_criterion_06_tomography_oracle_and_small_shot_behaviour():
     dev = 0.0
     for _ in range(200):
         rho = random_density(rng)
-        rec = tomography.linear_inversion(tomography.exact_moment_probs(rho))
+        rec = tomography.linear_inversion(tomography.setting_probs(rho))
         dev = max(dev, float(np.max(np.abs(rec - rho))))
     bell = prepare_resource(ProtocolConfig(theta=0.0))
     concs, purities = [], []
@@ -182,15 +182,15 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
 
     # parallelism / order invariance: recompute the resample metrics in
     # reverse order with the same per-resample streams
-    dists = {}
+    dists = []
     for s in tomography.ALL_SETTINGS:
         u = kron(tomography._ROT_TO_Z[s[0]], tomography._ROT_TO_Z[s[1]])
         d = np.clip(np.real(np.diag(u @ rho_hat @ u.conj().T)), 0.0, None)
-        dists[s] = d / d.sum()
+        dists.append(d / d.sum())
     conc = np.empty(500)
     for r in reversed(range(500)):
         rng = np.random.Generator(np.random.Philox(key=[3, r]))
-        counts = {s: rng.multinomial(100, dists[s]) for s in tomography.ALL_SETTINGS}
+        counts = np.array([rng.multinomial(100, d) for d in dists])
         conc[r] = tomography.concurrence(tomography.linear_inversion(counts))
     order_invariant = (
         abs(np.percentile(conc, 16.0) - a.lower["concurrence"]) < 1e-12
@@ -245,16 +245,11 @@ def test_criterion_08_noise_fit_recovery():
 def test_criterion_09_model_implied_amplitude_regression():
     noise = NoiseParams(REFERENCE_DELTA_PHI)
     thetas = np.linspace(0.0, HALF_PI, 17)
-    points = [
-        (
-            float(t),
-            tomography.concurrence(
-                prepare_resource(ProtocolConfig(theta=float(t), noise=noise))
-            ),
-        )
+    concs = [
+        tomography.concurrence(prepare_resource(ProtocolConfig(theta=float(t), noise=noise)))
         for t in thetas
     ]
-    c0, _ = tomography.fit_c0(points)
+    c0, _ = tomography.fit_c0(thetas, concs)
     dev = abs(c0 - MODEL_IMPLIED_C0)
     _report(
         "criterion 9 (model-implied amplitude fixture)",

@@ -1,5 +1,6 @@
 """End-to-end tests of the four CLI subcommands."""
 
+import csv
 import json
 import re
 import runpy
@@ -112,6 +113,19 @@ class TestSweep:
         with pytest.raises(SystemExit, match="mode"):
             _run(["sweep", "--manifest", manifest, "--out", str(tmp_path / "o")])
 
+    def test_thetas_alike_at_12_digits_exit(self, tmp_path):
+        # the CSV writes theta with 12 significant digits; two grid points
+        # that print alike would make a file that fit cannot read back
+        manifest = _write_manifest(
+            tmp_path,
+            {"sweep": {"theta_start": 1.0, "theta_end": 1.0000000000001, "theta_steps": 2}},
+        )
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=r"1\.0000000000001 .*12 significant digits") as exc:
+            _run(["sweep", "--manifest", manifest, "--out", str(out)])
+        assert "\n" not in str(exc.value)
+        assert not (out / "outcome_tables.csv").exists()
+
 
 class TestTomo:
     def test_tomo_outputs(self, tmp_path):
@@ -148,7 +162,16 @@ class TestTomo:
         for pt in payload["points"]:
             assert pt["concurrence"] == pytest.approx(np.cos(pt["theta"]), abs=1e-9)
         assert payload["c0_fit"]["c0"] == pytest.approx(1.0, abs=1e-9)
+        assert all(pt["shots_per_setting"] == 0 for pt in payload["points"])
+        assert all("bootstrap" not in pt for pt in payload["points"])
         assert not (out / "tomogram_00.csv").exists()
+
+    def test_bad_theta_exits_before_any_csv(self, tmp_path):
+        manifest = _write_manifest(tmp_path, {"tomo": {"thetas": [0.1, 2.0], "resamples": 0}})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=r"theta must lie in \[0, pi/2\], got 2\.0"):
+            _run(["tomo", "--manifest", manifest, "--out", str(out)])
+        assert not list(out.iterdir())
 
     def test_deterministic(self, tmp_path):
         manifest = _write_manifest(
@@ -162,16 +185,37 @@ class TestTomo:
             out2 / "tomo_metrics.json"
         ).read_bytes()
 
-    def test_default_manifest_matches_golden_metrics(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def default_out(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("tomo_default")
+        manifest = str(ROOT / "manifests/tomo_default.json")
+        assert _run(["tomo", "--manifest", manifest, "--out", str(out)]) == 0
+        return out
+
+    def test_default_manifest_matches_golden_metrics(self, default_out):
         # tomo_metrics.json of manifests/tomo_default.json as written by the
         # per-resample bootstrap loop that the stacked bootstrap replaced;
         # covers theta = 0 and theta = pi/2 among its nine points
         golden = json.loads((ROOT / "tests/data/tomo_default_metrics.json").read_text())
-        manifest = str(ROOT / "manifests/tomo_default.json")
-        assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path)]) == 0
-        got = json.loads((tmp_path / "tomo_metrics.json").read_text())
+        got = json.loads((default_out / "tomo_metrics.json").read_text())
         assert [p["theta"] for p in got["points"]][::8] == [0.0, HALF_PI]
         _compare(got, golden, "")
+
+    def test_default_manifest_matches_golden_counts(self, default_out):
+        # the nine tomogram CSVs of manifests/tomo_default.json as written
+        # when counts were dicts keyed by setting; rows run through the
+        # settings XX, XY, ..., ZZ and, within each, outcomes ++, +-, -+, --
+        golden = json.loads((ROOT / "tests/data/tomo_default_counts.json").read_text())
+        order = [
+            [a, d, o] for a in "XYZ" for d in "XYZ" for o in ("++", "+-", "-+", "--")
+        ]
+        for name, counts in golden.items():
+            with open(default_out / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["setting_a", "setting_d", "outcome", "count"]
+            assert [r[:3] for r in rows] == order
+            assert [int(r[3]) for r in rows] == [c for row in counts for c in row]
+        assert sorted(p.name for p in default_out.glob("tomogram_*.csv")) == sorted(golden)
 
 
 class TestFit:
@@ -305,3 +349,19 @@ class TestManifestHandling:
         manifest = _write_manifest(tmp_path, {"sweep": {"noise": [0.1]}})
         with pytest.raises(SystemExit, match="noise"):
             _run(["sweep", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("sweep", {"sweep": {"noise": 0.1}}),
+            ("tomo", {"tomo": {"thetas": 5}}),
+            ("sweep", {"sweep": {"shots": None, "mode": "sampled"}}),
+            ("verify", {"verify": {"tolerances": {"relation": "1e-12"}}}),
+        ],
+        ids=["noise-number", "thetas-number", "shots-null", "tolerance-string"],
+    )
+    def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload):
+        manifest = _write_manifest(tmp_path, payload)
+        with pytest.raises(SystemExit, match=f"demongain {command}: ") as exc:
+            _run([command, "--manifest", manifest, "--out", str(tmp_path / "o")])
+        assert "\n" not in str(exc.value)

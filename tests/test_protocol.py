@@ -276,6 +276,13 @@ class TestSerialization:
         assert back.counts is None
         assert back.cells == pytest.approx(table.cells, abs=1e-11)
 
+    def test_thetas_alike_at_12_digits_rejected(self, tmp_path):
+        table = outcome_table_exact([1.0, 1.0 + 1e-13], IDEAL)
+        path = tmp_path / "tables.csv"
+        with pytest.raises(ValueError, match=r"1\.0 and 1\.0000000000001 both print as 1 "):
+            write_tables_csv(path, table)
+        assert not path.exists()
+
     @given(
         thetas=st.lists(
             st.floats(0, np.pi / 2), min_size=1, max_size=6, unique_by=lambda t: f"{t:.12g}"

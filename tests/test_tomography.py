@@ -1,5 +1,7 @@
 """Tests for nine-setting tomography, concurrence, and the bootstrap."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +12,13 @@ from demongain.gates import bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
 from demongain.qlin import ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z, kron
 from demongain.tomography import (
+    Tomogram,
     bootstrap,
     concurrence,
-    exact_moment_probs,
     fit_c0,
     linear_inversion,
     purity,
-    read_counts_csv,
     setting_probs,
-    simulate_setting,
     simulate_tomogram_counts,
     tomography_study,
     write_counts_csv,
@@ -29,26 +29,37 @@ from conftest import random_density, haar_unitary
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
 
 
+XX, XY, ZX, YY, ZZ = (tg.ALL_SETTINGS.index(tuple(s)) for s in ("XX", "XY", "ZX", "YY", "ZZ"))
+
+
 class TestSettingProbs:
+    def test_shape_and_order(self):
+        assert tg.ALL_SETTINGS[:2] == (("X", "X"), ("X", "Y"))
+        assert tg.ALL_SETTINGS[-1] == ("Z", "Z")
+        assert setting_probs(BELL).shape == (9, 4)
+
     def test_bell_zz_perfectly_correlated(self):
         # [TRIVIAL] Psi+ = (|01> + |10>)/sqrt(2): Z outcomes anti-aligned
-        p = setting_probs(BELL, ("Z", "Z"))
+        p = setting_probs(BELL)[ZZ]
         assert np.allclose(p, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
     def test_bell_xx_correlated(self):
         # [DERIVED] <X X> = +1 on Psi+, so outcomes (++, --) each 1/2
-        p = setting_probs(BELL, ("X", "X"))
+        p = setting_probs(BELL)[XX]
         assert np.allclose(p, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_maximally_mixed_uniform(self):
-        for s in tg.ALL_SETTINGS:
-            assert np.allclose(setting_probs(ID4 / 4, s), 0.25, atol=1e-12)
+        assert np.allclose(setting_probs(ID4 / 4), 0.25, atol=1e-12)
 
     def test_zz_sign_convention(self):
         # [TRIVIAL] |0> is "+": <Z> = Pr(0) - Pr(1) = +1 on |00>
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        assert np.allclose(setting_probs(rho, ("Z", "Z")), [1, 0, 0, 0])
+        assert np.allclose(setting_probs(rho)[ZZ], [1, 0, 0, 0])
+
+    def test_rejects_unnormalizable_setting(self):
+        with pytest.raises(ValueError, match=r"setting \('X', 'X'\) diagonal not normalizable"):
+            setting_probs(np.zeros((4, 4), dtype=complex))
 
 
 class TestLinearInversion:
@@ -56,13 +67,13 @@ class TestLinearInversion:
         # [DERIVED] infinite-shot inversion is exact
         for _ in range(20):
             rho = random_density(rng)
-            rho_hat = linear_inversion(exact_moment_probs(rho))
+            rho_hat = linear_inversion(setting_probs(rho))
             assert np.max(np.abs(rho_hat - rho)) < 1e-12
 
     def test_resource_states_recovered(self):
         for theta in np.linspace(0, np.pi / 2, 9):
             rho = prepare_resource(ProtocolConfig(theta=float(theta)))
-            rho_hat = linear_inversion(exact_moment_probs(rho))
+            rho_hat = linear_inversion(setting_probs(rho))
             assert np.max(np.abs(rho_hat - rho)) < 1e-12
 
     def test_accepts_counts(self):
@@ -82,29 +93,23 @@ class TestLinearInversion:
             found_purity_above_one |= purity(rho_hat) > 1.0
         assert found_negative and found_purity_above_one
 
-    def test_missing_setting_rejected(self):
-        probs = exact_moment_probs(BELL)
-        del probs[("X", "Y")]
-        with pytest.raises(ValueError, match="missing"):
-            linear_inversion(probs)
-
-    def test_bad_shape_rejected(self):
-        probs = exact_moment_probs(BELL)
-        probs[("X", "Y")] = np.ones(3)
-        with pytest.raises(ValueError, match="4 outcome"):
-            linear_inversion(probs)
-
     def test_all_zero_setting_rejected(self):
         counts = simulate_tomogram_counts(BELL, 100, seed=7)
-        counts[("X", "Y")] = np.zeros(4)
+        counts[XY] = 0
         with pytest.raises(ValueError, match=r"setting \('X', 'Y'\) has no counts"):
             linear_inversion(counts)
 
     def test_negative_counts_rejected(self):
         counts = simulate_tomogram_counts(BELL, 100, seed=7)
-        counts[("Z", "X")] = np.array([60, -10, 30, 20])
+        counts[ZX] = [60, -10, 30, 20]
         with pytest.raises(ValueError, match=r"setting \('Z', 'X'\) has negative"):
             linear_inversion(counts)
+
+    def test_non_finite_probability_rejected(self):
+        probs = setting_probs(BELL)
+        probs[YY, 1] = np.nan
+        with pytest.raises(ValueError, match=r"setting \('Y', 'Y'\) has negative or non-finite"):
+            linear_inversion(probs)
 
     def test_bad_member_of_stack_rejected(self):
         stack = np.ones((5, 9, 4))
@@ -116,13 +121,14 @@ class TestLinearInversion:
             linear_inversion(stack)
 
     def test_array_shape_rejected(self):
-        with pytest.raises(ValueError, match=r"\(\.\.\., 9, 4\)"):
-            linear_inversion(np.ones((8, 4)))
+        for shape in [(8, 4), (36,), (2, 4, 9)]:
+            with pytest.raises(ValueError, match=r"\(\.\.\., 9, 4\)"):
+                linear_inversion(np.ones(shape))
 
-    def test_dict_and_array_inputs_agree(self):
-        counts = simulate_tomogram_counts(BELL, 100, seed=7)
-        stacked = np.array([counts[s] for s in tg.ALL_SETTINGS])
-        assert np.array_equal(linear_inversion(counts), linear_inversion(stacked))
+    def test_bad_shape_rejected(self):
+        # every setting needs all four outcomes
+        with pytest.raises(ValueError, match=r"got shape \(9, 3\)"):
+            linear_inversion(setting_probs(BELL)[:, :3])
 
 
 class TestConcurrence:
@@ -193,10 +199,7 @@ class TestStackedKernels:
     @pytest.fixture
     def counts(self):
         rho = prepare_resource(ProtocolConfig(theta=np.pi / 5))
-        return np.array([
-            [simulate_tomogram_counts(rho, 80, seed)[s] for s in tg.ALL_SETTINGS]
-            for seed in range(40)
-        ])
+        return np.array([simulate_tomogram_counts(rho, 80, seed) for seed in range(40)])
 
     def test_linear_inversion(self, counts):
         stacked = linear_inversion(counts)
@@ -228,28 +231,38 @@ class TestStackedKernels:
 
 
 class TestSimulateSetting:
+    """simulate_tomogram_counts draws each setting from its own stream."""
+
     def test_deterministic(self):
-        a = simulate_setting(BELL, ("X", "Y"), 500, seed=42)
-        b = simulate_setting(BELL, ("X", "Y"), 500, seed=42)
+        a = simulate_tomogram_counts(BELL, 500, seed=42)
+        b = simulate_tomogram_counts(BELL, 500, seed=42)
         assert np.array_equal(a, b)
 
     def test_seed_sensitivity(self):
-        a = simulate_setting(BELL, ("X", "Y"), 500, seed=42)
-        b = simulate_setting(BELL, ("X", "Y"), 500, seed=43)
-        assert not np.array_equal(a, b)
+        a = simulate_tomogram_counts(BELL, 500, seed=42)
+        b = simulate_tomogram_counts(BELL, 500, seed=43)
+        assert not np.array_equal(a[XY], b[XY])
+
+    def test_setting_streams(self):
+        # setting j draws its multinomial from Philox(key=[seed, j])
+        counts = simulate_tomogram_counts(BELL, 300, seed=11)
+        for j, p in enumerate(setting_probs(BELL)):
+            rng = np.random.Generator(np.random.Philox(key=[11, j]))
+            assert np.array_equal(counts[j], rng.multinomial(300, p))
 
     def test_total_counts(self):
         counts = simulate_tomogram_counts(BELL, 250, seed=1)
-        assert all(v.sum() == 250 for v in counts.values())
+        assert counts.shape == (9, 4)
+        assert np.all(counts.sum(axis=1) == 250)
 
     def test_zero_probability_outcomes_never_drawn(self):
         # Psi+ has zero weight on (++, --) in the (Z, Z) basis
-        c = simulate_setting(BELL, ("Z", "Z"), 10_000, seed=5)
+        c = simulate_tomogram_counts(BELL, 10_000, seed=5)[ZZ]
         assert c[0] == 0 and c[3] == 0
 
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError, match="shots"):
-            simulate_setting(BELL, ("Z", "Z"), 0, seed=1)
+            simulate_tomogram_counts(BELL, 0, seed=1)
 
 
 class TestBootstrap:
@@ -257,7 +270,7 @@ class TestBootstrap:
         rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
         a = bootstrap(rho_hat, 100, 50, seed=4)
         b = bootstrap(rho_hat, 100, 50, seed=4)
-        assert a.lower == b.lower and a.upper == b.upper and a.point == b.point
+        assert a.lower == b.lower and a.upper == b.upper
 
     def test_interval_ordering(self):
         rho = prepare_resource(ProtocolConfig(theta=np.pi / 4))
@@ -279,11 +292,11 @@ class TestBootstrap:
         # resample r draws the nine settings in turn from Philox(seed, r)
         rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
         s = bootstrap(rho_hat, 100, 60, seed=4)
-        dists = [setting_probs(rho_hat, st) for st in tg.ALL_SETTINGS]
+        dists = setting_probs(rho_hat)
         conc, pur = [], []
         for r in range(60):
             rng = np.random.Generator(np.random.Philox(key=[4, r]))
-            counts = dict(zip(tg.ALL_SETTINGS, [rng.multinomial(100, p) for p in dists]))
+            counts = np.array([rng.multinomial(100, p) for p in dists])
             conc.append(concurrence(linear_inversion(counts)))
             pur.append(purity(linear_inversion(counts)))
         for k, v in (("concurrence", conc), ("purity", pur)):
@@ -310,44 +323,90 @@ class TestTomographyStudy:
         t = tomography_study(BELL, shots=100, resamples=0, seed=13)
         assert t.bootstrap is None
 
+    def test_counts_and_metrics(self):
+        t = tomography_study(BELL, shots=100, resamples=20, seed=13)
+        assert np.array_equal(t.counts, simulate_tomogram_counts(BELL, 100, seed=13))
+        assert np.array_equal(t.rho_hat, linear_inversion(t.counts))
+        assert t.concurrence == concurrence(t.rho_hat)
+        assert t.purity == purity(t.rho_hat)
+        assert t.bootstrap.resamples == 20
+
+
+class TestTomogram:
+    def test_metrics_derived_from_rho_hat(self):
+        t = Tomogram(linear_inversion(setting_probs(BELL)))
+        assert t.counts is None and t.bootstrap is None
+        assert t.concurrence == concurrence(t.rho_hat)
+        assert t.purity == purity(t.rho_hat)
+
+    def test_json_without_counts(self):
+        d = tg.summary_to_json_dict(0.0, Tomogram(BELL))
+        assert d == {
+            "theta": 0.0,
+            "shots_per_setting": 0,
+            "concurrence": concurrence(BELL),
+            "purity": purity(BELL),
+        }
+
+    def test_json_with_bootstrap(self):
+        t = tomography_study(BELL, shots=70, resamples=10, seed=2)
+        d = tg.summary_to_json_dict(0.0, t)
+        assert d["shots_per_setting"] == 70
+        b = d["bootstrap"]
+        assert b["percentiles"] == [16.0, 84.0]
+        assert b["point"] == {"concurrence": t.concurrence, "purity": t.purity}
+        assert (b["lower"], b["upper"], b["resamples"]) == (
+            t.bootstrap.lower,
+            t.bootstrap.upper,
+            10,
+        )
+
 
 class TestFitC0:
     def test_exact_cosine_points(self):
         # [DERIVED] noiseless cosine data recovers the amplitude exactly
         thetas = np.linspace(0, np.pi / 2, 9)
-        pts = [(float(t), 0.87 * np.cos(t)) for t in thetas]
-        c0, err = fit_c0(pts)
+        c0, err = fit_c0(thetas, 0.87 * np.cos(thetas))
         assert c0 == pytest.approx(0.87, abs=1e-12)
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_single_point(self):
-        c0, err = fit_c0([(0.0, 0.93)])
+        c0, err = fit_c0([0.0], [0.93])
         assert c0 == pytest.approx(0.93, abs=1e-12)
         assert err == 0.0
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(0)
         thetas = np.linspace(0, np.pi / 2, 17)
-        pts = [(float(t), 0.87 * np.cos(t) + rng.normal(0, 0.01)) for t in thetas]
-        c0, err = fit_c0(pts)
+        c0, err = fit_c0(thetas, 0.87 * np.cos(thetas) + rng.normal(0, 0.01, thetas.size))
         assert c0 == pytest.approx(0.87, abs=0.02)
         assert 0 < err < 0.02
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            fit_c0([])
+            fit_c0([], [])
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            fit_c0([0.0, 0.1], [0.9])
 
     def test_rejects_degenerate_design(self):
         with pytest.raises(ValueError, match="unidentifiable"):
-            fit_c0([(np.pi / 2, 0.1)])
+            fit_c0([np.pi / 2], [0.1])
 
 
 class TestCountsCsv:
-    def test_round_trip(self, tmp_path):
+    def test_rows_in_setting_order(self, tmp_path):
         counts = simulate_tomogram_counts(BELL, 100, seed=6)
         path = tmp_path / "counts.csv"
         write_counts_csv(path, counts)
-        back = read_counts_csv(path)
-        assert set(back) == set(counts)
-        for s in counts:
-            assert np.array_equal(back[s], counts[s])
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["setting_a", "setting_d", "outcome", "count"]
+        assert [tuple(r[:2]) for r in rows[::4]] == list(tg.ALL_SETTINGS)
+        assert [r[2] for r in rows[:4]] == ["++", "+-", "-+", "--"]
+        assert [int(r[3]) for r in rows] == counts.ravel().tolist()
+
+    def test_rejects_wrong_shape(self, tmp_path):
+        with pytest.raises(ValueError, match=r"\(9, 4\)"):
+            write_counts_csv(tmp_path / "counts.csv", np.ones((4, 9), dtype=int))
