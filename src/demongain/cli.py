@@ -18,7 +18,8 @@ Runs are driven by a JSON manifest with one section per subcommand:
 A relative "dataset" path is read from the manifest's directory. Every
 JSON artifact carries a schema_version field; CSV numbers are written
 with 12 significant digits. Unreadable or malformed input ends the run
-with a one-line error.
+with a one-line error; a value of the wrong type or form is named by its
+section and key, e.g. "manifest sweep.noise: ...".
 """
 
 from __future__ import annotations
@@ -52,19 +53,71 @@ def _load_manifest(path: str) -> dict:
         raise SystemExit(f"cannot read manifest {path}: {exc}")
 
 
-def _section(manifest: dict, name: str) -> dict:
-    if name not in manifest:
+def _section(manifest: dict, name: str, required: bool = True):
+    """Reader of one manifest section: read(key, default, convert).
+
+    A value that `convert` rejects ends the run with an error that names
+    the section and key.
+    """
+    if name not in manifest and required:
         raise SystemExit(f"manifest has no '{name}' section")
-    if not isinstance(manifest[name], dict):
+    raw = manifest.get(name, {})
+    if not isinstance(raw, dict):
         raise SystemExit(f"manifest section '{name}' must be an object")
-    return manifest[name]
+
+    def read(key: str, default, convert):
+        return _typed(f"{name}.{key}", raw.get(key, default), convert)
+
+    return read
 
 
-def _noise_from(section: dict) -> NoiseParams:
-    raw = section.get("noise", [0.0, 0.0, 0.0])
-    if len(raw) != 3:
-        raise SystemExit("manifest 'noise' must list three phase deviations")
-    return NoiseParams(tuple(float(x) for x in raw))
+def _typed(where: str, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"manifest {where}: {exc}") from None
+
+
+def _expect(value, kind, what: str):
+    """`value` if it is a `kind`, else a TypeError; true/false is only a bool."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {what}, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    return float(_expect(value, (int, float), "a number"))
+
+
+def _integer(value) -> int:
+    return _expect(value, int, "an integer")
+
+
+def _flag(value) -> bool:
+    return _expect(value, bool, "true or false")
+
+
+def _numbers(value) -> list[float]:
+    return [_number(x) for x in _expect(value, list, "a list of numbers")]
+
+
+def _mode(value) -> str:
+    if value not in ("exact", "sampled"):
+        raise ValueError(f"expected 'exact' or 'sampled', got {value!r}")
+    return value
+
+
+def _bounds(value) -> tuple:
+    pairs = tuple(tuple(_numbers(b)) for b in _expect(value, list, "a list of pairs"))
+    if len(pairs) != 3 or any(len(b) != 2 for b in pairs):
+        raise ValueError(f"expected three [low, high] pairs, got {value!r}")
+    return pairs
+
+
+def _noise(value) -> NoiseParams:
+    if len(_expect(value, list, "a list of three phase deviations")) != 3:
+        raise ValueError(f"expected three phase deviations, got {value!r}")
+    return NoiseParams(tuple(_numbers(value)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -79,16 +132,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    sec = _section(manifest, "sweep")
-    start = float(sec.get("theta_start", 0.0))
-    end = float(sec.get("theta_end", np.pi / 2))
-    steps = int(sec.get("theta_steps", 33))
-    shots = int(sec.get("shots", DEFAULT_SHOTS))
-    seed = int(seed_override if seed_override is not None else sec.get("seed", DEFAULT_SEED))
-    mode = sec.get("mode", "exact")
-    if mode not in ("exact", "sampled"):
-        raise SystemExit(f"sweep mode must be 'exact' or 'sampled', got {mode!r}")
-    noise = _noise_from(sec)
+    read = _section(manifest, "sweep")
+    start = read("theta_start", 0.0, _number)
+    end = read("theta_end", np.pi / 2, _number)
+    steps = read("theta_steps", 33, _integer)
+    shots = read("shots", DEFAULT_SHOTS, _integer)
+    seed = seed_override if seed_override is not None else read("seed", DEFAULT_SEED, _integer)
+    mode = read("mode", "exact", _mode)
+    noise = read("noise", [0.0, 0.0, 0.0], _noise)
     thetas = np.linspace(start, end, steps)
 
     if mode == "exact":
@@ -121,13 +172,13 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
 
 
 def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    sec = _section(manifest, "tomo")
-    thetas = [float(t) for t in sec.get("thetas", list(np.linspace(0, np.pi / 2, 9)))]
-    shots = int(sec.get("shots_per_setting", 100))
-    resamples = int(sec.get("resamples", 500))
-    seed = int(seed_override if seed_override is not None else sec.get("seed", DEFAULT_SEED))
-    exact_moments = bool(sec.get("exact_moments", False))
-    noise = _noise_from(sec)
+    read = _section(manifest, "tomo")
+    thetas = read("thetas", np.linspace(0, np.pi / 2, 9).tolist(), _numbers)
+    shots = read("shots_per_setting", 100, _integer)
+    resamples = read("resamples", 500, _integer)
+    seed = seed_override if seed_override is not None else read("seed", DEFAULT_SEED, _integer)
+    exact_moments = read("exact_moments", False, _flag)
+    noise = read("noise", [0.0, 0.0, 0.0], _noise)
 
     # every theta is checked before the first tomogram CSV is written
     rhos = [protocol.prepare_resource(ProtocolConfig(theta=t, noise=noise)) for t in thetas]
@@ -140,12 +191,14 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
             tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", tomo.counts)
         points.append(tomography.summary_to_json_dict(theta, tomo))
     c0, stderr = tomography.fit_c0(thetas, [p["concurrence"] for p in points])
+    # exact moments draw no shots: the sampling settings would be unused
+    sampling = {} if exact_moments else {
+        "shots_per_setting": shots, "resamples": resamples, "seed": seed
+    }
     _write_json(
         out_dir / "tomo_metrics.json",
         {
-            "shots_per_setting": shots,
-            "resamples": resamples,
-            "seed": seed,
+            **sampling,
             "noise": list(noise.delta_phi),
             "exact_moments": exact_moments,
             "points": points,
@@ -160,26 +213,20 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
 
 
 def cmd_fit(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    sec = _section(manifest, "fit")
-    dataset_path = sec.get("dataset")
-    if not dataset_path:
-        raise SystemExit("fit section needs a 'dataset' CSV path")
+    read = _section(manifest, "fit")
+    dataset_path = read("dataset", None, lambda v: _expect(v, str, "a CSV path"))
+    init = read("init", None, lambda v: None if v is None else _noise(v))
+    bounds = read("bounds", None, lambda v: noisefit.DEFAULT_BOUNDS if v is None else _bounds(v))
     data = protocol.read_tables_csv(manifest_dir / dataset_path)
-    init = None
-    if sec.get("init") is not None:
-        init = NoiseParams(tuple(float(x) for x in sec["init"]))
-    bounds = noisefit.DEFAULT_BOUNDS
-    if sec.get("bounds") is not None:
-        bounds = tuple((float(lo), float(hi)) for lo, hi in sec["bounds"])
     result = noisefit.fit(data, init=init, bounds=bounds)
 
-    spread_resamples = int(sec.get("spread_resamples", 0))
+    spread_resamples = read("spread_resamples", 0, _integer)
     if spread_resamples:
-        seed = int(seed_override if seed_override is not None else sec.get("seed", DEFAULT_SEED))
+        seed = seed_override if seed_override is not None else read("seed", DEFAULT_SEED, _integer)
         spread = noisefit.bootstrap_spread(
             data,
             result,
-            shots=int(sec.get("spread_shots", DEFAULT_SHOTS)),
+            shots=read("spread_shots", DEFAULT_SHOTS, _integer),
             resamples=spread_resamples,
             seed=seed,
         )
@@ -255,22 +302,20 @@ def _verify_checks(tol: dict):
     swap_u = protocol._U_SWAP
     x_d = np.kron(np.eye(2), np.array([[0, 1], [1, 0]])).astype(complex)
     candidates = [np.eye(4, dtype=complex), swap_u, x_d, x_d @ swap_u]
-    ok = True
-    for rho in rhos:
-        ref = protocol.policy_gain(rho, (swap_u, np.eye(4, dtype=complex)))
-        best = max(
-            protocol.policy_gain(rho, (u0, u1))
-            for u0 in candidates
-            for u1 in candidates
-        )
-        if best > ref + 1e-12:
-            ok = False
-    yield "conditional swap is the optimal policy", ok, 0.0
+    margin = max(
+        max(protocol.policy_gain(rho, (u0, u1)) for u0 in candidates for u1 in candidates)
+        - protocol.policy_gain(rho, (swap_u, np.eye(4, dtype=complex)))
+        for rho in rhos
+    )  # best gain minus the conditional swap's, worst theta
+    yield "conditional swap is the optimal policy", margin <= 1e-12, margin
 
 
 def cmd_verify(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    sec = manifest.get("verify", {})
-    tol = sec.get("tolerances", {})
+    read = _section(manifest, "verify", required=False)
+    tol = {
+        key: _typed(f"verify.tolerances.{key}", value, _number)
+        for key, value in read("tolerances", {}, lambda v: _expect(v, dict, "an object")).items()
+    }
     failures = 0
     results = []
     for name, passed, measure in _verify_checks(tol):

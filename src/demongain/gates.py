@@ -1,8 +1,8 @@
 """Two-qubit circuit blocks for the feedback energy-extraction protocol.
 
 This module is the only description of the preparation circuit: the
-density-matrix path (`protocol.prepare_resource`) multiplies its blocks,
-and the state-vector kernel `kets` applies the same factors to kets.
+state-vector kernel `kets` applies its blocks' factors to kets, and
+every state, table and fit model of the protocol is read from those.
 
 The native set is single-qubit rotations R(theta, phi) about axes in the
 XY plane and the entangling phase gate U_ZZ = exp[-i (pi/8) Z(x)Z]. A

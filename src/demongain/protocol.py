@@ -1,8 +1,8 @@
 """Measurement-feedback energy-extraction protocol on two qubits.
 
-The circuit is built from `gates`: `prepare_resource` gives the 4x4
-density matrix, and exact outcome tables and shot sampling read the
-circuit's output kets (`gates.kets`) for a whole theta grid at once,
+The circuit is built from `gates`: its output kets (`gates.kets`) give
+the 4x4 density matrix of `prepare_resource`, and exact outcome tables
+and shot sampling read them for a whole theta grid at once,
 into one `OutcomeTable` of (n, 8) arrays. Sampled mode draws individual
 shots with QND-emulation semantics (the demon's qubit is re-prepared in
 the recorded outcome state before the feedback).
@@ -80,8 +80,7 @@ class OutcomeTable:
     def pr_d(self) -> np.ndarray:
         """(n, 2) mid-circuit marginals Pr(d)."""
         if self.counts is None:
-            # the four cells of each d added left to right
-            return np.cumsum(self.cells.reshape(-1, 2, 4), axis=-1)[..., -1]
+            return self.cells.reshape(-1, 2, 4).sum(axis=-1)
         per_d = self.counts.reshape(-1, 2, 4).sum(axis=-1)
         return per_d / per_d.sum(axis=-1, keepdims=True)
 
@@ -99,12 +98,9 @@ def resource_ket(theta: float) -> np.ndarray:
 
 
 def prepare_resource(cfg: ProtocolConfig) -> np.ndarray:
-    """Run the preparation circuit (Bell block then controlled-Y) on |00>."""
-    d1, d2, d3 = cfg.noise.delta_phi
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[0, 0] = 1.0
-    rho = gates.apply(gates.bell_prep(d1), rho0)
-    return gates.apply(gates.cy(cfg.theta, d2, d3), rho)
+    """|psi><psi| of the preparation circuit's output ket (`gates.kets`)."""
+    psi = gates.kets(cfg.noise.delta_phi, [cfg.theta])[0, 0]
+    return np.outer(psi, psi.conj())
 
 
 def measure_demon(rho: np.ndarray) -> list[Branch]:
@@ -218,9 +214,14 @@ def gain_lower_bound(c: float) -> float:
 
 
 def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
-    """Exact joint outcome probabilities Pr(d, d', a') at every theta."""
+    """Exact joint outcome probabilities Pr(d, d', a') at every theta.
+
+    Cells below 1e-15 are rounding residue of analytically empty cells
+    and are set to exactly 0.
+    """
     thetas = _check_thetas(thetas)
     cells = joint_cells(gates.kets(noise.delta_phi, thetas)[0])
+    cells[cells < 1e-15] = 0.0
     tol = 1e-9
     if not (np.all((cells >= -tol) & (cells <= 1 + tol))
             and np.all(np.abs(cells.sum(axis=-1) - 1.0) <= tol)):
@@ -284,8 +285,7 @@ def run_shots(
 def energies_from_table(t: OutcomeTable) -> np.ndarray:
     """(n, 3) rows (W_i, W_f, delta_W) in units of epsilon from an outcome table."""
     w_i = t.pr_d[:, 1]
-    # the cells with d' = 1, added left to right
-    w_f = np.cumsum(t.cells[:, [2, 3, 6, 7]], axis=-1)[:, -1]
+    w_f = t.cells[:, [2, 3, 6, 7]].sum(axis=-1)  # the cells with d' = 1
     return np.stack([w_i, w_f, w_f - w_i], axis=-1)
 
 

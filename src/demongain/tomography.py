@@ -21,7 +21,7 @@ from .qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron
 AXES = ("X", "Y", "Z")
 ALL_SETTINGS: tuple[tuple[str, str], ...] = tuple(product(AXES, AXES))
 
-_PAULI = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # Basis-change unitaries U with U P U^dag = Z, so measuring Z after U
 # realizes a measurement of axis P (global phases irrelevant).
@@ -35,15 +35,27 @@ _ROTATIONS = np.array([kron(_ROT_TO_Z[a], _ROT_TO_Z[d]) for a, d in ALL_SETTINGS
 
 # Outcome i of a setting (++, +-, -+, --) carries these signs of the
 # agent and demon Paulis; "+" maps to |0> after rotation.
-_AGENT_SIGN, _DEMON_SIGN = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])
-# Pauli products in the order linear_inversion adds them: identity, the
-# nine correlators, then the agent and demon terms per axis. Its sums run
-# in this fixed order, left to right: a reordered sum moves rho_hat in the
-# last digit, which can move a bootstrap probability between 0 and ~1e-17
-# and so change how many numbers its multinomial draw takes from the stream.
-_TERMS = (("I", "I"), *ALL_SETTINGS, *(t for p in AXES for t in ((p, "I"), ("I", p))))
-_PAULI_TERMS = np.array([kron(_PAULI[a], _PAULI[d]) for a, d in _TERMS])
+_AGENT_SIGN, _DEMON_SIGN = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[..., None, None]
 _YY = kron(PAULI_Y, PAULI_Y)
+
+
+def _inversion_map() -> np.ndarray:
+    """(9, 4, 4, 4) operator that frequency f[j, i] adds to rho_hat.
+
+    Setting (a, d) gives the correlator <P_a P_d> and a third of <P_a>
+    and <P_d>, each averaged over the three settings measuring that axis.
+    Every setting's frequencies sum to 1, so I/36 per frequency adds up
+    to the identity term.
+    """
+    agent = np.array([kron(_PAULI[a], ID2) for a, _ in ALL_SETTINGS])[:, None]
+    demon = np.array([kron(ID2, _PAULI[d]) for _, d in ALL_SETTINGS])[:, None]
+    return (np.eye(4) / 9 + _AGENT_SIGN * _DEMON_SIGN * agent @ demon
+            + (_AGENT_SIGN * agent + _DEMON_SIGN * demon) / 3) / 4
+
+
+# as (9, 4, 32) reals, real and imaginary parts of the 16 entries side by
+# side, so the real frequencies contract without complex arithmetic
+_INVERSION = _inversion_map().reshape(9, 4, 16).view(float)
 
 
 PERCENTILES = (16.0, 84.0)  # of the bootstrap interval
@@ -90,13 +102,24 @@ def setting_probs(rho: np.ndarray) -> np.ndarray:
     return diag / total
 
 
+def _draw_probs(rho: np.ndarray) -> np.ndarray:
+    """setting_probs(rho) rounded to 12 decimals and renormalized, to draw from.
+
+    Counts then do not hinge on rho's last bits: numpy's binomial draws
+    n - X from 1 - p when p > 1/2, so p = 1/2 and 1/2 + 1 ulp would give
+    mirrored counts. Probabilities below 5e-13 become exact zeros.
+    """
+    p = np.round(setting_probs(rho), 12)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def simulate_tomogram_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """(9, 4) multinomial shot counts; setting j draws from Philox(key=[seed, j])."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return np.array([
         np.random.Generator(np.random.Philox(key=[seed, j])).multinomial(shots, p)
-        for j, p in enumerate(setting_probs(rho))
+        for j, p in enumerate(_draw_probs(rho))
     ])
 
 
@@ -114,12 +137,6 @@ def _freqs(counts) -> np.ndarray:
     return v / total
 
 
-def _signed_sum(f: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """sum_i sign_i f_i over the outcome axis, added left to right."""
-    g = f * sign
-    return g[..., 0] + g[..., 1] + g[..., 2] + g[..., 3]
-
-
 def linear_inversion(counts) -> np.ndarray:
     """Reconstruct rho = (1/4) sum <P(x)Q> P(x)Q from empirical frequencies.
 
@@ -127,20 +144,11 @@ def linear_inversion(counts) -> np.ndarray:
     expectations average the corresponding marginal over the three
     settings that measure the non-identity factor. Takes raw counts or
     probabilities of shape (..., 9, 4) and gives (..., 4, 4) states. The
-    result has unit trace by construction but is not necessarily positive.
+    result has unit trace but is not necessarily positive.
     """
     f = _freqs(counts)
-    batch = f.shape[:-2]
-    agent = _signed_sum(f, _AGENT_SIGN).reshape(*batch, 3, 3)  # [axis_a, axis_d]
-    demon = _signed_sum(f, _DEMON_SIGN).reshape(*batch, 3, 3)
-    corr = _signed_sum(f, _AGENT_SIGN * _DEMON_SIGN)
-    values = [np.ones(batch), *np.moveaxis(corr, -1, 0)]
-    for p in range(3):
-        values += [np.mean(agent[..., p, :], axis=-1), np.mean(demon[..., :, p], axis=-1)]
-    rho = np.zeros((*batch, 4, 4), dtype=complex)
-    for val, pauli in zip(values, _PAULI_TERMS):
-        rho += val[..., None, None] * pauli
-    return rho / 4.0
+    rho = np.einsum("...ji,jix->...x", f, _INVERSION)
+    return rho.view(complex).reshape(*f.shape[:-2], 4, 4)
 
 
 # Eigenvalues this far below the leading one are treated as exact zeros
@@ -197,16 +205,16 @@ def bootstrap(
 ) -> BootstrapSummary:
     """Parametric bootstrap of concurrence and purity.
 
-    Each resample redraws every setting's 4-outcome multinomial from the
-    clamped, renormalized diagonal of rho_hat rotated into that setting's
-    basis, then re-inverts and recomputes the metrics. Resample r draws
+    Each resample redraws every setting's 4-outcome multinomial from
+    rho_hat's setting probabilities, rounded as for the counts, then
+    re-inverts and recomputes the metrics. Resample r draws
     its nine settings from a Philox stream keyed by (seed, r), so the
     summary is independent of evaluation order; the resamples are then
     inverted and scored as one stacked batch.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    dists = setting_probs(rho_hat)
+    dists = _draw_probs(rho_hat)
     counts = np.array([
         np.random.Generator(np.random.Philox(key=[seed, r])).multinomial(shots, dists)
         for r in range(resamples)

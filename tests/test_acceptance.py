@@ -181,11 +181,13 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
     deterministic = a.lower == b.lower and a.upper == b.upper
 
     # parallelism / order invariance: recompute the resample metrics in
-    # reverse order with the same per-resample streams
+    # reverse order with the same per-resample streams, drawing from the
+    # setting probabilities rounded to 12 decimals and renormalized
     dists = []
     for s in tomography.ALL_SETTINGS:
         u = kron(tomography._ROT_TO_Z[s[0]], tomography._ROT_TO_Z[s[1]])
         d = np.clip(np.real(np.diag(u @ rho_hat @ u.conj().T)), 0.0, None)
+        d = np.round(d / d.sum(), 12)
         dists.append(d / d.sum())
     conc = np.empty(500)
     for r in reversed(range(500)):

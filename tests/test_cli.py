@@ -10,10 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from demongain import gates
 from demongain.cli import main
 from demongain.gates import NoiseParams
 from demongain.noisefit import model_curves
-from demongain.protocol import write_tables_csv
+from demongain.protocol import (
+    ProtocolConfig,
+    joint_cells,
+    policy_gain,
+    prepare_resource,
+    resource_ket,
+    write_tables_csv,
+)
 
 HALF_PI = np.pi / 2
 PLANTED = (0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI)
@@ -108,6 +116,18 @@ class TestSweep:
         assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
         _compare(json.loads((tmp_path / "sweep_summary.json").read_text()), golden, "")
 
+    def test_ideal_empty_cells_written_as_zero(self, tmp_path):
+        # cells that vanish analytically print as 0, not as rounding residue
+        manifest = str(ROOT / "manifests/sweep_exact.json")
+        assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "outcome_tables.csv", newline="") as fh:
+            probs = [row["probability"] for row in csv.DictReader(fh)]
+        thetas = np.linspace(0, HALF_PI, 33)
+        analytic = joint_cells(np.array([resource_ket(t) for t in thetas])).ravel()
+        empty = [p for p, a in zip(probs, analytic) if a < 1e-20]
+        assert len(probs) == analytic.size and len(empty) > 4 * len(thetas)
+        assert set(empty) == {"0"}
+
     def test_bad_mode_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"sweep": {"mode": "guess"}})
         with pytest.raises(SystemExit, match="mode"):
@@ -164,6 +184,8 @@ class TestTomo:
         assert payload["c0_fit"]["c0"] == pytest.approx(1.0, abs=1e-9)
         assert all(pt["shots_per_setting"] == 0 for pt in payload["points"])
         assert all("bootstrap" not in pt for pt in payload["points"])
+        # no shot is drawn, so the sampling settings are not recorded
+        assert not {"shots_per_setting", "resamples", "seed"} & payload.keys()
         assert not (out / "tomogram_00.csv").exists()
 
     def test_bad_theta_exits_before_any_csv(self, tmp_path):
@@ -301,6 +323,22 @@ def test_full_study_with_relative_out(tmp_path, monkeypatch):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_record_goldens_reproduces_checked_in_files(tmp_path, monkeypatch, capsys):
+    # scripts/record_goldens.py rewrites the four manifest-driven goldens;
+    # run into a scratch directory, they match the checked-in ones
+    names = sorted(p.name for p in (ROOT / "tests/data").glob("*_summary.json")) + [
+        "tomo_default_counts.json",
+        "tomo_default_metrics.json",
+    ]
+    monkeypatch.setattr(sys, "argv", ["record_goldens.py", "--out", str(tmp_path)])
+    runpy.run_path(str(ROOT / "scripts/record_goldens.py"), run_name="__main__")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        new = json.loads((tmp_path / name).read_text())
+        _compare(new, json.loads((ROOT / "tests/data" / name).read_text()), name)
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
+
 class TestVerify:
     def test_verify_passes(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -311,6 +349,22 @@ class TestVerify:
         payload = json.loads((out / "verify_report.json").read_text())
         assert payload["schema_version"] == 1
         assert all(c["passed"] for c in payload["checks"])
+
+    def test_policy_check_records_its_margin(self, tmp_path):
+        # measure of the policy check: best of the 16 two-branch policies
+        # minus the conditional swap's gain, at the worst of 33 theta
+        assert _run(["verify", "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+        measure = {c["name"]: c["measure"] for c in checks}["conditional swap is the optimal policy"]
+        swap, ident = gates.swap(), np.eye(4, dtype=complex)
+        x_d = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
+        candidates = [ident, swap, x_d, x_d @ swap]
+        margin = -np.inf
+        for theta in np.linspace(0, HALF_PI, 33):
+            rho = prepare_resource(ProtocolConfig(theta=float(theta)))
+            best = max(policy_gain(rho, (u0, u1)) for u0 in candidates for u1 in candidates)
+            margin = max(margin, best - policy_gain(rho, (swap, ident)))
+        assert measure == pytest.approx(margin, rel=1e-9, abs=0.0)
 
     def test_impossible_tolerance_fails(self, tmp_path, capsys):
         manifest = _write_manifest(
@@ -351,17 +405,22 @@ class TestManifestHandling:
             _run(["sweep", "--manifest", manifest, "--out", str(tmp_path / "o")])
 
     @pytest.mark.parametrize(
-        "command, payload",
+        "command, payload, key",
         [
-            ("sweep", {"sweep": {"noise": 0.1}}),
-            ("tomo", {"tomo": {"thetas": 5}}),
-            ("sweep", {"sweep": {"shots": None, "mode": "sampled"}}),
-            ("verify", {"verify": {"tolerances": {"relation": "1e-12"}}}),
+            ("sweep", {"sweep": {"noise": 0.1}}, "sweep.noise"),
+            ("tomo", {"tomo": {"thetas": 5}}, "tomo.thetas"),
+            ("sweep", {"sweep": {"shots": None, "mode": "sampled"}}, "sweep.shots"),
+            (
+                "verify",
+                {"verify": {"tolerances": {"relation": "1e-12"}}},
+                "verify.tolerances.relation",
+            ),
         ],
         ids=["noise-number", "thetas-number", "shots-null", "tolerance-string"],
     )
-    def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload):
+    def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload, key):
         manifest = _write_manifest(tmp_path, payload)
-        with pytest.raises(SystemExit, match=f"demongain {command}: ") as exc:
+        pattern = f"demongain {command}: manifest {re.escape(key)}: "
+        with pytest.raises(SystemExit, match=pattern) as exc:
             _run([command, "--manifest", manifest, "--out", str(tmp_path / "o")])
         assert "\n" not in str(exc.value)

@@ -32,6 +32,12 @@ BELL = prepare_resource(ProtocolConfig(theta=0.0))
 XX, XY, ZX, YY, ZZ = (tg.ALL_SETTINGS.index(tuple(s)) for s in ("XX", "XY", "ZX", "YY", "ZZ"))
 
 
+def _rounded(probs):
+    """The draw rule of the samplers: 12 decimals, then renormalized."""
+    p = np.round(probs, 12)
+    return p / p.sum(axis=-1, keepdims=True)
+
+
 class TestSettingProbs:
     def test_shape_and_order(self):
         assert tg.ALL_SETTINGS[:2] == (("X", "X"), ("X", "Y"))
@@ -244,9 +250,10 @@ class TestSimulateSetting:
         assert not np.array_equal(a[XY], b[XY])
 
     def test_setting_streams(self):
-        # setting j draws its multinomial from Philox(key=[seed, j])
+        # setting j draws its multinomial from Philox(key=[seed, j]), with
+        # the probabilities rounded to 12 decimals and renormalized
         counts = simulate_tomogram_counts(BELL, 300, seed=11)
-        for j, p in enumerate(setting_probs(BELL)):
+        for j, p in enumerate(_rounded(setting_probs(BELL))):
             rng = np.random.Generator(np.random.Philox(key=[11, j]))
             assert np.array_equal(counts[j], rng.multinomial(300, p))
 
@@ -289,10 +296,11 @@ class TestBootstrap:
         assert widths[1] < widths[0] / 3
 
     def test_matches_per_resample_loop(self):
-        # resample r draws the nine settings in turn from Philox(seed, r)
+        # resample r draws the nine settings in turn from Philox(seed, r),
+        # from the setting probabilities rounded as for the counts
         rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
         s = bootstrap(rho_hat, 100, 60, seed=4)
-        dists = setting_probs(rho_hat)
+        dists = _rounded(setting_probs(rho_hat))
         conc, pur = [], []
         for r in range(60):
             rng = np.random.Generator(np.random.Philox(key=[4, r]))
@@ -330,6 +338,26 @@ class TestTomographyStudy:
         assert t.concurrence == concurrence(t.rho_hat)
         assert t.purity == purity(t.rho_hat)
         assert t.bootstrap.resamples == 20
+
+
+class TestLastBitIndependence:
+    """Tomography outputs do not hinge on the last bits of rho."""
+
+    def test_perturbed_state_gives_the_same_study(self):
+        # the 9 theta, shots, resamples and seeds of manifests/tomo_default.json
+        a = np.random.default_rng(1).normal(size=(4, 4, 2)) @ [1, 1j]
+        h = a + a.conj().T
+        h -= np.trace(h).real / 4 * ID4  # fixed traceless Hermitian direction
+        h /= np.max(np.abs(h))
+        for i, theta in enumerate(np.linspace(0, np.pi / 2, 9)):
+            rho = prepare_resource(ProtocolConfig(theta=float(theta)))
+            t, u = (tomography_study(r, 100, 500, 20240901 + i) for r in (rho, rho + 1e-16 * h))
+            assert np.array_equal(t.counts, u.counts), theta
+            assert abs(t.concurrence - u.concurrence) <= 1e-12
+            assert abs(t.purity - u.purity) <= 1e-12
+            for k in ("concurrence", "purity"):
+                assert abs(t.bootstrap.lower[k] - u.bootstrap.lower[k]) <= 1e-12
+                assert abs(t.bootstrap.upper[k] - u.bootstrap.upper[k]) <= 1e-12
 
 
 class TestTomogram:
