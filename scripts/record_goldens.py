@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Rewrite the manifest-driven golden files of tests/data.
+"""Rewrite the golden files of tests/data.
 
-Runs the CLI on the checked-in manifests and writes, under --out
+Runs the CLI on the checked-in manifests, and run_shots on the configs
+of the checked-in run_shots_counts.json, and writes, under --out
 (default tests/data):
 
     tomo_default_counts.json          the nine tomogram CSVs of tomo_default
     tomo_default_metrics.json         its tomo_metrics.json
     sweep_exact_summary.json          sweep_summary.json of sweep_exact
     sweep_sampled_noisy_summary.json  sweep_summary.json of sweep_sampled_noisy
+    run_shots_counts.json             run_shots counts and Pr(d) per config
 
 Name files to rewrite only those. For each file it prints how many
 numbers moved against the checked-in golden, and the largest move.
@@ -22,6 +24,8 @@ import tempfile
 from pathlib import Path
 
 from demongain.cli import main as cli_main
+from demongain.gates import NoiseParams
+from demongain.protocol import CELLS, run_shots
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFESTS = REPO / "manifests"
@@ -46,8 +50,22 @@ def _tomo_counts(out: Path) -> str:
     return "{\n" + ",\n".join(files) + "\n}\n"
 
 
+def _run_shots_counts() -> str:
+    """The checked-in run_shots configs with the counts and Pr(d) they give now."""
+    cases = json.loads((GOLDENS / "run_shots_counts.json").read_text())
+    for case in cases:
+        c = case["config"]
+        t = run_shots([c["theta"]], NoiseParams(tuple(c["noise"])), c["shots"], c["seed"],
+                      c["qnd_detect_error"], c["qnd_reprep_error"])
+        case["counts"] = {f"{d}{dp}{ap}": n for (d, dp, ap), n in zip(CELLS, t.counts[0].tolist())}
+        case["pr_d"] = {str(d): p for d, p in enumerate(t.pr_d[0].tolist())}
+    return json.dumps(cases, indent=2) + "\n"
+
+
 def record(name: str, work: Path) -> str:
-    """Text of golden file `name`, from CLI runs under `work`."""
+    """Text of golden file `name`, from runs under `work`."""
+    if name == "run_shots_counts.json":
+        return _run_shots_counts()
     if name.startswith("tomo_default_"):
         out = work / "tomo_default"
         if not out.exists():
@@ -65,6 +83,7 @@ GOLDEN_FILES = (
     "tomo_default_metrics.json",
     "sweep_exact_summary.json",
     "sweep_sampled_noisy_summary.json",
+    "run_shots_counts.json",
 )
 
 
@@ -85,7 +104,7 @@ def moves(old, new) -> list[float]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=GOLDENS, help="output directory")
-    ap.add_argument("files", nargs="*", help="golden files to rewrite (default: all four)")
+    ap.add_argument("files", nargs="*", help="golden files to rewrite (default: all five)")
     args = ap.parse_args()
     unknown = sorted(set(args.files) - set(GOLDEN_FILES))
     if unknown:

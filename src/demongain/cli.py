@@ -154,12 +154,13 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
         for theta, (wi, wf, dw) in zip(table.thetas, protocol.energies_from_table(table)):
             c = protocol.analytic_concurrence(theta)
             w.writerow([_fmt(v) for v in (theta, wi, wf, dw, c, protocol.gain_lower_bound(c))])
+    # exact tables draw no shots: the sampling settings would be unused
+    sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
     _write_json(
         out_dir / "sweep_summary.json",
         {
             "mode": mode,
-            "shots": shots,
-            "seed": seed,
+            **sampling,
             "noise": list(noise.delta_phi),
             "points": protocol.table_to_json_dicts(table),
         },
@@ -263,11 +264,10 @@ def _verify_checks(tol: dict):
     yield "gain equals half squared concurrence", dev <= rel_tol, dev
 
     bound_tol = tol.get("bound", 1e-12)
-    min_slack = np.inf
-    for t in thetas:
-        c = protocol.analytic_concurrence(t)
-        slack = np.cos(t) ** 2 / 2 - protocol.gain_lower_bound(c)
-        min_slack = min(min_slack, slack)
+    min_slack = min(
+        np.cos(t) ** 2 / 2 - protocol.gain_lower_bound(protocol.analytic_concurrence(t))
+        for t in thetas
+    )
     edge = max(
         abs(0.5 - protocol.gain_lower_bound(1.0)),
         abs(protocol.gain_lower_bound(0.0)),
@@ -308,6 +308,10 @@ def _verify_checks(tol: dict):
         for rho in rhos
     )  # best gain minus the conditional swap's, worst theta
     yield "conditional swap is the optimal policy", margin <= 1e-12, margin
+
+    table = protocol.run_shots(thetas, NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED)
+    z = np.max(np.abs(table.pr_d[:, 1] - 0.5)) / np.sqrt(0.25 / DEFAULT_SHOTS)
+    yield "sampled Pr(d) within 4 sigma of 1/2", z <= 4.0, z  # z of the worst theta
 
 
 def cmd_verify(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:

@@ -3,9 +3,9 @@
 The circuit is built from `gates`: its output kets (`gates.kets`) give
 the 4x4 density matrix of `prepare_resource`, and exact outcome tables
 and shot sampling read them for a whole theta grid at once,
-into one `OutcomeTable` of (n, 8) arrays. Sampled mode draws individual
-shots with QND-emulation semantics (the demon's qubit is re-prepared in
-the recorded outcome state before the feedback).
+into one `OutcomeTable` of (n, 8) arrays. Sampled mode draws each theta's
+counts as one multinomial from `qnd_cells`, which emulates a QND readout:
+the demon is re-prepared in the recorded outcome state before the feedback.
 All energies are reported in units of the qubit splitting epsilon, so the
 demon's local Hamiltonian is H_D = I_A (x) |1><1|.
 """
@@ -21,6 +21,7 @@ import numpy as np
 from . import gates
 from .gates import NoiseParams
 from .qlin import ID2, KET0, KET1, kron
+from .tomography import draw_probs
 
 DEFAULT_SHOTS = 3500
 DEFAULT_SEED = 20240901
@@ -112,10 +113,7 @@ def measure_demon(rho: np.ndarray) -> list[Branch]:
         sub = pi_d @ rho @ pi_d
         p = np.trace(sub).real
         total += p
-        if p < _PROB_FLOOR:
-            branches.append(Branch(d, p, None))
-        else:
-            branches.append(Branch(d, p, sub / p))
+        branches.append(Branch(d, p, None if p < _PROB_FLOOR else sub / p))
     if total < _PROB_FLOOR:
         raise ValueError("all branch probabilities vanish; invalid input state")
     return branches
@@ -138,19 +136,42 @@ def _feedback_cells(agent_pops: np.ndarray, demon: int, recorded: int) -> np.nda
     return cells[_SWAP_PERM] if recorded == 0 else cells
 
 
-# joint_cells as a gather: for each cell (d, d', a') in CELLS order, 1 + the
-# ket index 2a + d whose |amplitude|^2 lands there, 0 for an empty cell. The
-# demon keeps its measured state (demon = recorded = d), and the reorder
-# 2a' + d' -> 2d' + a' is the same transposition as the SWAP.
-_JOINT_GATHER = np.concatenate(
-    [_feedback_cells(np.array([d + 1, d + 3]), d, d)[_SWAP_PERM] for d in (0, 1)]
-).astype(int)
+# One shot's cells as a gather: for physical branch t, demon re-prepared in
+# |m> and recorded outcome r (the readout d), _SHOT_GATHER[t, m, r] holds for
+# each cell (d, d', a') in CELLS order 1 + the ket index 2a + t whose
+# |amplitude|^2 lands there, 0 for an empty cell. The reorder 2a' + d' ->
+# 2d' + a' is the same transposition as the SWAP.
+_SHOT_GATHER = np.array([
+    np.kron(np.eye(2)[r], _feedback_cells(np.array([t + 1, t + 3]), m, r)[_SWAP_PERM])
+    for t, m, r in product((0, 1), repeat=3)
+]).astype(int).reshape(2, 2, 2, 8)
+_JOINT_GATHER = np.einsum("iiic->c", _SHOT_GATHER)  # no flips: t = m = r
+
+
+def _gather(kets: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 of (..., 4) kets at 1 + ket index in `table`, 0 at 0."""
+    p = np.abs(kets) ** 2
+    return np.concatenate([np.zeros_like(p[..., :1]), p], axis=-1)[..., table]
 
 
 def joint_cells(kets: np.ndarray) -> np.ndarray:
     """(..., 8) joint probabilities Pr(d, d', a') in CELLS order from (..., 4) kets."""
-    p = np.abs(kets) ** 2
-    return np.concatenate([np.zeros_like(p[..., :1]), p], axis=-1)[..., _JOINT_GATHER]
+    return _gather(kets, _JOINT_GATHER)
+
+
+def qnd_cells(kets: np.ndarray, qnd_detect_error=0.0, qnd_reprep_error=0.0) -> np.ndarray:
+    """(..., 8) Pr(d, d', a') of one shot from (..., 4) kets, QND flips folded in.
+
+    Detection records branch t as r, flipped at rate `qnd_detect_error`;
+    the demon is re-prepared in |r>, flipped at rate `qnd_reprep_error` to
+    |m>. With no flips this equals `joint_cells` bit for bit.
+    """
+    rates = {"qnd_detect_error": qnd_detect_error, "qnd_reprep_error": qnd_reprep_error}
+    for name, rate in rates.items():
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {rate}")
+    detect, reprep = (np.array([[1.0 - e, e], [e, 1.0 - e]]) for e in rates.values())
+    return np.einsum("tr,rm,...tmrc->...c", detect, reprep, _gather(kets, _SHOT_GATHER))
 
 
 def apply_feedback(
@@ -237,48 +258,19 @@ def run_shots(
     qnd_detect_error: float = 0.0,
     qnd_reprep_error: float = 0.0,
 ) -> OutcomeTable:
-    """Shot-sampled protocol emulation with QND mid-circuit measurement.
+    """Shot-sampled outcome tables with QND mid-circuit measurement.
 
-    Randomness comes from a counter-based Philox stream keyed by the run
-    seed; shot i consumes a fixed row of pre-drawn uniforms, so the table
-    is a pure function of (seed, shot index) and bit-for-bit reproducible
-    regardless of evaluation order. Every theta reuses the same stream,
-    so shot noise is correlated across the grid. `qnd_detect_error` and
-    `qnd_reprep_error` are per-shot flip rates of the mid-circuit
-    detection and of the demon re-preparation.
+    Shots are independent, so a theta's eight counts are one multinomial
+    from `qnd_cells` (per-shot flip rates in [0, 1] of the detection and
+    of the demon re-preparation), rounded by `draw_probs`. All thetas draw
+    in grid order from one Philox(key=seed) stream, each its own shots.
     """
     thetas = _check_thetas(thetas)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.abs(gates.kets(noise.delta_phi, thetas)[0]) ** 2  # index 2a + d
-    counts = np.zeros((len(thetas), 8), dtype=int)
-    for row, p in zip(counts, probs):
-        # unnormalized agent populations of each physical branch
-        agent_pops = [p[[d, 2 + d]] for d in (0, 1)]
-
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        u = rng.random((shots, 4))
-        d_true = (u[:, 0] < agent_pops[1].sum()).astype(int)
-        recorded = d_true ^ (u[:, 1] < qnd_detect_error)
-        demon_state = recorded ^ (u[:, 2] < qnd_reprep_error)
-
-        # Final-readout cells depend on the physical branch, the re-prepared
-        # demon state and the recorded outcome (which selects the feedback).
-        # Only a handful of combinations occur, so shots are processed
-        # vectorized, grouped by combination. Cell index within a branch is
-        # 2*a' + d'; _SWAP_PERM maps it to the CELLS index 2*d' + a'.
-        for dt in (0, 1):
-            if agent_pops[dt].sum() < _PROB_FLOOR:
-                continue
-            for dm in (0, 1):
-                for rec in (0, 1):
-                    mask = (d_true == dt) & (demon_state == dm) & (recorded == rec)
-                    if not mask.any():
-                        continue
-                    cells = _feedback_cells(agent_pops[dt], dm, rec)
-                    cdf = np.cumsum(cells / cells.sum())
-                    k = np.searchsorted(cdf, u[mask, 3], side="right")
-                    row += np.bincount(4 * rec + _SWAP_PERM[np.minimum(k, 3)], minlength=8)
+    kets = gates.kets(noise.delta_phi, thetas)[0]
+    q = draw_probs(qnd_cells(kets, qnd_detect_error, qnd_reprep_error))
+    counts = np.random.Generator(np.random.Philox(key=seed)).multinomial(shots, q)
     return OutcomeTable(thetas=thetas, cells=counts / shots, counts=counts)
 
 

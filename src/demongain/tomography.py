@@ -102,15 +102,15 @@ def setting_probs(rho: np.ndarray) -> np.ndarray:
     return diag / total
 
 
-def _draw_probs(rho: np.ndarray) -> np.ndarray:
-    """setting_probs(rho) rounded to 12 decimals and renormalized, to draw from.
+def draw_probs(p: np.ndarray) -> np.ndarray:
+    """Probabilities (..., k) rounded to 12 decimals and renormalized, to draw from.
 
-    Counts then do not hinge on rho's last bits: numpy's binomial draws
+    Counts then do not hinge on the last bits of p: numpy's binomial draws
     n - X from 1 - p when p > 1/2, so p = 1/2 and 1/2 + 1 ulp would give
     mirrored counts. Probabilities below 5e-13 become exact zeros.
     """
-    p = np.round(setting_probs(rho), 12)
-    return p / p.sum(axis=1, keepdims=True)
+    p = np.round(p, 12)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def simulate_tomogram_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -119,7 +119,7 @@ def simulate_tomogram_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarr
         raise ValueError("shots must be >= 1")
     return np.array([
         np.random.Generator(np.random.Philox(key=[seed, j])).multinomial(shots, p)
-        for j, p in enumerate(_draw_probs(rho))
+        for j, p in enumerate(draw_probs(setting_probs(rho)))
     ])
 
 
@@ -214,7 +214,7 @@ def bootstrap(
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    dists = _draw_probs(rho_hat)
+    dists = draw_probs(setting_probs(rho_hat))
     counts = np.array([
         np.random.Generator(np.random.Philox(key=[seed, r])).multinomial(shots, dists)
         for r in range(resamples)

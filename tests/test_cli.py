@@ -15,11 +15,14 @@ from demongain.cli import main
 from demongain.gates import NoiseParams
 from demongain.noisefit import model_curves
 from demongain.protocol import (
+    DEFAULT_SEED,
+    DEFAULT_SHOTS,
     ProtocolConfig,
     joint_cells,
     policy_gain,
     prepare_resource,
     resource_ket,
+    run_shots,
     write_tables_csv,
 )
 
@@ -67,6 +70,8 @@ class TestSweep:
         payload = json.loads((out / "sweep_summary.json").read_text())
         assert payload["schema_version"] == 1
         assert len(payload["points"]) == 5
+        # exact tables draw no shots, so no sampling settings are recorded
+        assert "shots" not in payload and "seed" not in payload
 
     def test_energies_csv_relation(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"sweep": {"theta_steps": 9}})
@@ -324,11 +329,12 @@ def test_full_study_with_relative_out(tmp_path, monkeypatch):
 
 
 def test_record_goldens_reproduces_checked_in_files(tmp_path, monkeypatch, capsys):
-    # scripts/record_goldens.py rewrites the four manifest-driven goldens;
+    # scripts/record_goldens.py rewrites the five goldens of tests/data;
     # run into a scratch directory, they match the checked-in ones
     names = sorted(p.name for p in (ROOT / "tests/data").glob("*_summary.json")) + [
         "tomo_default_counts.json",
         "tomo_default_metrics.json",
+        "run_shots_counts.json",
     ]
     monkeypatch.setattr(sys, "argv", ["record_goldens.py", "--out", str(tmp_path)])
     runpy.run_path(str(ROOT / "scripts/record_goldens.py"), run_name="__main__")
@@ -336,7 +342,7 @@ def test_record_goldens_reproduces_checked_in_files(tmp_path, monkeypatch, capsy
     for name in names:
         new = json.loads((tmp_path / name).read_text())
         _compare(new, json.loads((ROOT / "tests/data" / name).read_text()), name)
-    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+    assert len(capsys.readouterr().out.strip().splitlines()) == 5
 
 
 class TestVerify:
@@ -344,7 +350,7 @@ class TestVerify:
         out = tmp_path / "out"
         assert _run(["verify", "--out", str(out)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(line.startswith("[PASS]") for line in lines)
         payload = json.loads((out / "verify_report.json").read_text())
         assert payload["schema_version"] == 1
@@ -365,6 +371,17 @@ class TestVerify:
             best = max(policy_gain(rho, (u0, u1)) for u0 in candidates for u1 in candidates)
             margin = max(margin, best - policy_gain(rho, (swap, ident)))
         assert measure == pytest.approx(margin, rel=1e-9, abs=0.0)
+
+    def test_sampled_pr_d_check_records_its_z(self, tmp_path):
+        # measure of the sampled check: |Pr(d = 1) - 1/2| in binomial
+        # standard errors, at the worst of 33 ideal theta
+        assert _run(["verify", "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+        measure = {c["name"]: c["measure"] for c in checks}["sampled Pr(d) within 4 sigma of 1/2"]
+        table = run_shots(np.linspace(0, HALF_PI, 33), NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED)
+        z = np.abs(table.pr_d[:, 1] - 0.5) / np.sqrt(0.25 / DEFAULT_SHOTS)
+        assert measure == pytest.approx(z.max(), rel=1e-12, abs=0.0)
+        assert 0.0 < measure <= 4.0
 
     def test_impossible_tolerance_fails(self, tmp_path, capsys):
         manifest = _write_manifest(

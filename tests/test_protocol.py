@@ -1,5 +1,6 @@
 import json
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -7,30 +8,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demongain import protocol
+from demongain import gates, protocol
 from demongain.gates import NoiseParams
 from demongain.protocol import (
     CELLS,
+    DEFAULT_SEED,
     ProtocolConfig,
     analytic_concurrence,
     apply_feedback,
     demonic_gain,
     energies_from_table,
     gain_lower_bound,
+    joint_cells,
     measure_demon,
     outcome_table_exact,
     policy_gain,
     prepare_resource,
+    qnd_cells,
     read_tables_csv,
     run_shots,
     table_to_json_dicts,
     write_tables_csv,
 )
+from demongain.qlin import partial_trace
 
 THETA_GRID = np.linspace(0, np.pi / 2, 33)
 IDEAL = NoiseParams.zeros()
 RUN_SHOTS_FIXTURE = Path(__file__).resolve().parent / "data" / "run_shots_counts.json"
 PAPER_DELTAS = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
+RUN_SHOTS_CONFIGS = [case["config"] for case in json.loads(RUN_SHOTS_FIXTURE.read_text())]
+
+
+def _fixture_q(c) -> np.ndarray:
+    """(8,) closed-form cells of one run_shots_counts.json config."""
+    kets = gates.kets(c["noise"], [c["theta"]])[0]
+    return qnd_cells(kets, c["qnd_detect_error"], c["qnd_reprep_error"])[0]
+
+
+def _reference_cells(c) -> np.ndarray:
+    """(8,) Pr(d, d', a') of one shot, followed through density matrices.
+
+    The demon is measured (branch t), t is recorded as r with a detection
+    flip, the demon is re-prepared in |r> up to a re-preparation flip to
+    |m>, and r selects the feedback: SWAP on 0, identity on 1.
+    """
+    detect, reprep = c["qnd_detect_error"], c["qnd_reprep_error"]
+    rho = prepare_resource(ProtocolConfig(theta=c["theta"], noise=NoiseParams(tuple(c["noise"]))))
+    cells = np.zeros(8)
+    for branch, r, m in product(measure_demon(rho), (0, 1), (0, 1)):
+        weight = branch.prob * (detect if r != branch.d else 1 - detect)
+        weight *= reprep if m != r else 1 - reprep
+        agent = partial_trace(branch.post_state, keep="A")
+        demon = np.diag(np.eye(2)[m])
+        u = protocol._U_SWAP if r == 0 else np.eye(4)
+        pops = np.real(np.diag(gates.apply(u, np.kron(agent, demon))))  # index 2a' + d'
+        for dp, ap in product((0, 1), (0, 1)):
+            cells[CELLS.index((r, dp, ap))] += weight * pops[2 * ap + dp]
+    return cells
 
 
 class TestPrepareResource:
@@ -202,19 +236,44 @@ class TestRunShots:
 
     def test_converges_to_exact(self):
         shots = 10**6
-        t = run_shots([0.9], IDEAL, shots=shots, seed=77)
-        ex = outcome_table_exact([0.9], IDEAL)
-        for got, p in zip(t.cells[0], ex.cells[0]):
-            se = np.sqrt(p * (1 - p) / shots)
-            if se == 0:
-                assert got == 0.0
-            else:
-                assert abs(got - p) <= 5 * se
+        ideal = {"theta": 0.9, "noise": [0.0] * 3, "qnd_detect_error": 0.0, "qnd_reprep_error": 0.0}
+        flipped = [c for c in RUN_SHOTS_CONFIGS if c["qnd_detect_error"] or c["qnd_reprep_error"]]
+        assert len(flipped) == 2
+        for c in [ideal, *flipped]:
+            t = run_shots([c["theta"]], NoiseParams(tuple(c["noise"])), shots=shots, seed=77,
+                          qnd_detect_error=c["qnd_detect_error"],
+                          qnd_reprep_error=c["qnd_reprep_error"])
+            q = outcome_table_exact([0.9], IDEAL).cells[0] if c is ideal else _fixture_q(c)
+            for got, p in zip(t.cells[0], q):
+                se = np.sqrt(p * (1 - p) / shots)
+                if se == 0:
+                    assert got == 0.0
+                else:
+                    assert abs(got - p) <= 5 * se
+
+    def test_repeated_theta_draws_its_own_shots(self):
+        t = run_shots([0.3, 0.3], IDEAL, shots=3500, seed=DEFAULT_SEED)
+        assert not np.array_equal(t.counts[0], t.counts[1])
+
+    @pytest.mark.parametrize("c", RUN_SHOTS_CONFIGS)
+    def test_closed_form_cells_match_density_matrix_reference(self, c):
+        assert np.max(np.abs(_fixture_q(c) - _reference_cells(c))) <= 1e-14
+
+    def test_closed_form_cells_without_flips_are_joint_cells(self):
+        for deltas in (IDEAL, PAPER_DELTAS):
+            kets = gates.kets(deltas.delta_phi, THETA_GRID)[0]
+            assert np.array_equal(qnd_cells(kets), joint_cells(kets))
+
+    @pytest.mark.parametrize("name", ["qnd_detect_error", "qnd_reprep_error"])
+    @pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+    def test_flip_rate_outside_unit_interval_rejected(self, name, rate):
+        with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+            run_shots([0.3], IDEAL, shots=100, seed=1, **{name: rate})
 
     @pytest.mark.parametrize("case", json.loads(RUN_SHOTS_FIXTURE.read_text()))
     def test_counts_match_recorded_fixture(self, case):
-        # counts written by the density-matrix shot sampler that the ket
-        # path replaced: noisy gates, with and without QND flip errors
+        # counts of one multinomial draw per theta from the closed-form
+        # cells: noisy gates, with and without QND flip errors
         c = case["config"]
         t = run_shots(
             [c["theta"]],
