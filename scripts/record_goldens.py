@@ -87,18 +87,34 @@ GOLDEN_FILES = (
 )
 
 
-def moves(old, new) -> list[float]:
-    """|new - old| of every number that moved; a changed layout raises ValueError."""
-    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        return [m for k in old for m in moves(old[k], new[k])]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [m for a, b in zip(old, new) for m in moves(a, b)]
+def moves(old, new, path: str = "") -> list[float]:
+    """|new - old| of every number that moved.
+
+    A changed layout raises a ValueError that names where: the path of a
+    key that appeared or went, of a list whose length changed, or of a
+    value that changed type.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        changed = sorted(old.keys() ^ new.keys())
+        if changed:
+            key = changed[0]
+            raise ValueError(f"key {path}/{key} {'went' if key in old else 'appeared'}")
+        return [m for k in old for m in moves(old[k], new[k], f"{path}/{k}")]
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            raise ValueError(f"{path or '/'}: length {len(old)} became {len(new)}")
+        return [m for i, (a, b) in enumerate(zip(old, new)) for m in moves(a, b, f"{path}[{i}]")]
     numbers = (int, float)
     if isinstance(old, numbers) and isinstance(new, numbers) and not isinstance(old, bool):
         return [abs(new - old)] if new != old else []
     if old != new:
-        raise ValueError(f"value {old!r} became {new!r}")
+        raise ValueError(f"{path or '/'}: {_brief(old)} became {_brief(new)}")
     return []
+
+
+def _brief(value) -> str:
+    """A scalar as its repr, a container as its type: never a whole file."""
+    return type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
 
 
 def main() -> None:

@@ -1,11 +1,19 @@
-"""Least-squares fit of the three controlled-Z phase deviations.
+"""Fit of the three controlled-Z phase deviations to outcome curves.
 
 The model is the exact-mode protocol evaluated under candidate
 (delta_phi_1, delta_phi_2, delta_phi_3): `gates.kets` batched over both
 the candidates and the theta grid, read out by `protocol.joint_cells`.
-The loss is the plain sum of squared differences over all eight joint
-outcome cells at every theta grid point. Optimization is a coarse grid
-scan followed by Nelder-Mead refinement; both stages are deterministic.
+Only the four `LIVE` cells of the eight can hold probability for any
+deviations; the fit reads those and refuses data in the other four.
+
+The loss is Pearson's chi-square over the live cells at every theta,
+the sum of squared Poisson-weighted residuals (obs - p)/sqrt(p): for
+shot data, the quadratic form of the multinomial likelihood, so the
+fitted spread meets the Fisher bound. A 6^3 grid seeds Levenberg-Marquardt
+(damped Gauss-Newton) iterations on those residuals (More, "The
+Levenberg-Marquardt algorithm", 1978), each linearized by central
+differences from one 7-candidate `model_cells` call and clipped to the
+bounds. Both stages are deterministic.
 """
 
 from __future__ import annotations
@@ -14,15 +22,29 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import gates
 from .gates import NoiseParams
-from .protocol import CELLS, OutcomeTable, joint_cells, outcome_table_exact
+from .protocol import CELLS, _JOINT_GATHER, OutcomeTable, joint_cells, outcome_table_exact
 
 DEFAULT_BOUNDS = ((-np.pi / 4, np.pi / 4),) * 3
-DEFAULT_GRID_STEP = 0.01 * np.pi / 2
-DEFAULT_GRID_MAX = 0.25 * np.pi / 2
+LIVE = np.flatnonzero(_JOINT_GATHER)  # the cells a ket index lands in
+_EMPTY = np.flatnonzero(_JOINT_GATHER == 0)
+_GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot
+_H = 1e-6  # central-difference step
+_OFFSETS = np.vstack([np.zeros(3), _H * np.eye(3), -_H * np.eye(3)])  # x, x + h e_k, x - h e_k
+# Weights use max(p, floor): live cells of a noiseless model reach p ~ 1e-33.
+_WEIGHT_FLOOR = 1e-12
+# Stop once the undamped step is this short (radians). Central differences
+# leave ~1e-9 of noise in the step near a sampled optimum, against a
+# statistical spread of ~1e-2 at 3500 shots.
+_XTOL = 1e-8
+_MAX_ITER = 100
+# Directions of J weaker than this fraction of its strongest count as
+# flat: at zero noise delta_phi_2 and delta_phi_3 act only at second
+# order, and their columns of J hold rounding noise, not a slope.
+_RCOND = 1e-8
+_DAMPING0, _MAX_DAMPING = 1e-3, 1e8
 
 
 def model_cells(params: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -39,17 +61,24 @@ class FitResult:
     delta_phi: tuple[float, float, float]
     residual: float
     converged: bool
+    iterations: int = 0
+    at_bound: bool = False
+    fisher_stderr: tuple[float, float, float] | None = None
     per_parameter_spread: tuple[float, float, float] | None = None
 
     def to_json_dict(self) -> dict:
+        def listed(values):
+            return None if values is None else list(values)
+
         return {
             "delta_phi": list(self.delta_phi),
             "delta_phi_over_half_pi": [d / (np.pi / 2) for d in self.delta_phi],
             "residual": self.residual,
             "converged": self.converged,
-            "per_parameter_spread": None
-            if self.per_parameter_spread is None
-            else list(self.per_parameter_spread),
+            "iterations": self.iterations,
+            "at_bound": self.at_bound,
+            "fisher_stderr": listed(self.fisher_stderr),
+            "per_parameter_spread": listed(self.per_parameter_spread),
         }
 
 
@@ -58,65 +87,133 @@ def model_curves(noise: NoiseParams, thetas) -> OutcomeTable:
     return outcome_table_exact(thetas, noise)
 
 
+def _weighted(p: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Poisson-weighted residuals (obs - p)/sqrt(p) of live-cell probabilities."""
+    return (obs - p) / np.sqrt(np.maximum(p, _WEIGHT_FLOOR))
+
+
 def residual(params, data: OutcomeTable) -> float:
-    """Sum of squared cell differences between model and data."""
-    diff2 = (model_cells(np.asarray(params), data.thetas)[0] - data.cells) ** 2
-    return float(diff2.sum())
+    """Pearson's chi-square sum (obs - p)^2/p over the live cells.
+
+    `obs` are the table's cell frequencies, so for shot data this is the
+    chi-square statistic divided by the shots per theta.
+    """
+    p = model_cells(np.asarray(params), data.thetas)[0][:, LIVE]
+    return float((_weighted(p, data.cells[:, LIVE]) ** 2).sum())
 
 
-def _grid_scan(data: OutcomeTable, bounds, step: float, upper: float):
-    axes = []
-    for lo, hi in bounds:
-        g_lo, g_hi = max(lo, 0.0), min(hi, upper)
-        axes.append(np.arange(g_lo, g_hi + step / 2, step))
+def _check_empty_cells(data: OutcomeTable) -> None:
+    """ValueError naming the first theta and cell the model leaves empty but data fill."""
+    held = data.cells[:, _EMPTY] != 0
+    if data.counts is not None:
+        held |= data.counts[:, _EMPTY] != 0
+    if held.any():
+        i, j = np.argwhere(held)[0]
+        count = "" if data.counts is None else f", count {data.counts[i, _EMPTY[j]]}"
+        raise ValueError(
+            f"theta {data.thetas[i]:.12g}, cell {CELLS[_EMPTY[j]]}: probability "
+            f"{data.cells[i, _EMPTY[j]]:.12g}{count} in a cell that no phase "
+            "deviation can reach"
+        )
+
+
+def _grid_seed(obs: np.ndarray, thetas: np.ndarray, lo, hi) -> np.ndarray:
+    """Grid point of least chi-square, the grid clipped to the bounds."""
+    axes = [np.unique(np.clip(_GRID_AXIS, a, b)) for a, b in zip(lo, hi)]
     combos = np.array(list(product(*axes)))
-    resid = ((model_cells(combos, data.thetas) - data.cells) ** 2).sum(axis=(1, 2))
-    best = int(np.argmin(resid))
-    return combos[best], float(resid[best])
+    cost = (_weighted(model_cells(combos, thetas)[..., LIVE], obs) ** 2).sum(axis=(1, 2))
+    return combos[np.argmin(cost)]
 
 
-def fit(
-    data: OutcomeTable,
-    init: NoiseParams | None = None,
-    bounds=DEFAULT_BOUNDS,
-    grid_step: float | None = DEFAULT_GRID_STEP,
-    max_iter: int = 4000,
-) -> FitResult:
+def _lm_point(r, jac, damping: float, x, lo, hi) -> np.ndarray:
+    """x + s within the bounds, s minimizing |r + J s|^2 + damping |D s|^2.
+
+    D holds the column norms of J. Solved as one least-squares problem,
+    so a vanishing column (a deviation acting only at second order)
+    gives the minimum-norm step instead of a singular system. A
+    deviation on a bound that the step would push past it is held there
+    and the others are solved for without it.
+    """
+    def solve(free):
+        j = jac[:, free]
+        a = np.vstack([j, np.sqrt(damping) * np.diag(np.linalg.norm(j, axis=0))])
+        s = np.zeros(3)
+        s[free] = np.linalg.lstsq(a, -np.concatenate([r, np.zeros(j.shape[1])]), rcond=_RCOND)[0]
+        return s
+
+    s = solve(np.ones(3, dtype=bool))
+    held = ((x <= lo) & (s < 0)) | ((x >= hi) & (s > 0))
+    if held.any():
+        s = solve(~held)
+    return np.clip(x + s, lo, hi)
+
+
+def fit(data: OutcomeTable, init: NoiseParams | None = None, bounds=DEFAULT_BOUNDS) -> FitResult:
     """Recover the three phase deviations from outcome curves.
 
-    `data` needs a strictly increasing theta grid. When `init` is given
-    the grid scan is skipped and Nelder-Mead starts there; otherwise a
-    coarse scan over [0, 0.25 pi/2]^3 (step `grid_step`) seeds the
-    simplex. Deterministic for fixed inputs.
+    `data` needs a strictly increasing theta grid and no probability or
+    count in a cell outside LIVE. When `init` is given the grid is skipped
+    and the iterations start there (clipped to the bounds). The fit
+    converges when the undamped step is shorter than 1e-8 rad; it is then
+    taken. It stops unconverged after 100 iterations, or when no damping
+    up to 1e8 lowers the loss. `fisher_stderr` is sqrt(diag(I^-1)) with
+    I = sum over theta of its shots (count total) times J^T W J, J the
+    live cells' derivatives and W = 1/p; None without counts or when I is
+    singular.
     """
     if len(data.thetas) == 0:
         raise ValueError("dataset is empty")
     if np.any(np.diff(data.thetas) <= 0):
         raise ValueError("thetas must be strictly increasing")
-    for lo, hi in bounds:
-        if lo < -np.pi / 4 - 1e-12 or hi > np.pi / 4 + 1e-12:
-            raise ValueError("bounds must lie within (-pi/4, pi/4)")
-    if init is not None:
-        x0 = np.asarray(init.delta_phi, dtype=float)
+    lo, hi = np.array(bounds, dtype=float).T
+    if np.any(lo < -np.pi / 4 - 1e-12) or np.any(hi > np.pi / 4 + 1e-12):
+        raise ValueError("bounds must lie within (-pi/4, pi/4)")
+    if np.any(lo > hi):
+        raise ValueError("each bound needs low <= high")
+    _check_empty_cells(data)
+
+    obs = data.cells[:, LIVE]
+
+    def linearize(x):
+        """Live-cell probabilities at x +/- h, residuals r and their Jacobian."""
+        p = model_cells(x + _OFFSETS, data.thetas)[..., LIVE]
+        r = _weighted(p, obs).reshape(7, -1)
+        return p, r[0], ((r[1:4] - r[4:]) / (2 * _H)).T
+
+    if init is None:
+        x = _grid_seed(obs, data.thetas, lo, hi)
     else:
-        x0, _ = _grid_scan(data, bounds, grid_step, DEFAULT_GRID_MAX)
-    res = minimize(
-        residual,
-        x0,
-        args=(data,),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={
-            "xatol": 1e-7,
-            "fatol": 1e-14,
-            "maxiter": max_iter,
-            "maxfev": max_iter,
-        },
-    )
+        x = np.clip(init.delta_phi, lo, hi)
+    p, r, jac = linearize(x)
+    damping, iterations, converged = _DAMPING0, 0, False
+    while iterations < _MAX_ITER and damping <= _MAX_DAMPING:
+        gauss_newton = _lm_point(r, jac, 0.0, x, lo, hi)
+        if np.linalg.norm(gauss_newton - x) <= _XTOL:
+            x, converged = gauss_newton, True
+            break
+        iterations += 1
+        trial = _lm_point(r, jac, damping, x, lo, hi)
+        p_t, r_t, jac_t = linearize(trial)
+        if r_t @ r_t <= r @ r:
+            x, p, r, jac, damping = trial, p_t, r_t, jac_t, damping / 10
+        else:
+            damping *= 10
+
+    stderr = None
+    if data.counts is not None:
+        dp = (p[1:4] - p[4:]) / (2 * _H)  # (3, n, 4)
+        shots = data.counts.sum(axis=1)[:, None]
+        info = np.einsum("knc,lnc,nc->kl", dp, dp, shots / np.maximum(p[0], _WEIGHT_FLOOR))
+        w, v = np.linalg.eigh(info)
+        if w[0] > 1e-12 * w[-1]:
+            stderr = tuple(float(s) for s in np.sqrt((v**2 / w).sum(axis=1)))
     return FitResult(
-        delta_phi=tuple(float(x) for x in res.x),
-        residual=float(res.fun),
-        converged=bool(res.success),
+        delta_phi=tuple(float(d) for d in x),
+        residual=residual(x, data),
+        converged=converged,
+        iterations=iterations,
+        at_bound=bool(np.any((x <= lo) | (x >= hi))),
+        fisher_stderr=stderr,
     )
 
 
@@ -130,7 +227,7 @@ def bootstrap_spread(
     """Per-parameter spread from refits on multinomially resampled tables.
 
     Each resample redraws every theta's 8-cell counts from the observed
-    joint probabilities with the stated shot count, refits (simplex
+    joint probabilities with the stated shot count, refits (iterations
     seeded at the original optimum), and reports the standard deviation
     per parameter.
     """

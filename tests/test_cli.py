@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,18 +43,23 @@ def _run(argv):
     return main(argv)
 
 
-def _compare(a, b, path):
-    """Same keys and lengths, floats within 1e-12, everything else equal."""
+# Goldens of exact runs compare exactly; those of sampled runs allow their
+# floats, frequencies and statistics of counts, to move by 1e-12.
+EXACT, SAMPLED = 0.0, 1e-12
+
+
+def _compare(a, b, path, float_tol):
+    """Same keys and lengths, floats within `float_tol`, everything else equal."""
     if isinstance(a, dict):
         assert a.keys() == b.keys(), path
         for k in a:
-            _compare(a[k], b[k], f"{path}/{k}")
+            _compare(a[k], b[k], f"{path}/{k}", float_tol)
     elif isinstance(a, list):
         assert len(a) == len(b), path
         for i, (u, v) in enumerate(zip(a, b)):
-            _compare(u, v, f"{path}[{i}]")
+            _compare(u, v, f"{path}[{i}]", float_tol)
     elif isinstance(a, float):
-        assert abs(a - b) <= 1e-12, path
+        assert abs(a - b) <= float_tol, path
     else:
         assert a == b, path
 
@@ -119,7 +126,8 @@ class TestSweep:
         golden = json.loads((ROOT / f"tests/data/{name}_summary.json").read_text())
         manifest = str(ROOT / f"manifests/{name}.json")
         assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
-        _compare(json.loads((tmp_path / "sweep_summary.json").read_text()), golden, "")
+        float_tol = EXACT if name == "sweep_exact" else SAMPLED
+        _compare(json.loads((tmp_path / "sweep_summary.json").read_text()), golden, "", float_tol)
 
     def test_ideal_empty_cells_written_as_zero(self, tmp_path):
         # cells that vanish analytically print as 0, not as rounding residue
@@ -226,7 +234,7 @@ class TestTomo:
         golden = json.loads((ROOT / "tests/data/tomo_default_metrics.json").read_text())
         got = json.loads((default_out / "tomo_metrics.json").read_text())
         assert [p["theta"] for p in got["points"]][::8] == [0.0, HALF_PI]
-        _compare(got, golden, "")
+        _compare(got, golden, "", SAMPLED)
 
     def test_default_manifest_matches_golden_counts(self, default_out):
         # the nine tomogram CSVs of manifests/tomo_default.json as written
@@ -258,6 +266,32 @@ class TestFit:
         got = np.array(payload["delta_phi"])
         assert np.max(np.abs(got - planted.delta_phi)) < 1e-3 * HALF_PI
         assert (out / "fit_overlay.csv").exists()
+        # exact curves hold no counts, so no Fisher spread can be given
+        assert payload["converged"] is True and payload["at_bound"] is False
+        assert payload["fisher_stderr"] is None and payload["iterations"] >= 1
+
+    def test_sampled_fit_records_fisher_stderr(self, tmp_path):
+        dataset = tmp_path / "tables.csv"
+        write_tables_csv(dataset, run_shots(np.linspace(0, HALF_PI, 17), NoiseParams(PLANTED), 3500, 3))
+        manifest = _write_manifest(
+            tmp_path, {"fit": {"dataset": str(dataset), "spread_resamples": 4, "seed": 1}}
+        )
+        assert _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
+        payload = json.loads((tmp_path / "o/fit_result.json").read_text())
+        assert payload["converged"] is True
+        assert all(0.0 < s < 0.02 * HALF_PI for s in payload["fisher_stderr"])
+        assert len(payload["per_parameter_spread"]) == 3
+
+    def test_counts_in_a_structurally_empty_cell_exit(self, tmp_path):
+        # QND re-preparation flips put shots in cells no phase deviation reaches
+        dataset = tmp_path / "tables.csv"
+        table = run_shots([0.3, 0.9], NoiseParams(PLANTED), 3500, 7, qnd_reprep_error=0.05)
+        write_tables_csv(dataset, table)
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
+        pattern = r"^demongain fit: theta 0\.3, cell \(0, 0, 1\): probability \S+, count \d+ in a cell"
+        with pytest.raises(SystemExit, match=pattern) as exc:
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+        assert "\n" not in str(exc.value)
 
     def test_missing_dataset_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"fit": {}})
@@ -308,6 +342,13 @@ def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
         assert _run([command, "--manifest", str(path), "--out", command]) == 0
 
 
+def test_cli_import_leaves_scipy_out():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = "import sys, demongain.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def test_planted_dataset_matches_study_deviations(tmp_path):
     # manifests/data/planted_tables.csv holds the exact curves of the
     # deviations the study script reports as planted
@@ -341,8 +382,26 @@ def test_record_goldens_reproduces_checked_in_files(tmp_path, monkeypatch, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     for name in names:
         new = json.loads((tmp_path / name).read_text())
-        _compare(new, json.loads((ROOT / "tests/data" / name).read_text()), name)
+        float_tol = EXACT if name == "sweep_exact_summary.json" else SAMPLED
+        _compare(new, json.loads((ROOT / "tests/data" / name).read_text()), name, float_tol)
     assert len(capsys.readouterr().out.strip().splitlines()) == 5
+
+
+def test_record_goldens_names_the_key_that_changed():
+    moves = runpy.run_path(str(ROOT / "scripts/record_goldens.py"), run_name="goldens")["moves"]
+    big = {"points": [{"theta": 0.1 * i, "pr_d": {"0": 0.5, "1": 0.5}} for i in range(500)]}
+    grown = json.loads(json.dumps(big))
+    grown["points"][3]["pr_d"]["2"] = 0.0
+    with pytest.raises(ValueError, match=r"^key /points\[3\]/pr_d/2 appeared$"):
+        moves(big, grown)
+    with pytest.raises(ValueError, match=r"^key /points went$"):
+        moves(big, {"seed": 1})
+    with pytest.raises(ValueError, match=r"^/points: length 500 became 499$"):
+        moves(big, {"points": big["points"][1:]})
+    with pytest.raises(ValueError, match=r"^/points\[0\]/pr_d: dict became list$"):
+        moves(big, {"points": [{"theta": 0.0, "pr_d": [0.5, 0.5]}] + big["points"][1:]})
+    grown["points"][3]["pr_d"] = {"0": 0.25, "1": 0.5}
+    assert moves(big, {"points": grown["points"]}) == [0.25]
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Tests for the three-parameter phase-deviation fit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demongain import noisefit
 from demongain.gates import NoiseParams
 from demongain.noisefit import (
     CELLS,
+    LIVE,
     FitResult,
     bootstrap_spread,
     fit,
@@ -23,12 +26,21 @@ from demongain.protocol import (
     apply_feedback,
     measure_demon,
     prepare_resource,
+    run_shots,
 )
 
 HALF_PI = np.pi / 2
 # the deviation triple used throughout as the planted ground truth
 PLANTED = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI))
 THETAS = np.linspace(0.0, HALF_PI, 17)
+SHOTS = 3500
+
+
+def sampled(delta_phi, k: int) -> OutcomeTable:
+    """Dataset k: one multinomial draw of SHOTS per theta from the exact cells."""
+    cells = model_cells(np.array([delta_phi]), THETAS)[0]
+    counts = np.random.default_rng([k, 2]).multinomial(SHOTS, cells / cells.sum(-1, keepdims=True))
+    return OutcomeTable(thetas=THETAS, cells=counts / SHOTS, counts=counts)
 
 
 class TestModelCells:
@@ -86,6 +98,12 @@ class TestResidual:
         ds = model_curves(PLANTED, THETAS)
         assert residual(np.array(PLANTED.delta_phi), ds) < 1e-24
 
+    def test_is_pearson_chi_square_over_live_cells(self):
+        ds = sampled(PLANTED.delta_phi, 0)
+        p = model_cells(np.array([PLANTED.delta_phi]), THETAS)[0][:, LIVE]
+        expected = ((ds.cells[:, LIVE] - p) ** 2 / p).sum()
+        assert residual(np.array(PLANTED.delta_phi), ds) == pytest.approx(expected, rel=1e-12)
+
     def test_positive_away_from_truth(self):
         ds = model_curves(PLANTED, THETAS)
         assert residual(np.zeros(3), ds) > 1e-6
@@ -135,6 +153,79 @@ class TestFit:
         ds = model_curves(PLANTED, THETAS)
         with pytest.raises(ValueError, match="bounds"):
             fit(ds, bounds=((-np.pi, np.pi),) * 3)
+        with pytest.raises(ValueError, match="low <= high"):
+            fit(ds, bounds=((-0.1, 0.1), (0.2, 0.1), (-0.1, 0.1)))
+
+    @pytest.mark.parametrize(
+        "point",
+        [(0, 0, 0), (0.02, -0.03, 0.05), (0.1, 0.2, 0), (-0.05, 0.1, 0.3), (0.009, 0.068, 0.165)],
+    )
+    @pytest.mark.parametrize("n", [5, 17, 33])
+    def test_recovers_exact_curves_to_1e9(self, point, n):
+        truth = np.array(point) * HALF_PI
+        res = fit(model_curves(NoiseParams(tuple(truth)), np.linspace(0.0, HALF_PI, n)))
+        assert res.converged and not res.at_bound
+        assert np.max(np.abs(np.array(res.delta_phi) - truth)) <= 1e-9
+        assert res.residual < 1e-20
+        assert res.fisher_stderr is None  # exact curves carry no counts
+
+    def test_bound_clips_and_is_reported(self):
+        # the planted delta_phi_3 = 0.165 pi/2 lies above this upper bound
+        bounds = ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.1 * HALF_PI))
+        res = fit(model_curves(PLANTED, THETAS), bounds=bounds)
+        assert res.converged and res.at_bound
+        assert res.delta_phi[2] == 0.1 * HALF_PI
+
+    def test_iteration_cap_is_not_convergence(self, monkeypatch):
+        monkeypatch.setattr(noisefit, "_MAX_ITER", 1)
+        res = fit(sampled(PLANTED.delta_phi, 0))
+        assert res.iterations == 1 and not res.converged
+
+    def test_sampled_zero_noise_converges_without_warnings(self):
+        # a noiseless model puts p ~ 1e-33 in live cells; their weight is floored
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit(sampled((0.0, 0.0, 0.0), 0))
+        assert res.converged and 1 <= res.iterations <= 10
+        assert np.max(np.abs(res.delta_phi)) < 0.03 * HALF_PI
+
+    @pytest.mark.parametrize("cell", [c for i, c in enumerate(CELLS) if i not in LIVE])
+    def test_rejects_data_in_a_structurally_empty_cell(self, cell):
+        ds = model_curves(PLANTED, THETAS)
+        j = CELLS.index(cell)
+        ds.cells[3, LIVE[0]] -= 0.001
+        ds.cells[3, j] += 0.001
+        pattern = rf"theta {THETAS[3]:.12g}, cell \({cell[0]}, {cell[1]}, {cell[2]}\): probability 0\.001 "
+        with pytest.raises(ValueError, match=pattern):
+            fit(ds)
+
+    def test_rejects_counts_of_qnd_flips(self):
+        # re-preparation flips put shots in cells the three-deviation model leaves empty
+        ds = run_shots(THETAS, PLANTED, SHOTS, 7, qnd_reprep_error=0.05)
+        with pytest.raises(ValueError, match=r"count [1-9]\d* in a cell that no phase deviation"):
+            fit(ds)
+
+
+class TestCalibration:
+    """The reported spreads against the scatter of fits to independent draws."""
+
+    # 200 datasets put the standard error of an empirical standard deviation
+    # at 1/sqrt(2 * 199) = 5%, a third of the 15% tolerance
+    DATASETS = 200
+
+    def test_fisher_stderr_matches_scatter(self):
+        fits = [fit(sampled(PLANTED.delta_phi, k)) for k in range(self.DATASETS)]
+        assert all(f.converged for f in fits)
+        scatter = np.std([f.delta_phi for f in fits], axis=0)
+        stderr = np.mean([f.fisher_stderr for f in fits], axis=0)
+        assert np.all(np.abs(stderr / scatter - 1.0) <= 0.15), stderr / scatter
+
+    def test_bootstrap_spread_matches_fisher_stderr(self):
+        ds = sampled(PLANTED.delta_phi, 0)
+        res = fit(ds)
+        spread = bootstrap_spread(ds, res, shots=SHOTS, resamples=200, seed=5)
+        ratio = np.array(spread) / np.array(res.fisher_stderr)
+        assert np.all(np.abs(ratio - 1.0) <= 0.25), ratio
 
 
 class TestSensitivity:
@@ -174,3 +265,11 @@ class TestFitJson:
         payload = json.loads(json.dumps(res.to_json_dict()))
         assert payload["delta_phi"] == [0.01, 0.02, 0.03]
         assert payload["delta_phi_over_half_pi"][0] == pytest.approx(0.01 / HALF_PI)
+        assert payload["fisher_stderr"] is None and payload["per_parameter_spread"] is None
+
+    def test_record_of_a_sampled_fit(self):
+        payload = fit(sampled(PLANTED.delta_phi, 1)).to_json_dict()
+        assert payload["converged"] is True and payload["at_bound"] is False
+        assert payload["iterations"] >= 1
+        assert len(payload["fisher_stderr"]) == 3
+        assert all(0.0 < s < 0.02 * HALF_PI for s in payload["fisher_stderr"])
