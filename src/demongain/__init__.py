@@ -6,6 +6,7 @@ tomography with parametric bootstrap, and coherent gate-phase fitting.
 
 from .gates import NoiseParams
 from .protocol import (
+    CONDITIONAL_SWAP,
     OutcomeTable,
     ProtocolConfig,
     analytic_concurrence,
@@ -15,12 +16,14 @@ from .protocol import (
     gain_lower_bound,
     measure_demon,
     outcome_table_exact,
+    policy_gain,
     prepare_resource,
     run_shots,
 )
 from .tomography import bootstrap, concurrence, fit_c0, linear_inversion, purity
 
 __all__ = [
+    "CONDITIONAL_SWAP",
     "NoiseParams",
     "OutcomeTable",
     "ProtocolConfig",
@@ -35,6 +38,7 @@ __all__ = [
     "linear_inversion",
     "measure_demon",
     "outcome_table_exact",
+    "policy_gain",
     "prepare_resource",
     "purity",
     "run_shots",

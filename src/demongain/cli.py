@@ -28,19 +28,16 @@ import argparse
 import csv
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import noisefit, protocol, tomography
 from .gates import NoiseParams
-from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
+from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig, _fmt
 
 SCHEMA_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _load_manifest(path: str) -> dict:
@@ -151,9 +148,10 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
     with open(out_dir / "energies.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["theta", "w_i", "w_f", "delta_w", "concurrence_analytic", "bound"])
-        for theta, (wi, wf, dw) in zip(table.thetas, protocol.energies_from_table(table)):
-            c = protocol.analytic_concurrence(theta)
-            w.writerow([_fmt(v) for v in (theta, wi, wf, dw, c, protocol.gain_lower_bound(c))])
+        c = protocol.analytic_concurrence(table.thetas)
+        columns = (table.thetas[:, None], protocol.energies_from_table(table), c[:, None],
+                   protocol.gain_lower_bound(c)[:, None])
+        w.writerows([_fmt(v) for v in row] for row in np.hstack(columns))
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
     _write_json(
@@ -182,7 +180,7 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
     noise = read("noise", [0.0, 0.0, 0.0], _noise)
 
     # every theta is checked before the first tomogram CSV is written
-    rhos = [protocol.prepare_resource(ProtocolConfig(theta=t, noise=noise)) for t in thetas]
+    rhos = protocol.prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=noise))
     points = []
     for i, (theta, rho) in enumerate(zip(thetas, rhos)):
         if exact_moments:
@@ -252,36 +250,30 @@ def _verify_checks(tol: dict):
     """Yield (name, passed, measure) for every library invariant."""
     thetas = np.linspace(0, np.pi / 2, 33)
     rng = np.random.default_rng(0)
-    rhos = [protocol.prepare_resource(ProtocolConfig(theta=t)) for t in thetas]
-    branches = [protocol.measure_demon(rho) for rho in rhos]
-    gains = [
-        protocol.demonic_gain(rho, protocol.apply_feedback(b))
-        for rho, b in zip(rhos, branches)
-    ]
+    rhos = protocol.prepare_resource(ProtocolConfig(theta=thetas))
+    branches = protocol.measure_demon(rhos)
+    gains = protocol.demonic_gain(rhos, protocol.apply_feedback(branches))
 
     rel_tol = tol.get("relation", 1e-12)
-    dev = max(abs(g - np.cos(t) ** 2 / 2) for t, g in zip(thetas, gains))
+    dev = np.max(np.abs(gains - np.cos(thetas) ** 2 / 2))
     yield "gain equals half squared concurrence", dev <= rel_tol, dev
 
     bound_tol = tol.get("bound", 1e-12)
-    min_slack = min(
-        np.cos(t) ** 2 / 2 - protocol.gain_lower_bound(protocol.analytic_concurrence(t))
-        for t in thetas
+    min_slack = np.min(
+        np.cos(thetas) ** 2 / 2
+        - protocol.gain_lower_bound(protocol.analytic_concurrence(thetas))
     )
-    edge = max(
-        abs(0.5 - protocol.gain_lower_bound(1.0)),
-        abs(protocol.gain_lower_bound(0.0)),
-    )
+    edge = np.max(np.abs(protocol.gain_lower_bound(np.array([1.0, 0.0])) - [0.5, 0.0]))
     yield "gain bound holds with tight edges", (
         min_slack >= -bound_tol and edge <= bound_tol
     ), min_slack
 
     bal_tol = tol.get("balanced", 1e-12)
-    dev = max(abs(b.prob - 0.5) for bs in branches for b in bs)
+    dev = np.max(np.abs(np.trace(branches, axis1=-2, axis2=-1).real - 0.5))
     yield "balanced mid-circuit probabilities", dev <= bal_tol, dev
 
     conc_tol = tol.get("concurrence", 1e-10)
-    dev = max(abs(tomography.concurrence(rho) - abs(np.cos(t))) for t, rho in zip(thetas, rhos))
+    dev = np.max(np.abs(tomography.concurrence(rhos) - np.abs(np.cos(thetas))))
     yield "concurrence law |cos(theta)|", dev <= conc_tol, dev
 
     inv_tol = tol.get("inversion", 1e-12)
@@ -296,16 +288,17 @@ def _verify_checks(tol: dict):
 
     en_tol = tol.get("energies", 1e-12)
     table = protocol.outcome_table_exact(thetas, NoiseParams.zeros())
-    dev = max(abs(dw - g) for dw, g in zip(protocol.energies_from_table(table)[:, 2], gains))
+    dev = np.max(np.abs(protocol.energies_from_table(table)[:, 2] - gains))
     yield "table energies match state gain", dev <= en_tol, dev
 
-    swap_u = protocol._U_SWAP
+    # the 16 two-branch policies over {I, SWAP, X_D, X_D SWAP}, as (16, 1, 2, 4, 4)
+    swap_u, ident = protocol.CONDITIONAL_SWAP
     x_d = np.kron(np.eye(2), np.array([[0, 1], [1, 0]])).astype(complex)
-    candidates = [np.eye(4, dtype=complex), swap_u, x_d, x_d @ swap_u]
-    margin = max(
-        max(protocol.policy_gain(rho, (u0, u1)) for u0 in candidates for u1 in candidates)
-        - protocol.policy_gain(rho, (swap_u, np.eye(4, dtype=complex)))
-        for rho in rhos
+    candidates = [ident, swap_u, x_d, x_d @ swap_u]
+    policies = np.array(list(product(candidates, repeat=2)))[:, None]
+    margin = np.max(
+        protocol.policy_gain(rhos, policies).max(axis=0)
+        - protocol.policy_gain(rhos, protocol.CONDITIONAL_SWAP)
     )  # best gain minus the conditional swap's, worst theta
     yield "conditional swap is the optimal policy", margin <= 1e-12, margin
 

@@ -125,21 +125,12 @@ def bell_prep(delta_phi=0.0) -> np.ndarray:
     return _BELL_CLOSE @ cz_half(delta_phi) @ _BELL_OPEN
 
 
-def cy_exact(theta: float) -> np.ndarray:
-    """Closed-form controlled-Y: exp[-i theta Y_A] on the agent iff demon in |0>."""
-    ry = _rot2(2 * theta, np.pi / 2)  # exp[-i theta Y]
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    return kron(ry, p0) + kron(ID2, p1)
-
-
 def cy(theta, delta_phi_2=0.0, delta_phi_3=0.0) -> np.ndarray:
     """Parametric controlled-Y, decomposed around cz_half blocks 2 and 3.
 
     Decomposition: CNOT(slot 3) . Ry_A(theta) . CNOT(slot 2) . Ry_A(theta),
     with the CNOTs (demon control) flipping the sign of the second agent
-    rotation on the |1_D> branch so the two halves cancel there. Equals
-    cy_exact(theta) exactly at zero noise.
+    rotation on the |1_D> branch so the two halves cancel there.
     """
     ry_half = local_rot(theta, np.pi / 2, "A")
     return _cnot_d_to_a(delta_phi_3) @ ry_half @ _cnot_d_to_a(delta_phi_2) @ ry_half

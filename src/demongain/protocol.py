@@ -1,13 +1,14 @@
 """Measurement-feedback energy-extraction protocol on two qubits.
 
 The circuit is built from `gates`: its output kets (`gates.kets`) give
-the 4x4 density matrix of `prepare_resource`, and exact outcome tables
-and shot sampling read them for a whole theta grid at once,
-into one `OutcomeTable` of (n, 8) arrays. Sampled mode draws each theta's
-counts as one multinomial from `qnd_cells`, which emulates a QND readout:
-the demon is re-prepared in the recorded outcome state before the feedback.
-All energies are reported in units of the qubit splitting epsilon, so the
-demon's local Hamiltonian is H_D = I_A (x) |1><1|.
+the density matrices of `prepare_resource`, one per angle of a theta
+stack, which `measure_demon`, `apply_feedback` and the gains take as
+stacks. Exact outcome tables and shot sampling read the kets for a whole
+theta grid at once, into one `OutcomeTable` of (n, 8) arrays; sampled
+mode draws each theta's counts as one multinomial from its exact cells.
+The feedback rule is stated once, as `CONDITIONAL_SWAP`. All energies
+are reported in units of the qubit splitting epsilon, so the demon's
+local Hamiltonian is H_D = I_A (x) |1><1|.
 """
 
 from __future__ import annotations
@@ -20,48 +21,42 @@ import numpy as np
 
 from . import gates
 from .gates import NoiseParams
-from .qlin import ID2, KET0, KET1, kron
+from .qlin import ID2, kron
 from .tomography import draw_probs
 
 DEFAULT_SHOTS = 3500
 DEFAULT_SEED = 20240901
 
-PROJ0 = np.outer(KET0, KET0.conj())
-PROJ1 = np.outer(KET1, KET1.conj())
-H_DEMON = kron(ID2, PROJ1)  # demon excitation number, units of epsilon
-H_AGENT = kron(PROJ1, ID2)
+_PROJ = np.array([np.diag([1, 0]), np.diag([0, 1])], dtype=complex)  # |0><0|, |1><1|
+H_DEMON = kron(ID2, _PROJ[1])  # demon excitation number, units of epsilon
+H_AGENT = kron(_PROJ[1], ID2)
+_PI_D = kron(ID2, _PROJ)  # (2, 4, 4) demon projectors Pi_d
 
-_PROB_FLOOR = 1e-12
 CELLS = tuple(product((0, 1), (0, 1), (0, 1)))  # (d, d', a')
 
+# The protocol's feedback policy U_d, as a (2, 4, 4) stack: outcome 0
+# swaps the qubits, outcome 1 keeps them.
+CONDITIONAL_SWAP = np.array([gates.swap(), np.eye(4, dtype=complex)])
 
-def _check_thetas(thetas) -> np.ndarray:
-    """The angles as a float array; each must lie in [0, pi/2]."""
-    thetas = np.asarray(thetas, dtype=float)
-    bad = thetas[~((thetas >= 0.0) & (thetas <= np.pi / 2))]
+
+def _in_range(values, name: str, high: float, shown: str) -> np.ndarray:
+    """`values` as a float array; each must lie in [0, high], printed as `shown`."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~((values >= 0.0) & (values <= high))]
     if bad.size:
-        raise ValueError(f"theta must lie in [0, pi/2], got {bad[0]}")
-    return thetas
+        raise ValueError(f"{name} must lie in [0, {shown}], got {bad[0]}")
+    return values
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Preparation angle and gate deviations of one resource state."""
+    """Preparation angle, a scalar or an array, and gate deviations of the resource."""
 
-    theta: float
+    theta: float | np.ndarray
     noise: NoiseParams = field(default_factory=NoiseParams.zeros)
 
     def __post_init__(self):
-        _check_thetas(self.theta)
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One mid-circuit measurement branch."""
-
-    d: int
-    prob: float
-    post_state: np.ndarray | None
+        _in_range(self.theta, "theta", np.pi / 2, "pi/2")
 
 
 @dataclass(frozen=True)
@@ -91,146 +86,74 @@ class OutcomeTable:
         return None if self.counts is None else int(self.counts.sum())
 
 
-def resource_ket(theta: float) -> np.ndarray:
-    """Ideal resource state amplitudes in the (|00>,|01>,|10>,|11>) basis."""
-    return np.array(
-        [-np.sin(theta), 1.0, np.cos(theta), 0.0], dtype=complex
-    ) / np.sqrt(2)
-
-
 def prepare_resource(cfg: ProtocolConfig) -> np.ndarray:
-    """|psi><psi| of the preparation circuit's output ket (`gates.kets`)."""
-    psi = gates.kets(cfg.noise.delta_phi, [cfg.theta])[0, 0]
-    return np.outer(psi, psi.conj())
+    """|psi><psi| of the preparation circuit's output kets (`gates.kets`).
 
-
-def measure_demon(rho: np.ndarray) -> list[Branch]:
-    """Projective energy-basis measurement of the demon's qubit."""
-    branches = []
-    total = 0.0
-    for d, proj in ((0, PROJ0), (1, PROJ1)):
-        pi_d = kron(ID2, proj)
-        sub = pi_d @ rho @ pi_d
-        p = np.trace(sub).real
-        total += p
-        branches.append(Branch(d, p, None if p < _PROB_FLOOR else sub / p))
-    if total < _PROB_FLOOR:
-        raise ValueError("all branch probabilities vanish; invalid input state")
-    return branches
-
-
-_U_SWAP = gates.swap()
-_U_ID = np.eye(4, dtype=complex)
-_SWAP_PERM = np.array([0, 2, 1, 3])  # _U_SWAP as a permutation of index 2a + d
-
-
-def _feedback_cells(agent_pops: np.ndarray, demon: int, recorded: int) -> np.ndarray:
-    """Final-readout probabilities, index 2a' + d', of one branch.
-
-    `agent_pops` (2,) are the agent's populations, the demon's qubit sits
-    in |demon>, and the recorded outcome selects the feedback: SWAP on 0,
-    identity on 1. The readouts are diagonal and the feedback a
-    permutation, so coherences never reach a cell.
+    Gives np.shape(cfg.theta) + (4, 4): one state per angle.
     """
-    cells = np.kron(agent_pops, np.eye(2)[demon])  # state |a, demon>
-    return cells[_SWAP_PERM] if recorded == 0 else cells
+    theta = np.asarray(cfg.theta, dtype=float)
+    psi = gates.kets(cfg.noise.delta_phi, theta.ravel())[0].reshape(theta.shape + (4,))
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
-# One shot's cells as a gather: for physical branch t, demon re-prepared in
-# |m> and recorded outcome r (the readout d), _SHOT_GATHER[t, m, r] holds for
-# each cell (d, d', a') in CELLS order 1 + the ket index 2a + t whose
-# |amplitude|^2 lands there, 0 for an empty cell. The reorder 2a' + d' ->
-# 2d' + a' is the same transposition as the SWAP.
-_SHOT_GATHER = np.array([
-    np.kron(np.eye(2)[r], _feedback_cells(np.array([t + 1, t + 3]), m, r)[_SWAP_PERM])
-    for t, m, r in product((0, 1), repeat=3)
-]).astype(int).reshape(2, 2, 2, 8)
-_JOINT_GATHER = np.einsum("iiic->c", _SHOT_GATHER)  # no flips: t = m = r
+def measure_demon(rho: np.ndarray) -> np.ndarray:
+    """(..., 2, 4, 4) branches Pi_d rho Pi_d of an energy-basis readout of the demon.
+
+    Branch d is not renormalized: its trace is Pr(d).
+    """
+    return _PI_D @ np.asarray(rho)[..., None, :, :] @ _PI_D
 
 
-def _gather(kets: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """|amplitude|^2 of (..., 4) kets at 1 + ket index in `table`, 0 at 0."""
-    p = np.abs(kets) ** 2
-    return np.concatenate([np.zeros_like(p[..., :1]), p], axis=-1)[..., table]
+def apply_feedback(branches: np.ndarray, policy: np.ndarray = CONDITIONAL_SWAP) -> np.ndarray:
+    """sum_d U_d (Pi_d rho Pi_d) U_d^dag for a (..., 2, 4, 4) policy stack U_d.
+
+    The default policy is the protocol's conditional SWAP.
+    """
+    return gates.apply(policy, branches).sum(axis=-3)
+
+
+# Branch d's basis state k = 2a + d ends, after the feedback U_d, in the
+# basis state 2a' + d' that U_d maps it to, so its |amplitude|^2 lands in
+# cell (d, d', a'). _JOINT_GATHER holds, for each cell in CELLS order,
+# 1 + the ket index landing there, 0 for an empty cell.
+_TARGET = np.abs(CONDITIONAL_SWAP).argmax(axis=-2)  # (2, 4): U_d sends k to _TARGET[d, k]
+_LANDS = {(k % 2, *divmod(int(_TARGET[k % 2, k]), 2)[::-1]): k for k in range(4)}
+_JOINT_GATHER = np.array([_LANDS.get(c, -1) + 1 for c in CELLS])
 
 
 def joint_cells(kets: np.ndarray) -> np.ndarray:
     """(..., 8) joint probabilities Pr(d, d', a') in CELLS order from (..., 4) kets."""
-    return _gather(kets, _JOINT_GATHER)
+    p = np.abs(kets) ** 2
+    return np.concatenate([np.zeros_like(p[..., :1]), p], axis=-1)[..., _JOINT_GATHER]
 
 
-def qnd_cells(kets: np.ndarray, qnd_detect_error=0.0, qnd_reprep_error=0.0) -> np.ndarray:
-    """(..., 8) Pr(d, d', a') of one shot from (..., 4) kets, QND flips folded in.
-
-    Detection records branch t as r, flipped at rate `qnd_detect_error`;
-    the demon is re-prepared in |r>, flipped at rate `qnd_reprep_error` to
-    |m>. With no flips this equals `joint_cells` bit for bit.
-    """
-    rates = {"qnd_detect_error": qnd_detect_error, "qnd_reprep_error": qnd_reprep_error}
-    for name, rate in rates.items():
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {rate}")
-    detect, reprep = (np.array([[1.0 - e, e], [e, 1.0 - e]]) for e in rates.values())
-    return np.einsum("tr,rm,...tmrc->...c", detect, reprep, _gather(kets, _SHOT_GATHER))
-
-
-def apply_feedback(
-    branches: list[Branch],
-    policy: tuple[np.ndarray, np.ndarray] = (_U_SWAP, _U_ID),
-) -> np.ndarray:
-    """Mix the measurement branches after the conditioned unitaries.
-
-    The default policy is the protocol's conditional SWAP: U_0 = SWAP on
-    outcome 0, U_1 = identity on outcome 1.
-    """
-    total = sum(b.prob for b in branches)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"branch probabilities sum to {total}, expected 1")
-    rho_out = np.zeros((4, 4), dtype=complex)
-    for b in branches:
-        if b.post_state is None:
-            continue
-        rho_out += b.prob * gates.apply(policy[b.d], b.post_state)
-    return rho_out
-
-
-def demonic_gain(rho: np.ndarray, rho_prime: np.ndarray) -> float:
+def demonic_gain(rho: np.ndarray, rho_prime: np.ndarray) -> float | np.ndarray:
     """Energy gained by the demon's qubit, Tr[H_D (rho' - rho)], in epsilon."""
-    return np.trace(H_DEMON @ (rho_prime - rho)).real
+    return np.trace(H_DEMON @ (rho_prime - rho), axis1=-2, axis2=-1).real
 
 
-def policy_gain(
-    rho: np.ndarray,
-    policy: tuple[np.ndarray, np.ndarray],
-    deduct_injected: bool = True,
-) -> float:
-    """Demonic gain of an arbitrary two-branch feedback policy.
+def policy_gain(rho: np.ndarray, policy: np.ndarray) -> float | np.ndarray:
+    """Demonic gain of a (..., 2, 4, 4) two-branch feedback policy.
 
-    With `deduct_injected` (default), energy pumped into the joint system
-    by the feedback unitaries themselves is subtracted, so only energy
-    drawn from the resource counts; for total-energy-conserving policies
-    (SWAP, identity) this equals the plain demonic gain. Without the
-    deduction, a local flip of the demon's qubit trivially maximizes the
-    raw Tr[H_D (rho'-rho)] by injecting external energy.
+    Energy pumped into the joint system by the feedback unitaries
+    themselves is subtracted, so only energy drawn from the resource
+    counts; for total-energy-conserving policies (SWAP, identity) this
+    equals the plain demonic gain. Without it, a local flip of the
+    demon's qubit would trivially maximize Tr[H_D (rho' - rho)].
     """
-    branches = measure_demon(rho)
-    rho_prime = apply_feedback(branches, policy=policy)
-    gain = demonic_gain(rho, rho_prime)
-    if deduct_injected:
-        h_tot = H_AGENT + H_DEMON
-        gain -= np.trace(h_tot @ (rho_prime - rho)).real
-    return gain
+    rho_prime = apply_feedback(measure_demon(rho), policy)
+    injected = np.trace((H_AGENT + H_DEMON) @ (rho_prime - rho), axis1=-2, axis2=-1).real
+    return demonic_gain(rho, rho_prime) - injected
 
 
-def analytic_concurrence(theta: float) -> float:
+def analytic_concurrence(theta):
     """Concurrence of the ideal resource state: |cos(theta)|."""
     return abs(np.cos(theta))
 
 
-def gain_lower_bound(c: float) -> float:
-    """Entanglement lower bound on the demonic gain: (1 - sqrt(1-C^2))/2."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {c}")
+def gain_lower_bound(c):
+    """Entanglement lower bound on the demonic gain: (1 - sqrt(1-C^2))/2, elementwise."""
+    c = _in_range(c, "concurrence", 1.0, "1")
     return 0.5 * (1.0 - np.sqrt(1.0 - c * c))
 
 
@@ -240,7 +163,7 @@ def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
     Cells below 1e-15 are rounding residue of analytically empty cells
     and are set to exactly 0.
     """
-    thetas = _check_thetas(thetas)
+    thetas = _in_range(thetas, "theta", np.pi / 2, "pi/2")
     cells = joint_cells(gates.kets(noise.delta_phi, thetas)[0])
     cells[cells < 1e-15] = 0.0
     tol = 1e-9
@@ -250,26 +173,18 @@ def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
     return OutcomeTable(thetas=thetas, cells=cells)
 
 
-def run_shots(
-    thetas,
-    noise: NoiseParams,
-    shots: int,
-    seed: int,
-    qnd_detect_error: float = 0.0,
-    qnd_reprep_error: float = 0.0,
-) -> OutcomeTable:
-    """Shot-sampled outcome tables with QND mid-circuit measurement.
+def run_shots(thetas, noise: NoiseParams, shots: int, seed: int) -> OutcomeTable:
+    """Shot-sampled outcome tables.
 
     Shots are independent, so a theta's eight counts are one multinomial
-    from `qnd_cells` (per-shot flip rates in [0, 1] of the detection and
-    of the demon re-preparation), rounded by `draw_probs`. All thetas draw
-    in grid order from one Philox(key=seed) stream, each its own shots.
+    from its `joint_cells`, rounded by `draw_probs`. All thetas draw in
+    grid order from one Philox(key=seed) stream, each its own shots.
     """
-    thetas = _check_thetas(thetas)
+    thetas = _in_range(thetas, "theta", np.pi / 2, "pi/2")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     kets = gates.kets(noise.delta_phi, thetas)[0]
-    q = draw_probs(qnd_cells(kets, qnd_detect_error, qnd_reprep_error))
+    q = draw_probs(joint_cells(kets))
     counts = np.random.Generator(np.random.Philox(key=seed)).multinomial(shots, q)
     return OutcomeTable(thetas=thetas, cells=counts / shots, counts=counts)
 
@@ -320,8 +235,8 @@ def read_tables_csv(path) -> OutcomeTable:
     """Inverse of write_tables_csv, thetas in file order.
 
     Every theta needs all eight (d, d', a') rows with a probability in
-    [0, 1], summing to 1 within 1e-9; a ValueError names the theta and
-    cell that break this. Counts are kept when every row has one.
+    [0, 1], summing to 1 within 1e-9, and no negative count; a ValueError
+    names the theta and cell that break this. Counts are kept when every row has one.
     """
     grouped: dict[str, dict] = {}
     with open(path, newline="") as fh:
@@ -344,6 +259,8 @@ def read_tables_csv(path) -> OutcomeTable:
                 raise ValueError(f"{where}: unknown or repeated cell")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{where}: probability {p} outside [0, 1]")
+            if count is not None and count < 0:
+                raise ValueError(f"{where}: negative count {count}")
             g["rows"][cell] = (p, count)
     for key, g in grouped.items():
         absent = [c for c in CELLS if c not in g["rows"]]

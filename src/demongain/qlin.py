@@ -12,13 +12,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
 
 
 def _as_square(m, dims=(2, 4), stacked: bool = False) -> np.ndarray:

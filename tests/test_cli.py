@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,11 @@ from demongain.protocol import (
     joint_cells,
     policy_gain,
     prepare_resource,
-    resource_ket,
     run_shots,
     write_tables_csv,
 )
+
+from conftest import resource_ket
 
 HALF_PI = np.pi / 2
 PLANTED = (0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI)
@@ -283,10 +285,12 @@ class TestFit:
         assert len(payload["per_parameter_spread"]) == 3
 
     def test_counts_in_a_structurally_empty_cell_exit(self, tmp_path):
-        # QND re-preparation flips put shots in cells no phase deviation reaches
+        # shots moved into a cell no phase deviation reaches, as a readout
+        # that flips the demon's qubit would put them there
         dataset = tmp_path / "tables.csv"
-        table = run_shots([0.3, 0.9], NoiseParams(PLANTED), 3500, 7, qnd_reprep_error=0.05)
-        write_tables_csv(dataset, table)
+        table = run_shots([0.3, 0.9], NoiseParams(PLANTED), 3500, 7)
+        table.counts[0, [0, 1]] += [-40, 40]  # (0, 0, 0) -> (0, 0, 1)
+        write_tables_csv(dataset, replace(table, cells=table.counts / 3500))
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
         pattern = r"^demongain fit: theta 0\.3, cell \(0, 0, 1\): probability \S+, count \d+ in a cell"
         with pytest.raises(SystemExit, match=pattern) as exc:
@@ -318,6 +322,19 @@ class TestFit:
         (tmp_path / "tables.csv").write_text("\n".join(rows) + "\n")
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(tmp_path / "tables.csv")}})
         with pytest.raises(SystemExit, match=r"theta 0, cell \(1, 0, 0\): not a number"):
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    def test_negative_count_exits(self, tmp_path):
+        # the (0, 0, 0) row of theta 0.3 keeps its probability; only its count turns negative
+        dataset = tmp_path / "tables.csv"
+        write_tables_csv(dataset, run_shots([0.3, 0.9], NoiseParams(PLANTED), 3500, 7))
+        rows = dataset.read_text().splitlines()
+        theta, *cell, count, p = rows[1].split(",")
+        rows[1] = ",".join([theta, *cell, f"-{count}", p])
+        dataset.write_text("\n".join(rows) + "\n")
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
+        pattern = rf"^demongain fit: \S+: theta 0\.3, cell \(0, 0, 0\): negative count -{count}$"
+        with pytest.raises(SystemExit, match=pattern):
             _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
 
     def test_probabilities_not_summing_to_one_exit(self, tmp_path):
@@ -427,8 +444,10 @@ class TestVerify:
         margin = -np.inf
         for theta in np.linspace(0, HALF_PI, 33):
             rho = prepare_resource(ProtocolConfig(theta=float(theta)))
-            best = max(policy_gain(rho, (u0, u1)) for u0 in candidates for u1 in candidates)
-            margin = max(margin, best - policy_gain(rho, (swap, ident)))
+            best = max(
+                policy_gain(rho, np.array([u0, u1])) for u0 in candidates for u1 in candidates
+            )
+            margin = max(margin, best - policy_gain(rho, np.array([swap, ident])))
         assert measure == pytest.approx(margin, rel=1e-9, abs=0.0)
 
     def test_sampled_pr_d_check_records_its_z(self, tmp_path):

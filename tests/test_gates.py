@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from demongain import gates
-from demongain.gates import NoiseParams, apply, bell_prep, cy, cy_exact, cz_half, kets, local_rot, swap, u_zz
+from demongain.gates import NoiseParams, apply, bell_prep, cy, cz_half, kets, local_rot, swap, u_zz
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
-from conftest import haar_unitary, random_density
+from conftest import cy_exact, haar_unitary, random_density
 
 BELL = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 PAPER_DELTAS = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))

@@ -58,11 +58,13 @@ class TestModelCells:
                     ProtocolConfig(theta=float(th), noise=NoiseParams(tuple(p)))
                 )
                 ref = {}
-                for b in measure_demon(rho):
-                    diag = np.diag(apply_feedback([replace(b, prob=1.0)])).real
+                branches = measure_demon(rho)
+                for d in (0, 1):
+                    # the feedback of branch d alone: the other branch is zeroed
+                    diag = np.diag(apply_feedback(branches * np.eye(2)[d, :, None, None])).real
                     for ap in (0, 1):
                         for dp in (0, 1):
-                            ref[(b.d, dp, ap)] = b.prob * diag[2 * ap + dp]
+                            ref[(d, dp, ap)] = diag[2 * ap + dp]
                 ref = np.array([ref[c] for c in CELLS])
                 assert np.max(np.abs(cells[m, n] - ref)) < 1e-14
 
@@ -200,8 +202,11 @@ class TestFit:
             fit(ds)
 
     def test_rejects_counts_of_qnd_flips(self):
-        # re-preparation flips put shots in cells the three-deviation model leaves empty
-        ds = run_shots(THETAS, PLANTED, SHOTS, 7, qnd_reprep_error=0.05)
+        # a readout that flips the demon's qubit would put shots in cells the
+        # three-deviation model leaves empty; here they are moved there
+        ds = run_shots(THETAS, PLANTED, SHOTS, 7)
+        ds.counts[8:, :2] += [-3, 3]  # (0, 0, 0) -> (0, 0, 1) from the ninth theta on
+        ds = replace(ds, cells=ds.counts / SHOTS)
         with pytest.raises(ValueError, match=r"count [1-9]\d* in a cell that no phase deviation"):
             fit(ds)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from demongain import tomography as tg
 from demongain.gates import bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
-from demongain.qlin import ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z, kron
+from demongain.qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from demongain.tomography import (
     Tomogram,
     bootstrap,
@@ -24,7 +24,7 @@ from demongain.tomography import (
     write_counts_csv,
 )
 
-from conftest import random_density, haar_unitary
+from conftest import ID4, random_density, haar_unitary
 
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
 
