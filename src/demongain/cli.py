@@ -186,7 +186,7 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
         if exact_moments:
             tomo = tomography.Tomogram(tomography.linear_inversion(tomography.setting_probs(rho)))
         else:
-            tomo = tomography.tomography_study(rho, shots, resamples, seed + i)
+            tomo = tomography.tomography_study(rho, shots, resamples, seed, i)
             tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", tomo.counts)
         points.append(tomography.summary_to_json_dict(theta, tomo))
     c0, stderr = tomography.fit_c0(thetas, [p["concurrence"] for p in points])
@@ -302,7 +302,9 @@ def _verify_checks(tol: dict):
     )  # best gain minus the conditional swap's, worst theta
     yield "conditional swap is the optimal policy", margin <= 1e-12, margin
 
-    table = protocol.run_shots(thetas, NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED)
+    table = protocol.run_shots(
+        thetas, NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED, purpose="verify"
+    )
     z = np.max(np.abs(table.pr_d[:, 1] - 0.5)) / np.sqrt(0.25 / DEFAULT_SHOTS)
     yield "sampled Pr(d) within 4 sigma of 1/2", z <= 4.0, z  # z of the worst theta
 

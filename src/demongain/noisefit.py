@@ -26,6 +26,7 @@ import numpy as np
 from . import gates
 from .gates import NoiseParams
 from .protocol import CELLS, _JOINT_GATHER, OutcomeTable, joint_cells, outcome_table_exact
+from .tomography import stream
 
 DEFAULT_BOUNDS = ((-np.pi / 4, np.pi / 4),) * 3
 LIVE = np.flatnonzero(_JOINT_GATHER)  # the cells a ket index lands in
@@ -229,13 +230,12 @@ def bootstrap_spread(
     Each resample redraws every theta's 8-cell counts from the observed
     joint probabilities with the stated shot count, refits (iterations
     seeded at the original optimum), and reports the standard deviation
-    per parameter.
+    per parameter. Resample r draws from stream(seed, "fit spread", r).
     """
     dists = data.cells / data.cells.sum(axis=-1, keepdims=True)
     fits = np.empty((resamples, 3))
     for r in range(resamples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, r]))
-        counts = rng.multinomial(shots, dists)
+        counts = stream(seed, "fit spread", r).multinomial(shots, dists)
         resampled = OutcomeTable(thetas=data.thetas, cells=counts / shots, counts=counts)
         fits[r] = fit(resampled, init=NoiseParams(fitted.delta_phi)).delta_phi
     return tuple(float(s) for s in fits.std(axis=0))

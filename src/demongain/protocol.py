@@ -22,7 +22,7 @@ import numpy as np
 from . import gates
 from .gates import NoiseParams
 from .qlin import ID2, kron
-from .tomography import draw_probs
+from .tomography import draw_probs, stream
 
 DEFAULT_SHOTS = 3500
 DEFAULT_SEED = 20240901
@@ -173,19 +173,23 @@ def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
     return OutcomeTable(thetas=thetas, cells=cells)
 
 
-def run_shots(thetas, noise: NoiseParams, shots: int, seed: int) -> OutcomeTable:
+def run_shots(
+    thetas, noise: NoiseParams, shots: int, seed: int, purpose: str = "shots"
+) -> OutcomeTable:
     """Shot-sampled outcome tables.
 
     Shots are independent, so a theta's eight counts are one multinomial
     from its `joint_cells`, rounded by `draw_probs`. All thetas draw in
-    grid order from one Philox(key=seed) stream, each its own shots.
+    grid order from one stream(seed, purpose, 0), each its own shots:
+    "shots" for a sweep, "verify" for verify's own sampled check, so the
+    two never share a stream under one seed.
     """
     thetas = _in_range(thetas, "theta", np.pi / 2, "pi/2")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     kets = gates.kets(noise.delta_phi, thetas)[0]
     q = draw_probs(joint_cells(kets))
-    counts = np.random.Generator(np.random.Philox(key=seed)).multinomial(shots, q)
+    counts = stream(seed, purpose, 0).multinomial(shots, q)
     return OutcomeTable(thetas=thetas, cells=counts / shots, counts=counts)
 
 

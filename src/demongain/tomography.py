@@ -113,8 +113,31 @@ def draw_probs(p: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+# What each keyed stream draws. A purpose's position is part of its
+# streams' keys, so new purposes are appended, never inserted.
+PURPOSES = ("shots", "bootstrap", "fit spread", "verify")
+
+
+def stream(seed: int, purpose: str, index: int) -> np.random.Generator:
+    """Philox generator of draw `index` for `purpose` under a run's `seed`.
+
+    The 128-bit key is hashed from (seed, purpose, index) by SeedSequence,
+    so distinct triples give independent streams by construction
+    (Salmon et al., SC'11).
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    key = np.random.SeedSequence(seed, spawn_key=(PURPOSES.index(purpose), index))
+    return np.random.Generator(np.random.Philox(key))
+
+
 def simulate_tomogram_counts(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """(9, 4) multinomial shot counts; setting j draws from Philox(key=[seed, j])."""
+    """(9, 4) multinomial shot counts; setting j draws from Philox(key=[seed, j]).
+
+    These are the last raw keys, not `stream`'s: re-keying them would move
+    every tomogram and the finite-shot concurrence mean that acceptance
+    criterion 06 bounds, so they wait until that bound is settled.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     return np.array([
@@ -201,24 +224,22 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
 
 
 def bootstrap(
-    rho_hat: np.ndarray, shots: int, resamples: int, seed: int
+    rho_hat: np.ndarray, shots: int, resamples: int, seed: int, index: int = 0
 ) -> BootstrapSummary:
     """Parametric bootstrap of concurrence and purity.
 
     Each resample redraws every setting's 4-outcome multinomial from
     rho_hat's setting probabilities, rounded as for the counts, then
-    re-inverts and recomputes the metrics. Resample r draws
-    its nine settings from a Philox stream keyed by (seed, r), so the
-    summary is independent of evaluation order; the resamples are then
-    inverted and scored as one stacked batch.
+    re-inverts and recomputes the metrics. All (resamples, 9) draws are
+    one block from stream(seed, "bootstrap", index), `index` being the
+    theta's place in its study; the block equals drawing resample by
+    resample and setting by setting from that one generator. The
+    resamples are then inverted and scored as one stacked batch.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
     dists = draw_probs(setting_probs(rho_hat))
-    counts = np.array([
-        np.random.Generator(np.random.Philox(key=[seed, r])).multinomial(shots, dists)
-        for r in range(resamples)
-    ])
+    counts = stream(seed, "bootstrap", index).multinomial(shots, dists, size=(resamples, 9))
     rho_r = linear_inversion(counts)
     metrics = {"concurrence": concurrence(rho_r), "purity": purity(rho_r)}
     lo, hi = PERCENTILES
@@ -229,12 +250,19 @@ def bootstrap(
     )
 
 
-def tomography_study(rho: np.ndarray, shots: int, resamples: int, seed: int) -> Tomogram:
-    """Simulate counts, reconstruct, and attach bootstrap intervals."""
-    counts = simulate_tomogram_counts(rho, shots, seed)
+def tomography_study(
+    rho: np.ndarray, shots: int, resamples: int, seed: int, index: int = 0
+) -> Tomogram:
+    """Simulate counts, reconstruct, and attach bootstrap intervals.
+
+    `index` is the theta's place in a study seeded `seed`. Its counts
+    draw from seed + index (see simulate_tomogram_counts), its bootstrap
+    from the stream keyed by (seed, "bootstrap", index).
+    """
+    counts = simulate_tomogram_counts(rho, shots, seed + index)
     rho_hat = linear_inversion(counts)
     return Tomogram(
-        rho_hat, counts, bootstrap(rho_hat, shots, resamples, seed) if resamples else None
+        rho_hat, counts, bootstrap(rho_hat, shots, resamples, seed, index) if resamples else None
     )
 
 

@@ -172,20 +172,20 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
     b = tomography.bootstrap(rho_hat, shots=100, resamples=500, seed=3)
     deterministic = a.lower == b.lower and a.upper == b.upper
 
-    # parallelism / order invariance: recompute the resample metrics in
-    # reverse order with the same per-resample streams, drawing from the
-    # setting probabilities rounded to 12 decimals and renormalized
+    # order invariance: redraw the resamples setting by setting from the
+    # bootstrap's one keyed stream, from the setting probabilities rounded
+    # to 12 decimals and renormalized, and score them in reverse order
     dists = []
     for s in tomography.ALL_SETTINGS:
         u = kron(tomography._ROT_TO_Z[s[0]], tomography._ROT_TO_Z[s[1]])
         d = np.clip(np.real(np.diag(u @ rho_hat @ u.conj().T)), 0.0, None)
         d = np.round(d / d.sum(), 12)
         dists.append(d / d.sum())
+    rng = tomography.stream(3, "bootstrap", 0)
+    draws = [np.array([rng.multinomial(100, d) for d in dists]) for _ in range(500)]
     conc = np.empty(500)
     for r in reversed(range(500)):
-        rng = np.random.Generator(np.random.Philox(key=[3, r]))
-        counts = np.array([rng.multinomial(100, d) for d in dists])
-        conc[r] = tomography.concurrence(tomography.linear_inversion(counts))
+        conc[r] = tomography.concurrence(tomography.linear_inversion(draws[r]))
     order_invariant = (
         abs(np.percentile(conc, 16.0) - a.lower["concurrence"]) < 1e-12
         and abs(np.percentile(conc, 84.0) - a.upper["concurrence"]) < 1e-12

@@ -222,6 +222,20 @@ class TestTomo:
             out2 / "tomo_metrics.json"
         ).read_bytes()
 
+    def test_theta_bootstrap_does_not_follow_the_seed(self, tmp_path):
+        # theta 1 at seed s and theta 0 at seed s + 1 are different draws
+        manifest = _write_manifest(
+            tmp_path,
+            {"tomo": {"thetas": [0.4, 0.4], "shots_per_setting": 50, "resamples": 20, "seed": 5}},
+        )
+        bounds = []
+        for seed, i in (("5", 1), ("6", 0)):
+            out = tmp_path / seed
+            _run(["tomo", "--manifest", manifest, "--out", str(out), "--seed", seed])
+            b = json.loads((out / "tomo_metrics.json").read_text())["points"][i]["bootstrap"]
+            bounds.append((b["lower"], b["upper"]))
+        assert bounds[0] != bounds[1]
+
     @pytest.fixture(scope="class")
     def default_out(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("tomo_default")
@@ -230,8 +244,8 @@ class TestTomo:
         return out
 
     def test_default_manifest_matches_golden_metrics(self, default_out):
-        # tomo_metrics.json of manifests/tomo_default.json as written by the
-        # per-resample bootstrap loop that the stacked bootstrap replaced;
+        # tomo_metrics.json of manifests/tomo_default.json as written when
+        # each theta's bootstrap drew one block from its own keyed stream;
         # covers theta = 0 and theta = pi/2 among its nine points
         golden = json.loads((ROOT / "tests/data/tomo_default_metrics.json").read_text())
         got = json.loads((default_out / "tomo_metrics.json").read_text())
@@ -386,6 +400,25 @@ def test_full_study_with_relative_out(tmp_path, monkeypatch):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_full_study_draws_no_two_streams_from_one_key(tmp_path, monkeypatch):
+    # the sampled sweep, the 9 x 9 tomography settings, the nine
+    # bootstraps and verify's sampled check each build one Philox
+    # generator, and no two share a key
+    keys = []
+    philox = np.random.Philox
+
+    def recording(*args, **kwargs):
+        bit_generator = philox(*args, **kwargs)
+        keys.append(tuple(bit_generator.state["state"]["key"].tolist()))
+        return bit_generator
+
+    monkeypatch.setattr(np.random, "Philox", recording)
+    monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", str(tmp_path)])
+    runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="__main__")
+    assert len(keys) == 1 + 81 + 9 + 1
+    assert len(set(keys)) == len(keys)
+
+
 def test_record_goldens_reproduces_checked_in_files(tmp_path, monkeypatch, capsys):
     # scripts/record_goldens.py rewrites the five goldens of tests/data;
     # run into a scratch directory, they match the checked-in ones
@@ -456,7 +489,9 @@ class TestVerify:
         assert _run(["verify", "--out", str(tmp_path)]) == 0
         checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
         measure = {c["name"]: c["measure"] for c in checks}["sampled Pr(d) within 4 sigma of 1/2"]
-        table = run_shots(np.linspace(0, HALF_PI, 33), NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED)
+        table = run_shots(
+            np.linspace(0, HALF_PI, 33), NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED, "verify"
+        )
         z = np.abs(table.pr_d[:, 1] - 0.5) / np.sqrt(0.25 / DEFAULT_SHOTS)
         assert measure == pytest.approx(z.max(), rel=1e-12, abs=0.0)
         assert 0.0 < measure <= 4.0
@@ -493,6 +528,18 @@ class TestManifestHandling:
         manifest = _write_manifest(tmp_path, {"tomo": {}})
         with pytest.raises(SystemExit, match="no 'sweep' section"):
             _run(["sweep", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("sweep", {"sweep": {"theta_steps": 2, "mode": "sampled"}}),
+            ("tomo", {"tomo": {"thetas": [0.3], "resamples": 2}}),
+        ],
+    )
+    def test_negative_seed_exits(self, tmp_path, command, payload):
+        manifest = _write_manifest(tmp_path, payload)
+        with pytest.raises(SystemExit, match=r"seed must be a non-negative integer, got -1$"):
+            _run([command, "--manifest", manifest, "--out", str(tmp_path / "o"), "--seed", "-1"])
 
     def test_bad_noise_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"sweep": {"noise": [0.1]}})

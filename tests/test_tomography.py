@@ -20,6 +20,7 @@ from demongain.tomography import (
     purity,
     setting_probs,
     simulate_tomogram_counts,
+    stream,
     tomography_study,
     write_counts_csv,
 )
@@ -296,20 +297,30 @@ class TestBootstrap:
         assert widths[1] < widths[0] / 3
 
     def test_matches_per_resample_loop(self):
-        # resample r draws the nine settings in turn from Philox(seed, r),
-        # from the setting probabilities rounded as for the counts
+        # resample after resample, the nine settings draw in turn from the
+        # one stream keyed by (seed, "bootstrap", index), from the setting
+        # probabilities rounded as for the counts; scored in reverse order
         rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
-        s = bootstrap(rho_hat, 100, 60, seed=4)
+        s = bootstrap(rho_hat, 100, 60, seed=4, index=2)
         dists = _rounded(setting_probs(rho_hat))
+        rng = stream(4, "bootstrap", 2)
+        draws = [np.array([rng.multinomial(100, p) for p in dists]) for _ in range(60)]
         conc, pur = [], []
-        for r in range(60):
-            rng = np.random.Generator(np.random.Philox(key=[4, r]))
-            counts = np.array([rng.multinomial(100, p) for p in dists])
+        for counts in reversed(draws):
             conc.append(concurrence(linear_inversion(counts)))
             pur.append(purity(linear_inversion(counts)))
         for k, v in (("concurrence", conc), ("purity", pur)):
             assert abs(s.lower[k] - np.percentile(v, 16.0)) <= 1e-14
             assert abs(s.upper[k] - np.percentile(v, 84.0)) <= 1e-14
+
+    @pytest.mark.parametrize("resamples", [2, 500])
+    def test_draws_from_one_generator(self, resamples, monkeypatch):
+        # all of a theta's resamples are one block from one stream
+        made = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a: made.append(a) or philox(*a))
+        bootstrap(BELL, 100, resamples, seed=4)
+        assert len(made) == 1
 
     def test_rejects_unnormalizable_setting(self):
         with pytest.raises(ValueError, match="not normalizable"):
