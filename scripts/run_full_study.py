@@ -62,7 +62,7 @@ def main() -> None:
     print(f"planted delta_phi / (pi/2): {np.round(planted / HALF_PI, 6)}")
     print(f"fitted  delta_phi / (pi/2): {np.round(fitted / HALF_PI, 6)}")
 
-    run(["verify", "--out", str(out / "verify"), *common])
+    run(["verify", "--out", str(out / "verify")])
     print(f"all artifacts written under {out}")
 
 

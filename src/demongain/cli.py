@@ -181,15 +181,30 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
 
     # every theta is checked before the first tomogram CSV is written
     rhos = protocol.prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=noise))
+    bootstraps = None
+    if exact_moments:
+        rho_hat = tomography.linear_inversion(tomography.setting_probs(rhos))
+    else:
+        counts, rho_hat, bootstraps = tomography.tomography_study(rhos, shots, resamples, seed)
+        for i, c in enumerate(counts):
+            tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", c)
+    conc = tomography.concurrence(rho_hat).tolist()
+    pur = tomography.purity(rho_hat).tolist()
     points = []
-    for i, (theta, rho) in enumerate(zip(thetas, rhos)):
-        if exact_moments:
-            tomo = tomography.Tomogram(tomography.linear_inversion(tomography.setting_probs(rho)))
-        else:
-            tomo = tomography.tomography_study(rho, shots, resamples, seed, i)
-            tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", tomo.counts)
-        points.append(tomography.summary_to_json_dict(theta, tomo))
-    c0, stderr = tomography.fit_c0(thetas, [p["concurrence"] for p in points])
+    for i, theta in enumerate(thetas):
+        point = {"concurrence": conc[i], "purity": pur[i]}
+        d = {"theta": theta, "shots_per_setting": 0 if exact_moments else shots, **point}
+        if bootstraps:
+            b = bootstraps[i]
+            d["bootstrap"] = {
+                "resamples": b.resamples,
+                "percentiles": list(tomography.PERCENTILES),
+                "point": point,
+                "lower": b.lower,
+                "upper": b.upper,
+            }
+        points.append(d)
+    c0, stderr = tomography.fit_c0(thetas, conc)
     # exact moments draw no shots: the sampling settings would be unused
     sampling = {} if exact_moments else {
         "shots_per_setting": shots, "resamples": resamples, "seed": seed
@@ -338,7 +353,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--manifest", required=(name != "verify"), help="JSON run manifest")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override manifest seed")
+        if name != "verify":  # verify draws from fixed seeds only
+            p.add_argument("--seed", type=int, default=None, help="override manifest seed")
     args = parser.parse_args(argv)
 
     manifest = _load_manifest(args.manifest) if args.manifest else {}
@@ -352,7 +368,7 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return handler(manifest, manifest_dir, out_dir, args.seed)
+        return handler(manifest, manifest_dir, out_dir, getattr(args, "seed", None))
     except (OSError, ValueError, TypeError) as exc:
         raise SystemExit(f"demongain {args.command}: {exc}")
 

@@ -33,7 +33,7 @@ def dag(m) -> np.ndarray:
 
 def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
     """True when every matrix of `m` (a matrix or a stack) is Hermitian."""
-    return np.max(np.abs(m - dag(m))) <= tol
+    return np.max(np.abs(m - dag(m)), initial=0.0) <= tol
 
 
 def kron(a, b) -> np.ndarray:
@@ -69,7 +69,7 @@ def eig_hermitian(h, tol: float = HERMITICITY_TOL):
     any matrix deviates from Hermiticity by more than `tol` in max-abs.
     """
     h = _as_square(h, stacked=True)
-    dev = np.max(np.abs(h - dag(h)))
+    dev = np.max(np.abs(h - dag(h)), initial=0.0)  # an empty stack passes
     if not dev <= tol:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
     w, v = np.linalg.eigh((h + dag(h)) / 2)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demongain import gates
+from demongain import gates, tomography
 from demongain.cli import main
 from demongain.gates import NoiseParams
 from demongain.noisefit import model_curves
@@ -183,7 +183,12 @@ class TestTomo:
         assert payload["schema_version"] == 1
         assert len(payload["points"]) == 2
         assert 0.5 < payload["c0_fit"]["c0"] < 1.2
-        assert "bootstrap" in payload["points"][0]
+        for pt in payload["points"]:
+            assert pt["shots_per_setting"] == 60
+            b = pt["bootstrap"]
+            assert b["resamples"] == 10 and b["percentiles"] == [16.0, 84.0]
+            assert b["point"] == {"concurrence": pt["concurrence"], "purity": pt["purity"]}
+            assert b["lower"].keys() == b["upper"].keys() == {"concurrence", "purity"}
 
     def test_exact_moments_mode(self, tmp_path):
         manifest = _write_manifest(
@@ -197,11 +202,46 @@ class TestTomo:
         for pt in payload["points"]:
             assert pt["concurrence"] == pytest.approx(np.cos(pt["theta"]), abs=1e-9)
         assert payload["c0_fit"]["c0"] == pytest.approx(1.0, abs=1e-9)
-        assert all(pt["shots_per_setting"] == 0 for pt in payload["points"])
-        assert all("bootstrap" not in pt for pt in payload["points"])
+        assert all(
+            pt.keys() == {"theta", "shots_per_setting", "concurrence", "purity"}
+            and pt["shots_per_setting"] == 0
+            for pt in payload["points"]
+        )
         # no shot is drawn, so the sampling settings are not recorded
         assert not {"shots_per_setting", "resamples", "seed"} & payload.keys()
         assert not (out / "tomogram_00.csv").exists()
+
+    def test_noisy_exact_moments_give_the_state_metrics(self, tmp_path):
+        # at the planted noise, infinite-shot tomography gives the prepared
+        # state's concurrence, not |cos(theta)|
+        thetas = [0.0, 0.7, HALF_PI]
+        manifest = _write_manifest(
+            tmp_path, {"tomo": {"thetas": thetas, "exact_moments": True, "noise": list(PLANTED)}}
+        )
+        assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
+        points = json.loads((tmp_path / "o/tomo_metrics.json").read_text())["points"]
+        rhos = prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=NoiseParams(PLANTED)))
+        moments = tomography.linear_inversion(tomography.setting_probs(rhos))
+        for pt, rho, rho_hat in zip(points, rhos, moments):
+            assert pt["concurrence"] == tomography.concurrence(rho_hat)
+            assert pt["purity"] == tomography.purity(rho_hat)
+            assert abs(pt["concurrence"] - tomography.concurrence(rho)) <= 1e-12
+        assert points[-1]["concurrence"] > 0.2  # C = 0 at pi/2 without noise
+
+    def test_seed_at_the_top_of_uint64_exits(self, tmp_path):
+        # two theta need the keys seed and seed + 1; the second does not fit
+        manifest = _write_manifest(tmp_path, {"tomo": {"thetas": [0.1, 0.2], "resamples": 0}})
+        with pytest.raises(SystemExit, match=r"seed \+ theta index must stay below 2\*\*64") as exc:
+            _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o"),
+                  "--seed", str(2**64 - 1)])
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_no_theta_exits(self, tmp_path, exact):
+        # an empty stack runs through every kernel and stops at the c0 fit
+        manifest = _write_manifest(tmp_path, {"tomo": {"thetas": [], "exact_moments": exact}})
+        with pytest.raises(SystemExit, match=r"^demongain tomo: need at least one point$"):
+            _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o")])
 
     def test_bad_theta_exits_before_any_csv(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"tomo": {"thetas": [0.1, 2.0], "resamples": 0}})
@@ -495,6 +535,13 @@ class TestVerify:
         z = np.abs(table.pr_d[:, 1] - 0.5) / np.sqrt(0.25 / DEFAULT_SHOTS)
         assert measure == pytest.approx(z.max(), rel=1e-12, abs=0.0)
         assert 0.0 < measure <= 4.0
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # verify draws from fixed seeds, so a --seed would be ignored
+        with pytest.raises(SystemExit) as exc:
+            _run(["verify", "--out", str(tmp_path), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     def test_impossible_tolerance_fails(self, tmp_path, capsys):
         manifest = _write_manifest(

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demongain import tomography as tg
-from demongain.gates import bell_prep
+from demongain.gates import NoiseParams, bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from demongain.tomography import (
-    Tomogram,
     bootstrap,
     concurrence,
     fit_c0,
@@ -28,6 +27,7 @@ from demongain.tomography import (
 from conftest import ID4, random_density, haar_unitary
 
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
+PLANTED = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
 
 
 XX, XY, ZX, YY, ZZ = (tg.ALL_SETTINGS.index(tuple(s)) for s in ("XX", "XY", "ZX", "YY", "ZZ"))
@@ -67,6 +67,13 @@ class TestSettingProbs:
     def test_rejects_unnormalizable_setting(self):
         with pytest.raises(ValueError, match=r"setting \('X', 'X'\) diagonal not normalizable"):
             setting_probs(np.zeros((4, 4), dtype=complex))
+
+    def test_rejects_unnormalizable_member_of_stack(self):
+        # the zero matrix has no weight on any outcome of any setting
+        stack = np.array([BELL, BELL, BELL])
+        stack[1] = 0.0
+        with pytest.raises(ValueError, match=r"setting \('X', 'X'\) diagonal not normalizable"):
+            setting_probs(stack)
 
 
 class TestLinearInversion:
@@ -272,6 +279,46 @@ class TestSimulateSetting:
         with pytest.raises(ValueError, match="shots"):
             simulate_tomogram_counts(BELL, 0, seed=1)
 
+    def test_seeds_above_2_63_keep_their_keys(self):
+        # a key built from a list of Python ints goes through float64 at or
+        # above 2**63, where 2**63 + 1 and 2**63 + 92 both round to 2**63
+        counts = [simulate_tomogram_counts(BELL, 500, seed=2**63 + k) for k in (0, 1, 92)]
+        assert not np.array_equal(counts[0], counts[1])
+        assert not np.array_equal(counts[1], counts[2])
+        for j, p in enumerate(_rounded(setting_probs(BELL))):
+            key = np.array([2**63 + 92, j], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(counts[2][j], rng.multinomial(500, p))
+
+    def test_last_key_below_2_64(self):
+        stack = np.array([BELL, BELL])
+        top = simulate_tomogram_counts(stack, 100, seed=2**64 - 2)
+        assert np.array_equal(top[1], simulate_tomogram_counts(BELL, 100, seed=2**64 - 1))
+        with pytest.raises(ValueError, match=r"seed \+ theta index must stay below 2\*\*64"):
+            simulate_tomogram_counts(stack, 100, seed=2**64 - 1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            simulate_tomogram_counts(BELL, 100, seed=-1)
+
+
+class TestBatched:
+    """A theta stack gives items equal to the single calls bit for bit."""
+
+    def test_items_equal_single_calls(self):
+        thetas = np.array([0.2, 0.9, 1.4])
+        rhos = prepare_resource(ProtocolConfig(theta=thetas, noise=PLANTED))
+        probs = setting_probs(rhos)
+        counts = simulate_tomogram_counts(rhos, 100, seed=17)
+        rho_hat = linear_inversion(counts)
+        conc, pur = concurrence(rho_hat), purity(rho_hat)
+        assert probs.shape == counts.shape == (3, 9, 4) and rho_hat.shape == (3, 4, 4)
+        for i, rho in enumerate(rhos):
+            assert np.array_equal(probs[i], setting_probs(rho))
+            single = simulate_tomogram_counts(rho, 100, seed=17 + i)
+            assert np.array_equal(counts[i], single)
+            assert np.array_equal(rho_hat[i], linear_inversion(single))
+            assert np.array_equal(conc[i], concurrence(rho_hat[i]))
+            assert np.array_equal(pur[i], purity(rho_hat[i]))
+
 
 class TestBootstrap:
     def test_deterministic(self):
@@ -291,8 +338,7 @@ class TestBootstrap:
         # bootstrap width ~ 1/sqrt(shots)
         widths = []
         for shots in (100, 10_000):
-            t = tomography_study(BELL, shots=shots, resamples=200, seed=8)
-            b = t.bootstrap
+            _, _, (b,) = tomography_study(BELL[None], shots=shots, resamples=200, seed=8)
             widths.append(b.upper["concurrence"] - b.lower["concurrence"])
         assert widths[1] < widths[0] / 3
 
@@ -333,72 +379,47 @@ class TestBootstrap:
 
 class TestTomographyStudy:
     def test_near_pure_recovery(self):
-        t = tomography_study(BELL, shots=100_000, resamples=0, seed=13)
-        assert t.concurrence == pytest.approx(1.0, abs=0.02)
-        assert t.purity == pytest.approx(1.0, abs=0.02)
-        assert np.max(np.abs(t.rho_hat - BELL)) < 0.02
+        _, rho_hat, _ = tomography_study(BELL[None], shots=100_000, resamples=0, seed=13)
+        assert concurrence(rho_hat[0]) == pytest.approx(1.0, abs=0.02)
+        assert purity(rho_hat[0]) == pytest.approx(1.0, abs=0.02)
+        assert np.max(np.abs(rho_hat[0] - BELL)) < 0.02
 
     def test_resamples_zero_skips_bootstrap(self):
-        t = tomography_study(BELL, shots=100, resamples=0, seed=13)
-        assert t.bootstrap is None
+        _, _, boots = tomography_study(BELL[None], shots=100, resamples=0, seed=13)
+        assert boots is None
 
     def test_counts_and_metrics(self):
-        t = tomography_study(BELL, shots=100, resamples=20, seed=13)
-        assert np.array_equal(t.counts, simulate_tomogram_counts(BELL, 100, seed=13))
-        assert np.array_equal(t.rho_hat, linear_inversion(t.counts))
-        assert t.concurrence == concurrence(t.rho_hat)
-        assert t.purity == purity(t.rho_hat)
-        assert t.bootstrap.resamples == 20
+        # state i draws its counts from seed + i and bootstraps as index i
+        rhos = np.array([BELL, prepare_resource(ProtocolConfig(theta=0.8))])
+        counts, rho_hat, boots = tomography_study(rhos, shots=100, resamples=20, seed=13)
+        assert np.array_equal(counts, simulate_tomogram_counts(rhos, 100, seed=13))
+        assert np.array_equal(rho_hat, linear_inversion(counts))
+        assert len(boots) == 2
+        for i, b in enumerate(boots):
+            assert b.resamples == 20
+            assert b == bootstrap(rho_hat[i], 100, 20, seed=13, index=i)
 
 
 class TestLastBitIndependence:
     """Tomography outputs do not hinge on the last bits of rho."""
 
     def test_perturbed_state_gives_the_same_study(self):
-        # the 9 theta, shots, resamples and seeds of manifests/tomo_default.json
+        # the 9 theta, shots, resamples and seed of manifests/tomo_default.json
         a = np.random.default_rng(1).normal(size=(4, 4, 2)) @ [1, 1j]
         h = a + a.conj().T
         h -= np.trace(h).real / 4 * ID4  # fixed traceless Hermitian direction
         h /= np.max(np.abs(h))
-        for i, theta in enumerate(np.linspace(0, np.pi / 2, 9)):
-            rho = prepare_resource(ProtocolConfig(theta=float(theta)))
-            t, u = (tomography_study(r, 100, 500, 20240901 + i) for r in (rho, rho + 1e-16 * h))
-            assert np.array_equal(t.counts, u.counts), theta
-            assert abs(t.concurrence - u.concurrence) <= 1e-12
-            assert abs(t.purity - u.purity) <= 1e-12
-            for k in ("concurrence", "purity"):
-                assert abs(t.bootstrap.lower[k] - u.bootstrap.lower[k]) <= 1e-12
-                assert abs(t.bootstrap.upper[k] - u.bootstrap.upper[k]) <= 1e-12
-
-
-class TestTomogram:
-    def test_metrics_derived_from_rho_hat(self):
-        t = Tomogram(linear_inversion(setting_probs(BELL)))
-        assert t.counts is None and t.bootstrap is None
-        assert t.concurrence == concurrence(t.rho_hat)
-        assert t.purity == purity(t.rho_hat)
-
-    def test_json_without_counts(self):
-        d = tg.summary_to_json_dict(0.0, Tomogram(BELL))
-        assert d == {
-            "theta": 0.0,
-            "shots_per_setting": 0,
-            "concurrence": concurrence(BELL),
-            "purity": purity(BELL),
-        }
-
-    def test_json_with_bootstrap(self):
-        t = tomography_study(BELL, shots=70, resamples=10, seed=2)
-        d = tg.summary_to_json_dict(0.0, t)
-        assert d["shots_per_setting"] == 70
-        b = d["bootstrap"]
-        assert b["percentiles"] == [16.0, 84.0]
-        assert b["point"] == {"concurrence": t.concurrence, "purity": t.purity}
-        assert (b["lower"], b["upper"], b["resamples"]) == (
-            t.bootstrap.lower,
-            t.bootstrap.upper,
-            10,
+        rhos = prepare_resource(ProtocolConfig(theta=np.linspace(0, np.pi / 2, 9)))
+        (ct, rt, bt), (cu, ru, bu) = (
+            tomography_study(r, 100, 500, 20240901) for r in (rhos, rhos + 1e-16 * h)
         )
+        assert np.array_equal(ct, cu)
+        assert np.max(np.abs(concurrence(rt) - concurrence(ru))) <= 1e-12
+        assert np.max(np.abs(purity(rt) - purity(ru))) <= 1e-12
+        for t, u in zip(bt, bu):
+            for k in ("concurrence", "purity"):
+                assert abs(t.lower[k] - u.lower[k]) <= 1e-12
+                assert abs(t.upper[k] - u.upper[k]) <= 1e-12
 
 
 class TestFitC0:
