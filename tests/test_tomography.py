@@ -1,6 +1,7 @@
 """Tests for nine-setting tomography, concurrence, and the bootstrap."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demongain import tomography as tg
+from demongain.cli import main
 from demongain.gates import NoiseParams, bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
@@ -398,6 +400,40 @@ class TestTomographyStudy:
         for i, b in enumerate(boots):
             assert b.resamples == 20
             assert b == bootstrap(rho_hat[i], 100, 20, seed=13, index=i)
+
+
+def _tomo_point(tmp_path, section):
+    """The one per-theta record that `demongain tomo` writes for theta = 0."""
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"tomo": {"thetas": [0.0], **section}}))
+    assert main(["tomo", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
+    (point,) = json.loads((tmp_path / "out/tomo_metrics.json").read_text())["points"]
+    return point
+
+
+class TestTomogram:
+    """The per-theta tomogram record of tomo_metrics.json."""
+
+    def test_json_without_counts(self, tmp_path):
+        d = _tomo_point(tmp_path, {"exact_moments": True})
+        rho_hat = linear_inversion(setting_probs(BELL))
+        assert d == {
+            "theta": 0.0,
+            "shots_per_setting": 0,
+            "concurrence": float(concurrence(rho_hat)),
+            "purity": float(purity(rho_hat)),
+        }
+
+    def test_json_with_bootstrap(self, tmp_path):
+        d = _tomo_point(tmp_path, {"shots_per_setting": 70, "resamples": 10, "seed": 2})
+        _, rho_hat, (boot,) = tomography_study(BELL[None], shots=70, resamples=10, seed=2)
+        point = {"concurrence": float(concurrence(rho_hat[0])), "purity": float(purity(rho_hat[0]))}
+        assert d["shots_per_setting"] == 70
+        assert {k: d[k] for k in point} == point
+        b = d["bootstrap"]
+        assert b["percentiles"] == [16.0, 84.0]
+        assert b["point"] == point
+        assert (b["lower"], b["upper"], b["resamples"]) == (boot.lower, boot.upper, 10)
 
 
 class TestLastBitIndependence:
