@@ -1,25 +1,22 @@
 """Batch front end: theta sweeps, tomography studies, noise fits, checks.
 
-Runs are driven by a JSON manifest with one section per subcommand:
-
-    {
-      "sweep":  {"theta_start": 0.0, "theta_end": 1.5707963267948966,
-                 "theta_steps": 33, "shots": 3500, "seed": 20240901,
-                 "mode": "exact", "noise": [0.0, 0.0, 0.0]},
-      "tomo":   {"thetas": [...], "shots_per_setting": 100,
-                 "resamples": 500, "seed": 20240901,
-                 "noise": [0.0, 0.0, 0.0], "exact_moments": false},
-      "fit":    {"dataset": "path/to/tables.csv", "init": null,
-                 "bounds": [[-0.7853981633974483, 0.7853981633974483], ...],
-                 "spread_resamples": 0, "spread_shots": 3500},
-      "verify": {"tolerances": {"relation": 1e-12, ...}}
-    }
+Runs are driven by a JSON manifest with one section per subcommand. The
+format is the table MANIFEST: section -> key -> (default, converter),
+with verify's "tolerances" a nested table of check name -> (default,
+converter). `main` resolves the invoked section once, before any file is
+written: a key left out takes its default, each value goes through its
+converter, and --seed (offered where the section has a "seed" key)
+replaces the seed. Each cmd_* takes the output directory, the manifest's
+directory and those values as keywords. Runs that draw nothing ignore
+the seed: exact sweeps, exact-moment tomography, fits without spread
+refits.
 
 A relative "dataset" path is read from the manifest's directory. Every
 JSON artifact carries a schema_version field; CSV numbers are written
 with 12 significant digits. Unreadable or malformed input ends the run
-with a one-line error; a value of the wrong type or form is named by its
-section and key, e.g. "manifest sweep.noise: ...".
+with a one-line error. An unknown section, key or tolerance name, or a
+value of the wrong type or form, is named by its section and key, e.g.
+"manifest sweep.shot: unknown key" or "manifest sweep.noise: ...".
 """
 
 from __future__ import annotations
@@ -48,24 +45,6 @@ def _load_manifest(path: str) -> dict:
         raise SystemExit(f"{path}:{exc.lineno}: invalid manifest JSON: {exc.msg}")
     except OSError as exc:
         raise SystemExit(f"cannot read manifest {path}: {exc}")
-
-
-def _section(manifest: dict, name: str, required: bool = True):
-    """Reader of one manifest section: read(key, default, convert).
-
-    A value that `convert` rejects ends the run with an error that names
-    the section and key.
-    """
-    if name not in manifest and required:
-        raise SystemExit(f"manifest has no '{name}' section")
-    raw = manifest.get(name, {})
-    if not isinstance(raw, dict):
-        raise SystemExit(f"manifest section '{name}' must be an object")
-
-    def read(key: str, default, convert):
-        return _typed(f"{name}.{key}", raw.get(key, default), convert)
-
-    return read
 
 
 def _typed(where: str, value, convert):
@@ -117,6 +96,81 @@ def _noise(value) -> NoiseParams:
     return NoiseParams(tuple(_numbers(value)))
 
 
+# section -> key -> (default, converter); a nested dict is a table of its
+# own. A default is written as in a manifest and goes through its converter.
+MANIFEST = {
+    "sweep": {
+        "theta_start": (0.0, _number),
+        "theta_end": (np.pi / 2, _number),
+        "theta_steps": (33, _integer),
+        "shots": (DEFAULT_SHOTS, _integer),
+        "seed": (DEFAULT_SEED, _integer),
+        "mode": ("exact", _mode),
+        "noise": ([0.0, 0.0, 0.0], _noise),
+    },
+    "tomo": {
+        "thetas": (np.linspace(0, np.pi / 2, 9).tolist(), _numbers),
+        "shots_per_setting": (100, _integer),
+        "resamples": (500, _integer),
+        "seed": (DEFAULT_SEED, _integer),
+        "exact_moments": (False, _flag),
+        "noise": ([0.0, 0.0, 0.0], _noise),
+    },
+    "fit": {
+        "dataset": (None, lambda v: _expect(v, str, "a CSV path")),
+        "init": (None, lambda v: None if v is None else _noise(v)),
+        "bounds": (None, lambda v: noisefit.DEFAULT_BOUNDS if v is None else _bounds(v)),
+        "spread_resamples": (0, _integer),
+        "spread_shots": (DEFAULT_SHOTS, _integer),
+        "seed": (DEFAULT_SEED, _integer),
+    },
+    "verify": {
+        "tolerances": {
+            "relation": (1e-12, _number),
+            "bound": (1e-12, _number),
+            "balanced": (1e-12, _number),
+            "concurrence": (1e-10, _number),
+            "inversion": (1e-12, _number),
+            "energies": (1e-12, _number),
+        },
+    },
+}
+# verify checks the library and runs on its defaults alone; the other
+# subcommands need a manifest that holds their section
+_SECTION_OPTIONAL = ("verify",)
+
+
+def _resolve(table: dict, given, where: str) -> dict:
+    """The values of `table`'s keys in `given`, defaults filled in, each converted.
+
+    A key of `given` that `table` lacks is named as "<where>.<key>".
+    """
+    given = _typed(where, given, lambda v: _expect(v, dict, "an object"))
+    unknown = [key for key in given if key not in table]
+    if unknown:
+        raise ValueError(f"manifest {where}.{unknown[0]}: unknown key")
+    return {
+        key: _resolve(entry, given.get(key, {}), f"{where}.{key}") if isinstance(entry, dict)
+        else _typed(f"{where}.{key}", given.get(key, entry[0]), entry[1])
+        for key, entry in table.items()
+    }
+
+
+def _section(manifest, name: str, seed) -> dict:
+    """Resolved values of the manifest's section `name`; a given `seed` replaces its seed."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest: expected an object, got {type(manifest).__name__}")
+    unknown = [s for s in manifest if s not in MANIFEST]
+    if unknown:
+        raise ValueError(f"manifest {unknown[0]}: unknown section")
+    if name not in manifest and name not in _SECTION_OPTIONAL:
+        raise ValueError(f"manifest has no '{name}' section")
+    values = _resolve(MANIFEST[name], manifest.get(name, {}), name)
+    if seed is not None:
+        values["seed"] = seed
+    return values
+
+
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     with open(path, "w") as fh:
@@ -128,17 +182,9 @@ def _write_json(path: Path, payload: dict) -> None:
 # sweep
 
 
-def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    read = _section(manifest, "sweep")
-    start = read("theta_start", 0.0, _number)
-    end = read("theta_end", np.pi / 2, _number)
-    steps = read("theta_steps", 33, _integer)
-    shots = read("shots", DEFAULT_SHOTS, _integer)
-    seed = seed_override if seed_override is not None else read("seed", DEFAULT_SEED, _integer)
-    mode = read("mode", "exact", _mode)
-    noise = read("noise", [0.0, 0.0, 0.0], _noise)
-    thetas = np.linspace(start, end, steps)
-
+def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_steps,
+              shots, seed, mode, noise) -> int:
+    thetas = np.linspace(theta_start, theta_end, theta_steps)
     if mode == "exact":
         table = protocol.outcome_table_exact(thetas, noise)
     else:
@@ -154,15 +200,9 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
         w.writerows([_fmt(v) for v in row] for row in np.hstack(columns))
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
-    _write_json(
-        out_dir / "sweep_summary.json",
-        {
-            "mode": mode,
-            **sampling,
-            "noise": list(noise.delta_phi),
-            "points": protocol.table_to_json_dicts(table),
-        },
-    )
+    _write_json(out_dir / "sweep_summary.json", {
+        "mode": mode, **sampling, "noise": list(noise.delta_phi),
+        "points": protocol.table_to_json_dicts(table)})
     return 0
 
 
@@ -170,55 +210,37 @@ def cmd_sweep(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) 
 # tomo
 
 
-def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    read = _section(manifest, "tomo")
-    thetas = read("thetas", np.linspace(0, np.pi / 2, 9).tolist(), _numbers)
-    shots = read("shots_per_setting", 100, _integer)
-    resamples = read("resamples", 500, _integer)
-    seed = seed_override if seed_override is not None else read("seed", DEFAULT_SEED, _integer)
-    exact_moments = read("exact_moments", False, _flag)
-    noise = read("noise", [0.0, 0.0, 0.0], _noise)
-
+def cmd_tomo(out_dir: Path, manifest_dir: Path, thetas, shots_per_setting, resamples, seed,
+             exact_moments, noise) -> int:
     # every theta is checked before the first tomogram CSV is written
     rhos = protocol.prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=noise))
     bootstraps = None
     if exact_moments:
         rho_hat = tomography.linear_inversion(tomography.setting_probs(rhos))
     else:
-        counts, rho_hat, bootstraps = tomography.tomography_study(rhos, shots, resamples, seed)
+        counts, rho_hat, bootstraps = tomography.tomography_study(
+            rhos, shots_per_setting, resamples, seed
+        )
         for i, c in enumerate(counts):
             tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", c)
     conc = tomography.concurrence(rho_hat).tolist()
     pur = tomography.purity(rho_hat).tolist()
+    shots = 0 if exact_moments else shots_per_setting
     points = []
     for i, theta in enumerate(thetas):
         point = {"concurrence": conc[i], "purity": pur[i]}
-        d = {"theta": theta, "shots_per_setting": 0 if exact_moments else shots, **point}
+        points.append({"theta": theta, "shots_per_setting": shots, **point})
         if bootstraps:
             b = bootstraps[i]
-            d["bootstrap"] = {
-                "resamples": b.resamples,
-                "percentiles": list(tomography.PERCENTILES),
-                "point": point,
-                "lower": b.lower,
-                "upper": b.upper,
-            }
-        points.append(d)
+            points[-1]["bootstrap"] = {"resamples": b.resamples, "point": point, "lower": b.lower,
+                                       "upper": b.upper, "percentiles": list(tomography.PERCENTILES)}
     c0, stderr = tomography.fit_c0(thetas, conc)
     # exact moments draw no shots: the sampling settings would be unused
     sampling = {} if exact_moments else {
-        "shots_per_setting": shots, "resamples": resamples, "seed": seed
-    }
-    _write_json(
-        out_dir / "tomo_metrics.json",
-        {
-            **sampling,
-            "noise": list(noise.delta_phi),
-            "exact_moments": exact_moments,
-            "points": points,
-            "c0_fit": {"c0": c0, "stderr": stderr},
-        },
-    )
+        "shots_per_setting": shots_per_setting, "resamples": resamples, "seed": seed}
+    _write_json(out_dir / "tomo_metrics.json", {
+        **sampling, "noise": list(noise.delta_phi), "exact_moments": exact_moments,
+        "points": points, "c0_fit": {"c0": c0, "stderr": stderr}})
     return 0
 
 
@@ -226,25 +248,14 @@ def cmd_tomo(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -
 # fit
 
 
-def cmd_fit(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    read = _section(manifest, "fit")
-    dataset_path = read("dataset", None, lambda v: _expect(v, str, "a CSV path"))
-    init = read("init", None, lambda v: None if v is None else _noise(v))
-    bounds = read("bounds", None, lambda v: noisefit.DEFAULT_BOUNDS if v is None else _bounds(v))
-    data = protocol.read_tables_csv(manifest_dir / dataset_path)
+def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, bounds, spread_resamples,
+            spread_shots, seed) -> int:
+    data = protocol.read_tables_csv(manifest_dir / dataset)
     result = noisefit.fit(data, init=init, bounds=bounds)
-
-    spread_resamples = read("spread_resamples", 0, _integer)
     if spread_resamples:
-        seed = seed_override if seed_override is not None else read("seed", DEFAULT_SEED, _integer)
-        spread = noisefit.bootstrap_spread(
-            data,
-            result,
-            shots=read("spread_shots", DEFAULT_SHOTS, _integer),
-            resamples=spread_resamples,
-            seed=seed,
+        result.per_parameter_spread = noisefit.bootstrap_spread(
+            data, result, shots=spread_shots, resamples=spread_resamples, seed=seed
         )
-        result.per_parameter_spread = spread
 
     _write_json(out_dir / "fit_result.json", result.to_json_dict())
     model = noisefit.model_curves(NoiseParams(result.delta_phi), data.thetas)
@@ -269,29 +280,24 @@ def _verify_checks(tol: dict):
     branches = protocol.measure_demon(rhos)
     gains = protocol.demonic_gain(rhos, protocol.apply_feedback(branches))
 
-    rel_tol = tol.get("relation", 1e-12)
     dev = np.max(np.abs(gains - np.cos(thetas) ** 2 / 2))
-    yield "gain equals half squared concurrence", dev <= rel_tol, dev
+    yield "gain equals half squared concurrence", dev <= tol["relation"], dev
 
-    bound_tol = tol.get("bound", 1e-12)
     min_slack = np.min(
         np.cos(thetas) ** 2 / 2
         - protocol.gain_lower_bound(protocol.analytic_concurrence(thetas))
     )
     edge = np.max(np.abs(protocol.gain_lower_bound(np.array([1.0, 0.0])) - [0.5, 0.0]))
     yield "gain bound holds with tight edges", (
-        min_slack >= -bound_tol and edge <= bound_tol
+        min_slack >= -tol["bound"] and edge <= tol["bound"]
     ), min_slack
 
-    bal_tol = tol.get("balanced", 1e-12)
     dev = np.max(np.abs(np.trace(branches, axis1=-2, axis2=-1).real - 0.5))
-    yield "balanced mid-circuit probabilities", dev <= bal_tol, dev
+    yield "balanced mid-circuit probabilities", dev <= tol["balanced"], dev
 
-    conc_tol = tol.get("concurrence", 1e-10)
     dev = np.max(np.abs(tomography.concurrence(rhos) - np.abs(np.cos(thetas))))
-    yield "concurrence law |cos(theta)|", dev <= conc_tol, dev
+    yield "concurrence law |cos(theta)|", dev <= tol["concurrence"], dev
 
-    inv_tol = tol.get("inversion", 1e-12)
     dev = 0.0
     for _ in range(20):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -299,12 +305,11 @@ def _verify_checks(tol: dict):
         rho /= np.trace(rho)
         rec = tomography.linear_inversion(tomography.setting_probs(rho))
         dev = max(dev, np.max(np.abs(rec - rho)))
-    yield "linear inversion exact on moments", dev <= inv_tol, dev
+    yield "linear inversion exact on moments", dev <= tol["inversion"], dev
 
-    en_tol = tol.get("energies", 1e-12)
     table = protocol.outcome_table_exact(thetas, NoiseParams.zeros())
     dev = np.max(np.abs(protocol.energies_from_table(table)[:, 2] - gains))
-    yield "table energies match state gain", dev <= en_tol, dev
+    yield "table energies match state gain", dev <= tol["energies"], dev
 
     # the 16 two-branch policies over {I, SWAP, X_D, X_D SWAP}, as (16, 1, 2, 4, 4)
     swap_u, ident = protocol.CONDITIONAL_SWAP
@@ -324,15 +329,10 @@ def _verify_checks(tol: dict):
     yield "sampled Pr(d) within 4 sigma of 1/2", z <= 4.0, z  # z of the worst theta
 
 
-def cmd_verify(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override) -> int:
-    read = _section(manifest, "verify", required=False)
-    tol = {
-        key: _typed(f"verify.tolerances.{key}", value, _number)
-        for key, value in read("tolerances", {}, lambda v: _expect(v, dict, "an object")).items()
-    }
+def cmd_verify(out_dir: Path, manifest_dir: Path, tolerances) -> int:
     failures = 0
     results = []
-    for name, passed, measure in _verify_checks(tol):
+    for name, passed, measure in _verify_checks(tolerances):
         print(f"[{'PASS' if passed else 'FAIL'}] {name} (measure {_fmt(measure)})")
         results.append({"name": name, "passed": bool(passed), "measure": float(measure)})
         failures += 0 if passed else 1
@@ -345,30 +345,26 @@ def cmd_verify(manifest: dict, manifest_dir: Path, out_dir: Path, seed_override)
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="demongain",
-        description="Two-qubit feedback energy-extraction protocol toolkit",
-    )
+        prog="demongain", description="Two-qubit feedback energy-extraction protocol toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sweep", "tomo", "fit", "verify"):
+    for name, keys in MANIFEST.items():
         p = sub.add_parser(name)
-        p.add_argument("--manifest", required=(name != "verify"), help="JSON run manifest")
+        p.add_argument("--manifest", required=name not in _SECTION_OPTIONAL,
+                       help="JSON run manifest")
         p.add_argument("--out", default=".", help="output directory")
-        if name != "verify":  # verify draws from fixed seeds only
-            p.add_argument("--seed", type=int, default=None, help="override manifest seed")
+        if "seed" in keys:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the manifest seed; a run that draws nothing ignores it")
     args = parser.parse_args(argv)
 
     manifest = _load_manifest(args.manifest) if args.manifest else {}
     manifest_dir = Path(args.manifest).parent if args.manifest else Path(".")
-    handler = {
-        "sweep": cmd_sweep,
-        "tomo": cmd_tomo,
-        "fit": cmd_fit,
-        "verify": cmd_verify,
-    }[args.command]
+    handlers = {"sweep": cmd_sweep, "tomo": cmd_tomo, "fit": cmd_fit, "verify": cmd_verify}
     try:
+        values = _section(manifest, args.command, getattr(args, "seed", None))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return handler(manifest, manifest_dir, out_dir, getattr(args, "seed", None))
+        return handlers[args.command](out_dir, manifest_dir, **values)
     except (OSError, ValueError, TypeError) as exc:
         raise SystemExit(f"demongain {args.command}: {exc}")
 

@@ -57,6 +57,15 @@ class NoiseParams:
         return cls((0.0, 0.0, 0.0))
 
 
+def _in_range(values, name: str, high: float, shown: str) -> np.ndarray:
+    """`values` as a float array; each must lie in [0, high], printed as `shown`."""
+    values = np.asarray(values, dtype=float)
+    bad = values[~((values >= 0.0) & (values <= high))]
+    if bad.size:
+        raise ValueError(f"{name} must lie in [0, {shown}], got {bad[0]}")
+    return values
+
+
 def _col(x) -> np.ndarray:
     """Angles as an array with two trailing unit axes, for matrix broadcasting."""
     return np.asarray(x, dtype=float)[..., None, None]
@@ -140,10 +149,11 @@ def kets(params, thetas) -> np.ndarray:
     """(m, n, 4) circuit output on |00> for (m, 3) deviations and n angles.
 
     Column 0 of bell_prep, then the four factors of cy applied to the
-    state vectors, so no (m, n, 4, 4) product is formed.
+    state vectors, so no (m, n, 4, 4) product is formed. Each angle must
+    lie in [0, pi/2]: every state, table and fit model is checked here.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    ry_half = local_rot(np.asarray(thetas, dtype=float), np.pi / 2, "A")
+    ry_half = local_rot(_in_range(thetas, "theta", np.pi / 2, "pi/2"), np.pi / 2, "A")
     s = bell_prep(params[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
     for u in (ry_half, _cnot_d_to_a(params[:, 1])[:, None], ry_half,
               _cnot_d_to_a(params[:, 2])[:, None]):

@@ -232,6 +232,10 @@ def bootstrap_spread(
     seeded at the original optimum), and reports the standard deviation
     per parameter. Resample r draws from stream(seed, "fit spread", r).
     """
+    if resamples < 2:
+        raise ValueError("resamples must be >= 2")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     dists = data.cells / data.cells.sum(axis=-1, keepdims=True)
     fits = np.empty((resamples, 3))
     for r in range(resamples):

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import gates
-from .gates import NoiseParams
+from .gates import NoiseParams, _in_range
 from .qlin import ID2, kron
 from .tomography import draw_probs, stream
 
@@ -37,15 +37,6 @@ CELLS = tuple(product((0, 1), (0, 1), (0, 1)))  # (d, d', a')
 # The protocol's feedback policy U_d, as a (2, 4, 4) stack: outcome 0
 # swaps the qubits, outcome 1 keeps them.
 CONDITIONAL_SWAP = np.array([gates.swap(), np.eye(4, dtype=complex)])
-
-
-def _in_range(values, name: str, high: float, shown: str) -> np.ndarray:
-    """`values` as a float array; each must lie in [0, high], printed as `shown`."""
-    values = np.asarray(values, dtype=float)
-    bad = values[~((values >= 0.0) & (values <= high))]
-    if bad.size:
-        raise ValueError(f"{name} must lie in [0, {shown}], got {bad[0]}")
-    return values
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,7 @@ def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
     Cells below 1e-15 are rounding residue of analytically empty cells
     and are set to exactly 0.
     """
-    thetas = _in_range(thetas, "theta", np.pi / 2, "pi/2")
+    thetas = np.asarray(thetas, dtype=float)
     cells = joint_cells(gates.kets(noise.delta_phi, thetas)[0])
     cells[cells < 1e-15] = 0.0
     tol = 1e-9
@@ -184,7 +175,7 @@ def run_shots(
     "shots" for a sweep, "verify" for verify's own sampled check, so the
     two never share a stream under one seed.
     """
-    thetas = _in_range(thetas, "theta", np.pi / 2, "pi/2")
+    thetas = np.asarray(thetas, dtype=float)
     if shots < 1:
         raise ValueError("shots must be >= 1")
     kets = gates.kets(noise.delta_phi, thetas)[0]

@@ -205,7 +205,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     sq = _compose(v, _clamped_sqrt(w))
     m = sq @ rho_tilde @ sq
     wm, _ = qlin.eig_hermitian((m + dag(m)) / 2)
-    lam = np.sort(_clamped_sqrt(wm), axis=-1)[..., ::-1]
+    lam = _clamped_sqrt(wm)  # descending, as wm is: the clamped root is monotone
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c
 

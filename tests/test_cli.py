@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from demongain import gates, tomography
-from demongain.cli import main
+from demongain.cli import MANIFEST, main
 from demongain.gates import NoiseParams
 from demongain.noisefit import model_curves
 from demongain.protocol import (
@@ -351,6 +351,16 @@ class TestFit:
             _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
         assert "\n" not in str(exc.value)
 
+    def test_theta_out_of_range_exits_before_any_file(self, tmp_path):
+        # the last theta of the planted curves, pi/2, rewritten as 2.0
+        text = (ROOT / "manifests/data/planted_tables.csv").read_text()
+        (tmp_path / "tables.csv").write_text(text.replace("1.57079632679,", "2.0,"))
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(tmp_path / "tables.csv")}})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=r"^demongain fit: theta must lie in \[0, pi/2\], got 2\.0$"):
+            _run(["fit", "--manifest", manifest, "--out", str(out)])
+        assert not list(out.iterdir())
+
     def test_missing_dataset_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"fit": {}})
         with pytest.raises(SystemExit, match="dataset"):
@@ -604,8 +614,10 @@ class TestManifestHandling:
                 {"verify": {"tolerances": {"relation": "1e-12"}}},
                 "verify.tolerances.relation",
             ),
+            # read although no spread refit draws from it
+            ("fit", {"fit": {"dataset": "tables.csv", "seed": "x"}}, "fit.seed"),
         ],
-        ids=["noise-number", "thetas-number", "shots-null", "tolerance-string"],
+        ids=["noise-number", "thetas-number", "shots-null", "tolerance-string", "unused-seed"],
     )
     def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload, key):
         manifest = _write_manifest(tmp_path, payload)
@@ -613,3 +625,35 @@ class TestManifestHandling:
         with pytest.raises(SystemExit, match=pattern) as exc:
             _run([command, "--manifest", manifest, "--out", str(tmp_path / "o")])
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "command, payload, where",
+        [
+            ("sweep", {"sweep": {"mode": "sampled", "shot": 50}}, "sweep.shot: unknown key"),
+            ("tomo", {"tomo": {"shots_per_settings": 7}}, "tomo.shots_per_settings: unknown key"),
+            ("fit", {"fit": {"dataset": "t.csv", "spread_resample": 4}},
+             "fit.spread_resample: unknown key"),
+            ("verify", {"verify": {"tolerances": {"relatoin": 1e-9}}},
+             "verify.tolerances.relatoin: unknown key"),
+            ("sweep", {"sweep": {}, "swep": {"shots": 50}}, "swep: unknown section"),
+        ],
+        ids=["sweep-key", "tomo-key", "fit-key", "tolerance-name", "section"],
+    )
+    def test_unknown_key_exits_before_any_file(self, tmp_path, command, payload, where):
+        manifest = _write_manifest(tmp_path, payload)
+        out = tmp_path / "o"
+        pattern = f"^demongain {command}: manifest {re.escape(where)}$"
+        with pytest.raises(SystemExit, match=pattern):
+            _run([command, "--manifest", manifest, "--out", str(out)])
+        assert not out.exists()
+
+    def test_manifest_not_an_object_exits(self, tmp_path):
+        manifest = _write_manifest(tmp_path, ["verify"])
+        with pytest.raises(SystemExit, match=r"^demongain verify: manifest: expected an object, got list$"):
+            _run(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    def test_seed_offered_where_the_section_has_one(self, capsys):
+        for command, keys in MANIFEST.items():
+            with pytest.raises(SystemExit):
+                _run([command, "--help"])
+            assert ("--seed" in capsys.readouterr().out) == ("seed" in keys)

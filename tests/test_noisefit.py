@@ -261,6 +261,20 @@ class TestBootstrapSpread:
         assert s1 == s2
         assert all(s > 0 for s in s1)
 
+    @pytest.mark.parametrize(
+        "shots, resamples, message",
+        [
+            (2000, 1, "resamples must be >= 2"),  # a spread of one refit reads 0
+            (2000, -1, "resamples must be >= 2"),
+            (0, 8, "shots must be >= 1"),
+        ],
+    )
+    def test_bad_sizes_rejected(self, shots, resamples, message):
+        ds = model_curves(PLANTED, THETAS[::4])
+        res = fit(ds, init=PLANTED)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bootstrap_spread(ds, res, shots=shots, resamples=resamples, seed=5)
+
 
 class TestFitJson:
     def test_write(self):
