@@ -12,8 +12,8 @@ shot data, the quadratic form of the multinomial likelihood, so the
 fitted spread meets the Fisher bound. A 6^3 grid seeds Levenberg-Marquardt
 (damped Gauss-Newton) iterations on those residuals (More, "The
 Levenberg-Marquardt algorithm", 1978), each linearized by central
-differences from one 7-candidate `model_cells` call and clipped to the
-bounds. Both stages are deterministic.
+differences from one 7-candidate `model_cells` call and clipped to
+BOUNDS. Both stages are deterministic.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from .gates import NoiseParams
 from .protocol import CELLS, _JOINT_GATHER, OutcomeTable, joint_cells, outcome_table_exact
 from .tomography import stream
 
-DEFAULT_BOUNDS = ((-np.pi / 4, np.pi / 4),) * 3
+BOUNDS = (-np.pi / 4, np.pi / 4)  # each deviation's search range
 LIVE = np.flatnonzero(_JOINT_GATHER)  # the cells a ket index lands in
 _EMPTY = np.flatnonzero(_JOINT_GATHER == 0)
-_GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot
+_GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot, in BOUNDS
 _H = 1e-6  # central-difference step
 _OFFSETS = np.vstack([np.zeros(3), _H * np.eye(3), -_H * np.eye(3)])  # x, x + h e_k, x - h e_k
 # Weights use max(p, floor): live cells of a noiseless model reach p ~ 1e-33.
@@ -118,16 +118,15 @@ def _check_empty_cells(data: OutcomeTable) -> None:
         )
 
 
-def _grid_seed(obs: np.ndarray, thetas: np.ndarray, lo, hi) -> np.ndarray:
-    """Grid point of least chi-square, the grid clipped to the bounds."""
-    axes = [np.unique(np.clip(_GRID_AXIS, a, b)) for a, b in zip(lo, hi)]
-    combos = np.array(list(product(*axes)))
+def _grid_seed(obs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Grid point of least chi-square."""
+    combos = np.array(list(product(_GRID_AXIS, repeat=3)))
     cost = (_weighted(model_cells(combos, thetas)[..., LIVE], obs) ** 2).sum(axis=(1, 2))
     return combos[np.argmin(cost)]
 
 
-def _lm_point(r, jac, damping: float, x, lo, hi) -> np.ndarray:
-    """x + s within the bounds, s minimizing |r + J s|^2 + damping |D s|^2.
+def _lm_point(r, jac, damping: float, x) -> np.ndarray:
+    """x + s within BOUNDS, s minimizing |r + J s|^2 + damping |D s|^2.
 
     D holds the column norms of J. Solved as one least-squares problem,
     so a vanishing column (a deviation acting only at second order)
@@ -142,6 +141,7 @@ def _lm_point(r, jac, damping: float, x, lo, hi) -> np.ndarray:
         s[free] = np.linalg.lstsq(a, -np.concatenate([r, np.zeros(j.shape[1])]), rcond=_RCOND)[0]
         return s
 
+    lo, hi = BOUNDS
     s = solve(np.ones(3, dtype=bool))
     held = ((x <= lo) & (s < 0)) | ((x >= hi) & (s > 0))
     if held.any():
@@ -149,28 +149,24 @@ def _lm_point(r, jac, damping: float, x, lo, hi) -> np.ndarray:
     return np.clip(x + s, lo, hi)
 
 
-def fit(data: OutcomeTable, init: NoiseParams | None = None, bounds=DEFAULT_BOUNDS) -> FitResult:
+def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
     """Recover the three phase deviations from outcome curves.
 
     `data` needs a strictly increasing theta grid and no probability or
-    count in a cell outside LIVE. When `init` is given the grid is skipped
-    and the iterations start there (clipped to the bounds). The fit
-    converges when the undamped step is shorter than 1e-8 rad; it is then
-    taken. It stops unconverged after 100 iterations, or when no damping
-    up to 1e8 lowers the loss. `fisher_stderr` is sqrt(diag(I^-1)) with
-    I = sum over theta of its shots (count total) times J^T W J, J the
-    live cells' derivatives and W = 1/p; None without counts or when I is
-    singular.
+    count in a cell outside LIVE. Each deviation is searched within
+    BOUNDS, [-pi/4, pi/4]; `at_bound` says a component ended on one.
+    When `init` is given the grid is skipped and the iterations start
+    there (clipped to BOUNDS). The fit converges when the undamped step
+    is shorter than 1e-8 rad; it is then taken. It stops unconverged
+    after 100 iterations, or when no damping up to 1e8 lowers the loss.
+    `fisher_stderr` is sqrt(diag(I^-1)) with I = sum over theta of its
+    shots (count total) times J^T W J, J the live cells' derivatives and
+    W = 1/p; None without counts or when I is singular.
     """
     if len(data.thetas) == 0:
         raise ValueError("dataset is empty")
     if np.any(np.diff(data.thetas) <= 0):
         raise ValueError("thetas must be strictly increasing")
-    lo, hi = np.array(bounds, dtype=float).T
-    if np.any(lo < -np.pi / 4 - 1e-12) or np.any(hi > np.pi / 4 + 1e-12):
-        raise ValueError("bounds must lie within (-pi/4, pi/4)")
-    if np.any(lo > hi):
-        raise ValueError("each bound needs low <= high")
     _check_empty_cells(data)
 
     obs = data.cells[:, LIVE]
@@ -182,18 +178,18 @@ def fit(data: OutcomeTable, init: NoiseParams | None = None, bounds=DEFAULT_BOUN
         return p, r[0], ((r[1:4] - r[4:]) / (2 * _H)).T
 
     if init is None:
-        x = _grid_seed(obs, data.thetas, lo, hi)
+        x = _grid_seed(obs, data.thetas)
     else:
-        x = np.clip(init.delta_phi, lo, hi)
+        x = np.clip(init.delta_phi, *BOUNDS)
     p, r, jac = linearize(x)
     damping, iterations, converged = _DAMPING0, 0, False
     while iterations < _MAX_ITER and damping <= _MAX_DAMPING:
-        gauss_newton = _lm_point(r, jac, 0.0, x, lo, hi)
+        gauss_newton = _lm_point(r, jac, 0.0, x)
         if np.linalg.norm(gauss_newton - x) <= _XTOL:
             x, converged = gauss_newton, True
             break
         iterations += 1
-        trial = _lm_point(r, jac, damping, x, lo, hi)
+        trial = _lm_point(r, jac, damping, x)
         p_t, r_t, jac_t = linearize(trial)
         if r_t @ r_t <= r @ r:
             x, p, r, jac, damping = trial, p_t, r_t, jac_t, damping / 10
@@ -213,7 +209,7 @@ def fit(data: OutcomeTable, init: NoiseParams | None = None, bounds=DEFAULT_BOUN
         residual=residual(x, data),
         converged=converged,
         iterations=iterations,
-        at_bound=bool(np.any((x <= lo) | (x >= hi))),
+        at_bound=bool(np.any((x <= BOUNDS[0]) | (x >= BOUNDS[1]))),
         fisher_stderr=stderr,
     )
 

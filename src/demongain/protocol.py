@@ -46,9 +46,6 @@ class ProtocolConfig:
     theta: float | np.ndarray
     noise: NoiseParams = field(default_factory=NoiseParams.zeros)
 
-    def __post_init__(self):
-        _in_range(self.theta, "theta", np.pi / 2, "pi/2")
-
 
 @dataclass(frozen=True)
 class OutcomeTable:

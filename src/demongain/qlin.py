@@ -31,9 +31,9 @@ def dag(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    """True when every matrix of `m` (a matrix or a stack) is Hermitian."""
-    return np.max(np.abs(m - dag(m)), initial=0.0) <= tol
+def is_hermitian(m) -> bool:
+    """True when every matrix of `m` (a matrix or a stack) is Hermitian within HERMITICITY_TOL."""
+    return np.max(np.abs(m - dag(m)), initial=0.0) <= HERMITICITY_TOL
 
 
 def kron(a, b) -> np.ndarray:
@@ -61,16 +61,16 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'D', got {keep!r}")
 
 
-def eig_hermitian(h, tol: float = HERMITICITY_TOL):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
     Returns (eigenvalues sorted descending, eigenvectors as columns in the
     matching order), with the input's leading axes. Rejects the input if
-    any matrix deviates from Hermiticity by more than `tol` in max-abs.
+    any matrix's max-abs deviation from Hermiticity exceeds HERMITICITY_TOL.
     """
     h = _as_square(h, stacked=True)
     dev = np.max(np.abs(h - dag(h)), initial=0.0)  # an empty stack passes
-    if not dev <= tol:
+    if not dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
     w, v = np.linalg.eigh((h + dag(h)) / 2)
     return w[..., ::-1], v[..., ::-1]

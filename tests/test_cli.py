@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demongain import gates, tomography
+from demongain import cli, gates, tomography
 from demongain.cli import MANIFEST, main
 from demongain.gates import NoiseParams
 from demongain.noisefit import model_curves
@@ -24,6 +24,7 @@ from demongain.protocol import (
     joint_cells,
     policy_gain,
     prepare_resource,
+    read_tables_csv,
     run_shots,
     write_tables_csv,
 )
@@ -160,6 +161,30 @@ class TestSweep:
             _run(["sweep", "--manifest", manifest, "--out", str(out)])
         assert "\n" not in str(exc.value)
         assert not (out / "outcome_tables.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ({"theta_steps": 0}, "theta_steps must be >= 1, got 0"),
+            ({"theta_steps": 0, "mode": "sampled"}, "theta_steps must be >= 1, got 0"),
+            ({"theta_start": 1.0, "theta_end": 0.0, "theta_steps": 3},
+             "theta_end 0.0 lies below theta_start 1.0"),
+        ],
+        ids=["no-theta-exact", "no-theta-sampled", "descending"],
+    )
+    def test_grid_that_fit_refuses_exits_before_any_file(self, tmp_path, sweep, message):
+        # fit needs at least one theta, in strictly increasing order
+        manifest = _write_manifest(tmp_path, {"sweep": sweep})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=f"^demongain sweep: {re.escape(message)}$"):
+            _run(["sweep", "--manifest", manifest, "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+    def test_one_step_grid_is_theta_start(self, tmp_path):
+        manifest = _write_manifest(
+            tmp_path, {"sweep": {"theta_start": 1.0, "theta_end": 0.0, "theta_steps": 1}})
+        assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        assert read_tables_csv(tmp_path / "outcome_tables.csv").thetas.tolist() == [1.0]
 
 
 class TestTomo:
@@ -553,13 +578,31 @@ class TestVerify:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
-    def test_impossible_tolerance_fails(self, tmp_path, capsys):
-        manifest = _write_manifest(
-            tmp_path, {"verify": {"tolerances": {"relation": 1e-30}}}
-        )
+    def test_manifest_is_not_an_option(self, tmp_path, capsys):
+        # verify checks the library at fixed tolerances and reads no manifest
+        manifest = _write_manifest(tmp_path, {})
+        with pytest.raises(SystemExit) as exc:
+            _run(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --manifest" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        checks = cli._verify_checks
+
+        def one_failing():
+            for i, (name, passed, measure) in enumerate(checks()):
+                yield name, passed and i != 0, measure
+
+        monkeypatch.setattr(cli, "_verify_checks", one_failing)
         out = tmp_path / "out"
-        assert _run(["verify", "--manifest", manifest, "--out", str(out)]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        assert _run(["verify", "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("[FAIL] gain equals half squared concurrence")
+        assert all(line.startswith("[PASS]") for line in lines[1:])
+        payload = json.loads((out / "verify_report.json").read_text())
+        assert payload["checks"][0]["passed"] is False
+        assert all(c["passed"] for c in payload["checks"][1:])
 
 
 class TestManifestHandling:
@@ -609,15 +652,10 @@ class TestManifestHandling:
             ("sweep", {"sweep": {"noise": 0.1}}, "sweep.noise"),
             ("tomo", {"tomo": {"thetas": 5}}, "tomo.thetas"),
             ("sweep", {"sweep": {"shots": None, "mode": "sampled"}}, "sweep.shots"),
-            (
-                "verify",
-                {"verify": {"tolerances": {"relation": "1e-12"}}},
-                "verify.tolerances.relation",
-            ),
             # read although no spread refit draws from it
             ("fit", {"fit": {"dataset": "tables.csv", "seed": "x"}}, "fit.seed"),
         ],
-        ids=["noise-number", "thetas-number", "shots-null", "tolerance-string", "unused-seed"],
+        ids=["noise-number", "thetas-number", "shots-null", "unused-seed"],
     )
     def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload, key):
         manifest = _write_manifest(tmp_path, payload)
@@ -633,11 +671,13 @@ class TestManifestHandling:
             ("tomo", {"tomo": {"shots_per_settings": 7}}, "tomo.shots_per_settings: unknown key"),
             ("fit", {"fit": {"dataset": "t.csv", "spread_resample": 4}},
              "fit.spread_resample: unknown key"),
-            ("verify", {"verify": {"tolerances": {"relatoin": 1e-9}}},
-             "verify.tolerances.relatoin: unknown key"),
+            # the search range is the fixed noisefit.BOUNDS
+            ("fit", {"fit": {"dataset": "t.csv", "bounds": [[-0.1, 0.1]] * 3}},
+             "fit.bounds: unknown key"),
             ("sweep", {"sweep": {}, "swep": {"shots": 50}}, "swep: unknown section"),
+            ("sweep", {"sweep": {}, "verify": {}}, "verify: unknown section"),
         ],
-        ids=["sweep-key", "tomo-key", "fit-key", "tolerance-name", "section"],
+        ids=["sweep-key", "tomo-key", "fit-key", "fit-bounds", "section", "verify-section"],
     )
     def test_unknown_key_exits_before_any_file(self, tmp_path, command, payload, where):
         manifest = _write_manifest(tmp_path, payload)
@@ -648,12 +688,19 @@ class TestManifestHandling:
         assert not out.exists()
 
     def test_manifest_not_an_object_exits(self, tmp_path):
-        manifest = _write_manifest(tmp_path, ["verify"])
-        with pytest.raises(SystemExit, match=r"^demongain verify: manifest: expected an object, got list$"):
-            _run(["verify", "--manifest", manifest, "--out", str(tmp_path / "o")])
+        manifest = _write_manifest(tmp_path, ["sweep"])
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=r"^demongain sweep: manifest: expected an object, got list$"):
+            _run(["sweep", "--manifest", manifest, "--out", str(out)])
+        assert not out.exists()
 
     def test_seed_offered_where_the_section_has_one(self, capsys):
         for command, keys in MANIFEST.items():
             with pytest.raises(SystemExit):
                 _run([command, "--help"])
             assert ("--seed" in capsys.readouterr().out) == ("seed" in keys)
+        # verify is no manifest section: it takes neither option
+        with pytest.raises(SystemExit):
+            _run(["verify", "--help"])
+        usage = capsys.readouterr().out
+        assert "--out" in usage and "--seed" not in usage and "--manifest" not in usage

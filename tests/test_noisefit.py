@@ -151,13 +151,6 @@ class TestFit:
         with pytest.raises(ValueError, match="empty"):
             fit(ds)
 
-    def test_rejects_wild_bounds(self):
-        ds = model_curves(PLANTED, THETAS)
-        with pytest.raises(ValueError, match="bounds"):
-            fit(ds, bounds=((-np.pi, np.pi),) * 3)
-        with pytest.raises(ValueError, match="low <= high"):
-            fit(ds, bounds=((-0.1, 0.1), (0.2, 0.1), (-0.1, 0.1)))
-
     @pytest.mark.parametrize(
         "point",
         [(0, 0, 0), (0.02, -0.03, 0.05), (0.1, 0.2, 0), (-0.05, 0.1, 0.3), (0.009, 0.068, 0.165)],
@@ -172,11 +165,11 @@ class TestFit:
         assert res.fisher_stderr is None  # exact curves carry no counts
 
     def test_bound_clips_and_is_reported(self):
-        # the planted delta_phi_3 = 0.165 pi/2 lies above this upper bound
-        bounds = ((-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.1 * HALF_PI))
-        res = fit(model_curves(PLANTED, THETAS), bounds=bounds)
+        # a planted delta_phi_3 = 0.6 pi/2 lies above the upper bound pi/4
+        beyond = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.6 * HALF_PI))
+        res = fit(model_curves(beyond, THETAS))
         assert res.converged and res.at_bound
-        assert res.delta_phi[2] == 0.1 * HALF_PI
+        assert res.delta_phi[2] == noisefit.BOUNDS[1] == np.pi / 4
 
     def test_iteration_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(noisefit, "_MAX_ITER", 1)

@@ -374,8 +374,8 @@ class TestSerialization:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(theta=-0.1)
+    with pytest.raises(ValueError, match="theta"):
+        prepare_resource(ProtocolConfig(theta=-0.1))
     with pytest.raises(ValueError):
         run_shots([0.2], IDEAL, shots=0, seed=1)
     with pytest.raises(ValueError, match="theta"):
