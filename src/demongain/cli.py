@@ -251,8 +251,8 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
 def _verify_checks():
     """Yield (name, passed, measure) for every library invariant.
 
-    Analytic checks pass at 1e-12; the concurrence law, read through two
-    eigendecompositions and a square root, at 1e-10.
+    Analytic checks pass at 1e-12; the concurrence law, read through one
+    eigendecomposition, one eigenvalue solve and square roots, at 1e-10.
     """
     thetas = np.linspace(0, np.pi / 2, 33)
     rng = np.random.default_rng(0)

@@ -36,7 +36,6 @@ _ROTATIONS = np.array([kron(_ROT_TO_Z[a], _ROT_TO_Z[d]) for a, d in ALL_SETTINGS
 # Outcome i of a setting (++, +-, -+, --) carries these signs of the
 # agent and demon Paulis; "+" maps to |0> after rotation.
 _AGENT_SIGN, _DEMON_SIGN = np.array([[1, 1, -1, -1], [1, -1, 1, -1]])[..., None, None]
-_YY = kron(PAULI_Y, PAULI_Y)
 
 
 def _inversion_map() -> np.ndarray:
@@ -147,11 +146,13 @@ def _freqs(counts) -> np.ndarray:
     if v.shape[-2:] != (9, 4):
         raise ValueError(f"expected (..., 9, 4) counts per setting, got shape {v.shape}")
     total = v.sum(axis=-1, keepdims=True)
-    for j, s in enumerate(ALL_SETTINGS):
-        if not np.all(np.isfinite(v[..., j, :]) & (v[..., j, :] >= 0)):
-            raise ValueError(f"setting {s} has negative or non-finite counts")
-        if np.any(total[..., j, :] == 0):
-            raise ValueError(f"setting {s} has no counts")
+    # per setting, over the whole stack; an empty stack passes
+    bad = (~np.isfinite(v) | (v < 0)).reshape(-1, 9, 4).any(axis=(0, 2))
+    empty = (total == 0).reshape(-1, 9).any(axis=0)
+    if (bad | empty).any():
+        j = np.flatnonzero(bad | empty)[0]  # first in ALL_SETTINGS order; bad counts before none
+        what = "negative or non-finite counts" if bad[j] else "no counts"
+        raise ValueError(f"setting {ALL_SETTINGS[j]} has {what}")
     return v / total
 
 
@@ -181,9 +182,8 @@ def _clamped_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _compose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(w) V^dag for eigenpairs with leading batch axes."""
-    return (v * w[..., None, :]) @ dag(v)
+# Y(x)Y = diag(_YY_SIGN) times the reversal of the basis order
+_YY_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -195,17 +195,19 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     accepted; the trace is deliberately not renormalized (renormalizing
     shrinks the leading spin-flip eigenvalue and roughly doubles the
     downward finite-shot bias on near-pure states). The lambda_i are the
-    descending eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)), computed
-    spectrally with near-zero eigenvalues snapped to 0 before each square
-    root (Wootters, PRL 80, 2245, 1998).
+    descending eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)), with
+    rho~ = (Y(x)Y) rho* (Y(x)Y) (Wootters, PRL 80, 2245, 1998).
+
+    rho = V W V^dag is decomposed once: with the symmetric K = V^dag (Y(x)Y) V*,
+    sqrt(rho) rho~ sqrt(rho) = V S S^dag V^dag for S = sqrt(W) K sqrt(W), so
+    the lambda_i^2 are the eigenvalues of S S^dag. Near-zero eigenvalues
+    are snapped to 0 before the square roots of sqrt(rho) and the lambda_i^2.
     """
     w, v = qlin.eig_hermitian(rho)
     w = np.clip(w, 0.0, None)
-    rho_tilde = _YY @ _compose(v, w).conj() @ _YY
-    sq = _compose(v, _clamped_sqrt(w))
-    m = sq @ rho_tilde @ sq
-    wm, _ = qlin.eig_hermitian((m + dag(m)) / 2)
-    lam = _clamped_sqrt(wm)  # descending, as wm is: the clamped root is monotone
+    k = dag(v) @ (_YY_SIGN * v[..., ::-1, :].conj())
+    s = _clamped_sqrt(w)[..., :, None] * k * np.sqrt(w)[..., None, :]
+    lam = _clamped_sqrt(np.linalg.eigvalsh(s @ dag(s))[..., ::-1])  # descending
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c
 
@@ -215,7 +217,7 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if not qlin.is_hermitian(rho):
         raise ValueError("purity requires a Hermitian matrix")
-    return np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))  # sum |rho_ij|^2 = Tr(rho rho^dag)
 
 
 def bootstrap(
@@ -236,13 +238,9 @@ def bootstrap(
     dists = draw_probs(setting_probs(rho_hat))
     counts = stream(seed, "bootstrap", index).multinomial(shots, dists, size=(resamples, 9))
     rho_r = linear_inversion(counts)
-    metrics = {"concurrence": concurrence(rho_r), "purity": purity(rho_r)}
-    lo, hi = PERCENTILES
-    return BootstrapSummary(
-        resamples=resamples,
-        lower={k: float(np.percentile(v, lo)) for k, v in metrics.items()},
-        upper={k: float(np.percentile(v, hi)) for k, v in metrics.items()},
-    )
+    lo, hi = np.percentile([concurrence(rho_r), purity(rho_r)], PERCENTILES, axis=-1)
+    names = ("concurrence", "purity")
+    return BootstrapSummary(resamples, dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist())))
 
 
 def tomography_study(

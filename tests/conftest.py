@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from demongain import qlin
+from demongain.tomography import _clamped_sqrt
+
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -33,3 +36,26 @@ def cy_exact(theta: float) -> np.ndarray:
     """Closed-form controlled-Y: exp[-i theta Y_A] on the agent iff demon in |0>."""
     ry = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
     return np.kron(ry, np.diag([1, 0])) + np.kron(np.eye(2), np.diag([0, 1]))
+
+
+def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Dense Wootters concurrence of a (4, 4) matrix or (..., 4, 4) stack.
+
+    sqrt(rho) and rho~ = (Y(x)Y) rho* (Y(x)Y) are composed as matrices and
+    their product sqrt(rho) rho~ sqrt(rho) decomposed a second time, with
+    the clamping and snapping of tomography.concurrence.
+    """
+
+    def compose(v, w):
+        return (v * w[..., None, :]) @ qlin.dag(v)
+
+    yy = qlin.kron(qlin.PAULI_Y, qlin.PAULI_Y)
+    w, v = qlin.eig_hermitian(rho)
+    w = np.clip(w, 0.0, None)
+    rho_tilde = yy @ compose(v, w).conj() @ yy
+    sq = compose(v, _clamped_sqrt(w))
+    m = sq @ rho_tilde @ sq
+    wm, _ = qlin.eig_hermitian((m + qlin.dag(m)) / 2)
+    lam = _clamped_sqrt(wm)
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(c) if c.ndim == 0 else c
