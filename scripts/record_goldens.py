@@ -12,7 +12,9 @@ of the checked-in run_shots_counts.json, and writes, under --out
     run_shots_counts.json             run_shots counts and Pr(d) per config
 
 Name files to rewrite only those. For each file it prints how many
-numbers moved against the checked-in golden, and the largest move.
+numbers moved against the checked-in golden, and the largest move. When
+the layout changed, it counts only the numbers at paths both files hold,
+and also prints every path that went or appeared, list indices as [*].
 
     PYTHONPATH=src python3 scripts/record_goldens.py [--out DIR] [FILE ...]
 """
@@ -20,6 +22,7 @@ numbers moved against the checked-in golden, and the largest move.
 import argparse
 import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -86,29 +89,46 @@ GOLDEN_FILES = (
 )
 
 
-def moves(old, new, path: str = "") -> list[float]:
+def compare(old, new, path: str = "") -> tuple[list[float], list[tuple[str, str]]]:
+    """(moved, changes) of two parsed JSON files.
+
+    `moved` holds |new - old| of every number that moved at a path both
+    files hold. `changes` holds (path, what) for every place where the
+    layout differs: a key that "went" or "appeared", a list whose length
+    changed, a value that changed type. A dict's keys come before its values.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        changes = [(f"{path}/{k}", "went" if k in old else "appeared")
+                   for k in sorted(old.keys() ^ new.keys())]
+        parts = [compare(old[k], new[k], f"{path}/{k}") for k in old if k in new]
+    elif isinstance(old, list) and isinstance(new, list):
+        changes = [] if len(old) == len(new) else [
+            (path or "/", f"length {len(old)} became {len(new)}")]
+        parts = [compare(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        numbers = (int, float)
+        if isinstance(old, numbers) and isinstance(new, numbers) and not isinstance(old, bool):
+            return ([abs(new - old)] if new != old else []), []
+        return [], ([] if old == new else [(path or "/", f"{_brief(old)} became {_brief(new)}")])
+    return ([m for moved, _ in parts for m in moved],
+            changes + [c for _, inner in parts for c in inner])
+
+
+def moves(old, new) -> list[float]:
     """|new - old| of every number that moved.
 
     A changed layout raises a ValueError that names where: the path of a
     key that appeared or went, of a list whose length changed, or of a
     value that changed type.
     """
-    if isinstance(old, dict) and isinstance(new, dict):
-        changed = sorted(old.keys() ^ new.keys())
-        if changed:
-            key = changed[0]
-            raise ValueError(f"key {path}/{key} {'went' if key in old else 'appeared'}")
-        return [m for k in old for m in moves(old[k], new[k], f"{path}/{k}")]
-    if isinstance(old, list) and isinstance(new, list):
-        if len(old) != len(new):
-            raise ValueError(f"{path or '/'}: length {len(old)} became {len(new)}")
-        return [m for i, (a, b) in enumerate(zip(old, new)) for m in moves(a, b, f"{path}[{i}]")]
-    numbers = (int, float)
-    if isinstance(old, numbers) and isinstance(new, numbers) and not isinstance(old, bool):
-        return [abs(new - old)] if new != old else []
-    if old != new:
-        raise ValueError(f"{path or '/'}: {_brief(old)} became {_brief(new)}")
-    return []
+    moved, changes = compare(old, new)
+    if changes:
+        raise ValueError(_described(*changes[0]))
+    return moved
+
+
+def _described(path: str, what: str) -> str:
+    return f"key {path} {what}" if what in ("went", "appeared") else f"{path}: {what}"
 
 
 def _brief(value) -> str:
@@ -129,12 +149,15 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         for name in args.files or GOLDEN_FILES:
             text = record(name, Path(work))
-            try:
-                moved = moves(json.loads((GOLDENS / name).read_text()), json.loads(text))
-                largest = f", largest {max(moved):.3g}" if moved else ""
+            moved, changes = compare(json.loads((GOLDENS / name).read_text()), json.loads(text))
+            largest = f", largest {max(moved):.3g}" if moved else ""
+            if changes:
+                print(f"{name}: layout changed, {len(moved)} numbers moved at the paths "
+                      f"both files hold{largest}")
+                for path, what in dict.fromkeys((re.sub(r"\[\d+\]", "[*]", p), w) for p, w in changes):
+                    print(f"  {_described(path, what)}")
+            else:
                 print(f"{name}: {len(moved)} numbers moved{largest}")
-            except ValueError as exc:
-                print(f"{name}: layout changed: {exc}")
             (args.out / name).write_text(text)
 
 

@@ -11,10 +11,10 @@ that draw nothing ignore the seed: exact sweeps, exact-moment
 tomography, fits without spread refits. verify takes no manifest: it
 checks the library at fixed tolerances and seeds.
 
-A relative "dataset" path is read from the manifest's directory. Every
-JSON artifact carries a schema_version field; CSV numbers are written
-with 12 significant digits. Unreadable or malformed input ends the run
-with a one-line error. An unknown section or key, or a value of the
+A relative "dataset" path is read from the manifest's directory. Only
+this module builds JSON, each artifact with a schema_version field; CSV
+numbers are written with 12 significant digits. Unreadable or malformed
+input ends the run with a one-line error. An unknown section or key, or a value of the
 wrong type or form, is named by its section and key, e.g.
 "manifest sweep.shot: unknown key" or "manifest sweep.noise: ...".
 """
@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -176,9 +177,13 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
         w.writerows([_fmt(v) for v in row] for row in np.hstack(columns))
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
+    keys = ["".join(map(str, cell)) for cell in protocol.CELLS]  # "d d' a'", e.g. "010"
+    points = [{"theta": t, "pr_d": dict(zip("01", d)), "pr_joint": dict(zip(keys, c))}
+              for t, d, c in zip(table.thetas.tolist(), table.pr_d.tolist(), table.cells.tolist())]
+    for point, counts in zip(points, [] if table.counts is None else table.counts.tolist()):
+        point["counts"] = dict(zip(keys, counts))  # sampled tables only
     _write_json(out_dir / "sweep_summary.json", {
-        "mode": mode, **sampling, "noise": list(noise.delta_phi),
-        "points": protocol.table_to_json_dicts(table)})
+        "mode": mode, **sampling, "noise": list(noise.delta_phi), "points": points})
     return 0
 
 
@@ -201,22 +206,21 @@ def cmd_tomo(out_dir: Path, manifest_dir: Path, thetas, shots_per_setting, resam
             tomography.write_counts_csv(out_dir / f"tomogram_{i:02d}.csv", c)
     conc = tomography.concurrence(rho_hat).tolist()
     pur = tomography.purity(rho_hat).tolist()
-    shots = 0 if exact_moments else shots_per_setting
-    points = []
-    for i, theta in enumerate(thetas):
-        point = {"concurrence": conc[i], "purity": pur[i]}
-        points.append({"theta": theta, "shots_per_setting": shots, **point})
-        if bootstraps:
-            b = bootstraps[i]
-            points[-1]["bootstrap"] = {"resamples": b.resamples, "point": point, "lower": b.lower,
-                                       "upper": b.upper, "percentiles": list(tomography.PERCENTILES)}
-    c0, stderr = tomography.fit_c0(thetas, conc)
+    points = [{"theta": t, "concurrence": c, "purity": p} for t, c, p in zip(thetas, conc, pur)]
     # exact moments draw no shots: the sampling settings would be unused
     sampling = {} if exact_moments else {
         "shots_per_setting": shots_per_setting, "resamples": resamples, "seed": seed}
+    if bootstraps:
+        sampling["percentiles"] = list(tomography.PERCENTILES)
+        for point, b in zip(points, bootstraps):
+            point["bootstrap"] = {"lower": b.lower, "upper": b.upper}
+    try:
+        c0_fit = dict(zip(("c0", "stderr"), tomography.fit_c0(thetas, conc)))
+    except tomography.Unidentifiable:  # the per-theta metrics stand without the fit
+        c0_fit = None
     _write_json(out_dir / "tomo_metrics.json", {
         **sampling, "noise": list(noise.delta_phi), "exact_moments": exact_moments,
-        "points": points, "c0_fit": {"c0": c0, "stderr": stderr}})
+        "points": points, "c0_fit": c0_fit})
     return 0
 
 
@@ -232,8 +236,8 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
         result.per_parameter_spread = noisefit.bootstrap_spread(
             data, result, shots=spread_shots, resamples=spread_resamples, seed=seed
         )
-
-    _write_json(out_dir / "fit_result.json", result.to_json_dict())
+    _write_json(out_dir / "fit_result.json", {
+        **asdict(result), "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
     model = noisefit.model_curves(NoiseParams(result.delta_phi), data.thetas)
     with open(out_dir / "fit_overlay.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -285,9 +289,13 @@ def _verify_checks():
         dev = max(dev, np.max(np.abs(rec - rho)))
     yield "linear inversion exact on moments", dev <= 1e-12, dev
 
-    table = protocol.outcome_table_exact(thetas, NoiseParams.zeros())
-    dev = np.max(np.abs(protocol.energies_from_table(table)[:, 2] - gains))
-    yield "table energies match state gain", dev <= 1e-12, dev
+    planted = NoiseParams(tuple(np.array([0.009, 0.068, 0.165]) * np.pi / 2))
+    for at, noise in (("", NoiseParams.zeros()), (" at planted noise", planted)):
+        table = protocol.outcome_table_exact(thetas, noise)
+        noisy = protocol.prepare_resource(ProtocolConfig(theta=thetas, noise=noise))
+        gain = protocol.demonic_gain(noisy, protocol.apply_feedback(protocol.measure_demon(noisy)))
+        dev = np.max(np.abs(protocol.energies_from_table(table)[:, 2] - gain))
+        yield f"table energies match state gain{at}", dev <= 1e-12, dev
 
     # the 16 two-branch policies over {I, SWAP, X_D, X_D SWAP}, as (16, 1, 2, 4, 4)
     swap_u, ident = protocol.CONDITIONAL_SWAP
@@ -308,14 +316,12 @@ def _verify_checks():
 
 
 def cmd_verify(out_dir: Path) -> int:
-    failures = 0
     results = []
     for name, passed, measure in _verify_checks():
         print(f"[{'PASS' if passed else 'FAIL'}] {name} (measure {_fmt(measure)})")
         results.append({"name": name, "passed": bool(passed), "measure": float(measure)})
-        failures += 0 if passed else 1
     _write_json(out_dir / "verify_report.json", {"checks": results})
-    return 1 if failures else 0
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +351,7 @@ def main(argv=None) -> int:
         if verify:
             return cmd_verify(out_dir)
         return handlers[args.command](out_dir, Path(args.manifest).parent, **values)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise SystemExit(f"demongain {args.command}: {exc}")
 
 

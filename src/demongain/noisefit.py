@@ -67,21 +67,6 @@ class FitResult:
     fisher_stderr: tuple[float, float, float] | None = None
     per_parameter_spread: tuple[float, float, float] | None = None
 
-    def to_json_dict(self) -> dict:
-        def listed(values):
-            return None if values is None else list(values)
-
-        return {
-            "delta_phi": list(self.delta_phi),
-            "delta_phi_over_half_pi": [d / (np.pi / 2) for d in self.delta_phi],
-            "residual": self.residual,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "at_bound": self.at_bound,
-            "fisher_stderr": listed(self.fisher_stderr),
-            "per_parameter_spread": listed(self.per_parameter_spread),
-        }
-
 
 def model_curves(noise: NoiseParams, thetas) -> OutcomeTable:
     """Exact outcome table over the theta grid under the given deviations."""

@@ -116,7 +116,12 @@ def joint_cells(kets: np.ndarray) -> np.ndarray:
 
 
 def demonic_gain(rho: np.ndarray, rho_prime: np.ndarray) -> float | np.ndarray:
-    """Energy gained by the demon's qubit, Tr[H_D (rho' - rho)], in epsilon."""
+    """Energy gained by the demon's qubit, Tr[H_D (rho' - rho)], in epsilon.
+
+    Under the conditional swap it is <1_A 0_D|rho|1_A 0_D> = rho[2, 2] for
+    any rho. It equals C^2/2 on the ideal family (psi_11 = 0) only: the
+    even Bell state (|00> + |11>)/sqrt(2) has C = 1 and gains nothing.
+    """
     return np.trace(H_DEMON @ (rho_prime - rho), axis1=-2, axis2=-1).real
 
 
@@ -140,7 +145,10 @@ def analytic_concurrence(theta):
 
 
 def gain_lower_bound(c):
-    """Entanglement lower bound on the demonic gain: (1 - sqrt(1-C^2))/2, elementwise."""
+    """Lower bound (1 - sqrt(1-C^2))/2 on the gain <1_A 0_D|rho|1_A 0_D>, elementwise.
+
+    It holds on the ideal family (psi_11 = 0), not for every state of concurrence C.
+    """
     c = _in_range(c, "concurrence", 1.0, "1")
     return 0.5 * (1.0 - np.sqrt(1.0 - c * c))
 
@@ -270,21 +278,3 @@ def read_tables_csv(path) -> OutcomeTable:
         cells=np.array(cells).reshape(-1, 8),
         counts=None if counts is None else np.array(counts, dtype=int).reshape(-1, 8),
     )
-
-
-def table_to_json_dicts(t: OutcomeTable) -> list[dict]:
-    """One JSON-ready dict per theta; cell keys read "d d' a'", e.g. "010"."""
-    keys = [f"{d}{dp}{ap}" for d, dp, ap in CELLS]
-    counts = [None] * len(t.thetas) if t.counts is None else t.counts.tolist()
-    return [
-        {
-            "theta": theta,
-            "pr_d": {"0": pr_d[0], "1": pr_d[1]},
-            "pr_joint": dict(zip(keys, cells)),
-            "counts": None if c is None else dict(zip(keys, c)),
-            "shots": None if c is None else sum(c),
-        }
-        for theta, pr_d, cells, c in zip(
-            t.thetas.tolist(), t.pr_d.tolist(), t.cells.tolist(), counts
-        )
-    ]

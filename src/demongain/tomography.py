@@ -262,6 +262,10 @@ def tomography_study(
     return counts, rho_hat, boots
 
 
+class Unidentifiable(ValueError):
+    """No theta of the grid has a nonzero cos(theta), so fit_c0 has nothing to fit."""
+
+
 def fit_c0(thetas, c) -> tuple[float, float]:
     """One-parameter least-squares fit of c = c0 * cos(theta).
 
@@ -279,7 +283,7 @@ def fit_c0(thetas, c) -> tuple[float, float]:
         raise ValueError("need at least one point")
     sxx = np.sum(x * x)
     if sxx <= 1e-20:
-        raise ValueError("all cos(theta) vanish; c0 is unidentifiable")
+        raise Unidentifiable("all cos(theta) vanish; c0 is unidentifiable")
     c0 = float(np.sum(c * x) / sxx)
     if x.size == 1:
         return c0, 0.0

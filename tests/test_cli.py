@@ -125,7 +125,8 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["sweep_exact", "sweep_sampled_noisy"])
     def test_manifest_matches_golden_summary(self, name, tmp_path):
         # sweep_summary.json of the checked-in manifest as written when each
-        # theta's outcome table was a dict of cells; counts compare exactly
+        # theta's outcome table was a dict of cells, less the per-point shot
+        # totals and null counts; counts compare exactly
         golden = json.loads((ROOT / f"tests/data/{name}_summary.json").read_text())
         manifest = str(ROOT / f"manifests/{name}.json")
         assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
@@ -187,6 +188,30 @@ class TestSweep:
         assert read_tables_csv(tmp_path / "outcome_tables.csv").thetas.tolist() == [1.0]
 
 
+class TestSweepPoints:
+    """The per-theta points of sweep_summary.json."""
+
+    def test_exact_points_hold_no_counts(self, tmp_path):
+        manifest = _write_manifest(tmp_path, {"sweep": {"theta_steps": 3}})
+        assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        points = json.loads((tmp_path / "sweep_summary.json").read_text())["points"]
+        table = read_tables_csv(tmp_path / "outcome_tables.csv")
+        assert [p["theta"] for p in points] == pytest.approx(table.thetas.tolist(), rel=1e-11)
+        assert all(p.keys() == {"theta", "pr_d", "pr_joint"} for p in points)
+        assert all(sum(p["pr_d"].values()) == pytest.approx(1.0) for p in points)
+
+    def test_sampled_points_hold_their_counts(self, tmp_path):
+        manifest = _write_manifest(
+            tmp_path, {"sweep": {"theta_steps": 3, "mode": "sampled", "shots": 400, "seed": 3}})
+        assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        points = json.loads((tmp_path / "sweep_summary.json").read_text())["points"]
+        table = run_shots(np.linspace(0, HALF_PI, 3), NoiseParams.zeros(), 400, 3)
+        assert all(p.keys() == {"theta", "pr_d", "pr_joint", "counts"} for p in points)
+        assert [list(p["counts"].values()) for p in points] == table.counts.tolist()
+        assert [list(p["pr_joint"].values()) for p in points] == table.cells.tolist()
+        assert list(points[0]["counts"]) == ["000", "001", "010", "011", "100", "101", "110", "111"]
+
+
 class TestTomo:
     def test_tomo_outputs(self, tmp_path):
         manifest = _write_manifest(
@@ -208,11 +233,13 @@ class TestTomo:
         assert payload["schema_version"] == 1
         assert len(payload["points"]) == 2
         assert 0.5 < payload["c0_fit"]["c0"] < 1.2
+        # the sampling settings and percentiles are written once, beside the points
+        assert (payload["shots_per_setting"], payload["resamples"]) == (60, 10)
+        assert payload["percentiles"] == [16.0, 84.0]
         for pt in payload["points"]:
-            assert pt["shots_per_setting"] == 60
+            assert pt.keys() == {"theta", "concurrence", "purity", "bootstrap"}
             b = pt["bootstrap"]
-            assert b["resamples"] == 10 and b["percentiles"] == [16.0, 84.0]
-            assert b["point"] == {"concurrence": pt["concurrence"], "purity": pt["purity"]}
+            assert b.keys() == {"lower", "upper"}
             assert b["lower"].keys() == b["upper"].keys() == {"concurrence", "purity"}
 
     def test_exact_moments_mode(self, tmp_path):
@@ -227,13 +254,9 @@ class TestTomo:
         for pt in payload["points"]:
             assert pt["concurrence"] == pytest.approx(np.cos(pt["theta"]), abs=1e-9)
         assert payload["c0_fit"]["c0"] == pytest.approx(1.0, abs=1e-9)
-        assert all(
-            pt.keys() == {"theta", "shots_per_setting", "concurrence", "purity"}
-            and pt["shots_per_setting"] == 0
-            for pt in payload["points"]
-        )
+        assert all(pt.keys() == {"theta", "concurrence", "purity"} for pt in payload["points"])
         # no shot is drawn, so the sampling settings are not recorded
-        assert not {"shots_per_setting", "resamples", "seed"} & payload.keys()
+        assert not {"shots_per_setting", "resamples", "seed", "percentiles"} & payload.keys()
         assert not (out / "tomogram_00.csv").exists()
 
     def test_noisy_exact_moments_give_the_state_metrics(self, tmp_path):
@@ -260,6 +283,18 @@ class TestTomo:
             _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o"),
                   "--seed", str(2**64 - 1)])
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_no_cos_theta_writes_metrics_without_c0(self, tmp_path, exact):
+        # at theta = pi/2 alone c0 is unidentifiable; the per-theta metrics still stand
+        manifest = _write_manifest(
+            tmp_path, {"tomo": {"thetas": [HALF_PI], "resamples": 5, "exact_moments": exact}})
+        assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
+        payload = json.loads((tmp_path / "o/tomo_metrics.json").read_text())
+        assert payload["c0_fit"] is None
+        (point,) = payload["points"]
+        assert point["theta"] == HALF_PI and point["concurrence"] <= 1.0
+        assert ("bootstrap" in point) != exact
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_no_theta_exits(self, tmp_path, exact):
@@ -513,7 +548,8 @@ def test_record_goldens_reproduces_checked_in_files(tmp_path, monkeypatch, capsy
 
 
 def test_record_goldens_names_the_key_that_changed():
-    moves = runpy.run_path(str(ROOT / "scripts/record_goldens.py"), run_name="goldens")["moves"]
+    script = runpy.run_path(str(ROOT / "scripts/record_goldens.py"), run_name="goldens")
+    moves = script["moves"]
     big = {"points": [{"theta": 0.1 * i, "pr_d": {"0": 0.5, "1": 0.5}} for i in range(500)]}
     grown = json.loads(json.dumps(big))
     grown["points"][3]["pr_d"]["2"] = 0.0
@@ -527,6 +563,36 @@ def test_record_goldens_names_the_key_that_changed():
         moves(big, {"points": [{"theta": 0.0, "pr_d": [0.5, 0.5]}] + big["points"][1:]})
     grown["points"][3]["pr_d"] = {"0": 0.25, "1": 0.5}
     assert moves(big, {"points": grown["points"]}) == [0.25]
+    # past a layout change, compare still counts the moves at the paths both hold
+    moved, changes = script["compare"](big, {"points": [{"theta": 1.0}] * 500})
+    assert len(moved) == 499  # point 10 keeps theta = 1.0
+    assert changes == [(f"/points[{i}]/pr_d", "went") for i in range(500)]
+
+
+def test_record_goldens_reports_moves_beside_a_layout_change(tmp_path, monkeypatch, capsys):
+    # a checked-in golden with a key the run does not write, without a key
+    # it writes, and one number off at a path both hold: all three are
+    # printed, list indices as [*]
+    script = runpy.run_path(str(ROOT / "scripts/record_goldens.py"), run_name="goldens")
+    name = "sweep_exact_summary.json"
+    recorded = json.loads((ROOT / "tests/data" / name).read_text())
+    golden = json.loads(json.dumps(recorded))
+    for p in golden["points"]:
+        del p["pr_joint"]
+    golden["shots"] = 1
+    golden["points"][2]["pr_d"]["0"] += 0.5
+    moved, changes = script["compare"](golden, recorded)
+    assert moved == [pytest.approx(0.5)] and len(changes) == 1 + len(golden["points"])
+    (tmp_path / name).write_text(json.dumps(golden))
+    monkeypatch.setitem(script["main"].__globals__, "GOLDENS", tmp_path)
+    monkeypatch.setattr(sys, "argv", ["record_goldens.py", "--out", str(tmp_path / "o"), name])
+    script["main"]()
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: layout changed, 1 numbers moved at the paths both files hold, largest 0.5",
+        "  key /shots went",
+        "  key /points[*]/pr_joint appeared",
+    ]
+    assert (tmp_path / "o" / name).read_bytes() == (ROOT / "tests/data" / name).read_bytes()
 
 
 class TestVerify:
@@ -534,7 +600,7 @@ class TestVerify:
         out = tmp_path / "out"
         assert _run(["verify", "--out", str(out)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert all(line.startswith("[PASS]") for line in lines)
         payload = json.loads((out / "verify_report.json").read_text())
         assert payload["schema_version"] == 1
@@ -686,6 +752,25 @@ class TestManifestHandling:
         with pytest.raises(SystemExit, match=pattern):
             _run([command, "--manifest", manifest, "--out", str(out)])
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section",
+        [
+            ("sweep", {"mode": "sampled", "shots": 10**30}),
+            ("tomo", {"shots_per_setting": 10**30}),
+            ("fit", {"dataset": str(ROOT / "manifests/data/planted_tables.csv"),
+                     "spread_resamples": 2, "spread_shots": 10**30}),
+        ],
+        ids=["sweep-shots", "tomo-shots", "fit-spread-shots"],
+    )
+    def test_integer_beyond_int64_exits_with_one_line(self, tmp_path, command, section):
+        # the draw refuses the shot count before it allocates anything
+        manifest = _write_manifest(tmp_path, {command: section})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit, match=f"^demongain {command}: .*too large") as exc:
+            _run([command, "--manifest", manifest, "--out", str(out)])
+        assert "\n" not in str(exc.value)
+        assert not list(out.iterdir())
 
     def test_manifest_not_an_object_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, ["sweep"])

@@ -1,5 +1,6 @@
 """Tests for the three-parameter phase-deviation fit."""
 
+import json
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demongain import noisefit
+from demongain.cli import main
 from demongain.gates import NoiseParams
 from demongain.noisefit import (
     CELLS,
@@ -27,6 +29,7 @@ from demongain.protocol import (
     measure_demon,
     prepare_resource,
     run_shots,
+    write_tables_csv,
 )
 
 HALF_PI = np.pi / 2
@@ -269,18 +272,33 @@ class TestBootstrapSpread:
             bootstrap_spread(ds, res, shots=shots, resamples=resamples, seed=5)
 
 
+def _fit_json(tmp_path, data: OutcomeTable) -> dict:
+    """fit_result.json as `demongain fit` writes it for `data`."""
+    write_tables_csv(tmp_path / "tables.csv", data)
+    (tmp_path / "fit.json").write_text(json.dumps({"fit": {"dataset": "tables.csv"}}))
+    assert main(["fit", "--manifest", str(tmp_path / "fit.json"), "--out", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "fit_result.json").read_text())
+
+
 class TestFitJson:
-    def test_write(self):
-        import json
-
+    def test_write(self, tmp_path, monkeypatch):
+        # every FitResult field as it is, and delta_phi in units of pi/2
         res = FitResult(delta_phi=(0.01, 0.02, 0.03), residual=1e-9, converged=True)
-        payload = json.loads(json.dumps(res.to_json_dict()))
-        assert payload["delta_phi"] == [0.01, 0.02, 0.03]
-        assert payload["delta_phi_over_half_pi"][0] == pytest.approx(0.01 / HALF_PI)
-        assert payload["fisher_stderr"] is None and payload["per_parameter_spread"] is None
+        monkeypatch.setattr(noisefit, "fit", lambda data, init=None: res)
+        assert _fit_json(tmp_path, model_curves(PLANTED, THETAS)) == {
+            "schema_version": 1,
+            "delta_phi": [0.01, 0.02, 0.03],
+            "delta_phi_over_half_pi": [d / HALF_PI for d in (0.01, 0.02, 0.03)],
+            "residual": 1e-9,
+            "converged": True,
+            "iterations": 0,
+            "at_bound": False,
+            "fisher_stderr": None,
+            "per_parameter_spread": None,
+        }
 
-    def test_record_of_a_sampled_fit(self):
-        payload = fit(sampled(PLANTED.delta_phi, 1)).to_json_dict()
+    def test_record_of_a_sampled_fit(self, tmp_path):
+        payload = _fit_json(tmp_path, sampled(PLANTED.delta_phi, 1))
         assert payload["converged"] is True and payload["at_bound"] is False
         assert payload["iterations"] >= 1
         assert len(payload["fisher_stderr"]) == 3

@@ -27,12 +27,12 @@ from demongain.protocol import (
     prepare_resource,
     read_tables_csv,
     run_shots,
-    table_to_json_dicts,
     write_tables_csv,
 )
 from demongain.qlin import partial_trace
+from demongain.tomography import concurrence
 
-from conftest import resource_ket
+from conftest import random_density, resource_ket
 
 THETA_GRID = np.linspace(0, np.pi / 2, 33)
 IDEAL = NoiseParams.zeros()
@@ -261,6 +261,34 @@ class TestRunShots:
         assert {str(d): p for d, p in enumerate(t.pr_d[0])} == case["pr_d"]
 
 
+class TestClosedFormGain:
+    """The conditional swap's gain is one matrix element: delta_W = <1_A 0_D|rho|1_A 0_D>."""
+
+    @staticmethod
+    def _gain(rho):
+        return demonic_gain(rho, apply_feedback(measure_demon(rho)))
+
+    def test_gain_is_the_10_population_of_mixed_states(self, rng):
+        rhos = np.array([random_density(rng) for _ in range(2000)])
+        assert np.max(np.abs(self._gain(rhos) - rhos[:, 2, 2].real)) <= 1e-15
+
+    def test_table_gain_matches_state_gain_at_random_noise(self, rng):
+        for deltas in rng.uniform(-0.7, 0.7, (5, 3)):
+            noise = NoiseParams(tuple(deltas))
+            rhos = prepare_resource(ProtocolConfig(theta=THETA_GRID, noise=noise))
+            table_gain = energies_from_table(outcome_table_exact(THETA_GRID, noise))[:, 2]
+            assert np.max(np.abs(table_gain - self._gain(rhos))) <= 1e-12
+
+    def test_even_bell_state_has_full_concurrence_and_no_gain(self):
+        # C = 1 but delta_W = 0: the relation delta_W = C^2/2 and the bound
+        # hold on the ideal family (psi_11 = 0), not for concurrence alone
+        psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+        rho = np.outer(psi, psi.conj())
+        assert concurrence(rho) == pytest.approx(1.0, abs=1e-12)
+        assert self._gain(rho) == 0.0
+        assert self._gain(rho) < gain_lower_bound(1.0)
+
+
 class TestPolicyOptimality:
     def test_conditional_swap_is_optimal(self):
         swap_u = gates.swap()
@@ -368,9 +396,6 @@ class TestSerialization:
             assert back.counts is None
         else:
             assert np.array_equal(back.counts, table.counts)
-        points = json.loads(json.dumps(table_to_json_dicts(table)))
-        assert [p["theta"] for p in points] == table.thetas.tolist()
-        assert [p["shots"] for p in points] == [shots] * len(thetas)
 
 
 def test_config_validation():
