@@ -11,18 +11,17 @@ that draw nothing ignore the seed: exact sweeps, exact-moment
 tomography, fits without spread refits. verify takes no manifest: it
 checks the library at fixed tolerances and seeds.
 
-A relative "dataset" path is read from the manifest's directory. Only
-this module builds JSON, each artifact with a schema_version field; CSV
-numbers are written with 12 significant digits. Unreadable or malformed
-input ends the run with a one-line error. An unknown section or key, or a value of the
-wrong type or form, is named by its section and key, e.g.
-"manifest sweep.shot: unknown key" or "manifest sweep.noise: ...".
+A relative "dataset" path is read from the manifest's directory. Only this
+module builds JSON: sorted keys, indent 2, a schema_version field, floats
+as Python's shortest round-trip repr. CSV rows end in CRLF and carry 12
+significant digits. Unreadable or malformed input ends the run with a
+one-line error; an unknown section or key, or a value of the wrong type
+or form, is named by section and key, e.g. "manifest sweep.shot: unknown key".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -33,7 +32,8 @@ import numpy as np
 
 from . import noisefit, protocol, tomography
 from .gates import NoiseParams
-from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig, _fmt
+from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
+from .tomography import _write_csv
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +70,12 @@ def _integer(value) -> int:
     return _expect(value, int, "an integer")
 
 
+def _count(value) -> int:
+    if _integer(value) >= 2**63:  # numpy draws take int64 counts
+        raise ValueError(f"{value} is too large: a count must be below 2**63")
+    return value
+
+
 def _flag(value) -> bool:
     return _expect(value, bool, "true or false")
 
@@ -96,16 +102,16 @@ MANIFEST = {
     "sweep": {
         "theta_start": (0.0, _number),
         "theta_end": (np.pi / 2, _number),
-        "theta_steps": (33, _integer),
-        "shots": (DEFAULT_SHOTS, _integer),
+        "theta_steps": (33, _count),
+        "shots": (DEFAULT_SHOTS, _count),
         "seed": (DEFAULT_SEED, _integer),
         "mode": ("exact", _mode),
         "noise": ([0.0, 0.0, 0.0], _noise),
     },
     "tomo": {
         "thetas": (np.linspace(0, np.pi / 2, 9).tolist(), _numbers),
-        "shots_per_setting": (100, _integer),
-        "resamples": (500, _integer),
+        "shots_per_setting": (100, _count),
+        "resamples": (500, _count),
         "seed": (DEFAULT_SEED, _integer),
         "exact_moments": (False, _flag),
         "noise": ([0.0, 0.0, 0.0], _noise),
@@ -113,8 +119,8 @@ MANIFEST = {
     "fit": {
         "dataset": (None, lambda v: _expect(v, str, "a CSV path")),
         "init": (None, lambda v: None if v is None else _noise(v)),
-        "spread_resamples": (0, _integer),
-        "spread_shots": (DEFAULT_SHOTS, _integer),
+        "spread_resamples": (0, _count),
+        "spread_shots": (DEFAULT_SHOTS, _count),
         "seed": (DEFAULT_SEED, _integer),
     },
 }
@@ -143,11 +149,20 @@ def _section(manifest, name: str, seed) -> dict:
     return values
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+def _write_json(path: Path, payload: dict, rows=None) -> None:
+    """Write `payload` and its schema_version as sorted JSON indented by 2.
+
+    With `rows`, payload["points"] = [point]: each row fills point's nulls in sorted key order.
+    """
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        if rows is not None:  # json lays out the point; %r of a finite number is json's text
+            row = json.dumps(payload["points"][0], indent=2, sort_keys=True).replace("\n", "\n    ")
+            head, text = text.split(row)
+            row = row.replace("null", "%r")
+            fh.writelines([head, row % next(rows)])
+            fh.writelines(map((",\n    " + row).__mod__, rows))
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +183,20 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
         table = protocol.run_shots(thetas, noise, shots, seed)
 
     protocol.write_tables_csv(out_dir / "outcome_tables.csv", table)
-    with open(out_dir / "energies.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "w_i", "w_f", "delta_w", "concurrence_analytic", "bound"])
-        c = protocol.analytic_concurrence(table.thetas)
-        columns = (table.thetas[:, None], protocol.energies_from_table(table), c[:, None],
-                   protocol.gain_lower_bound(c)[:, None])
-        w.writerows([_fmt(v) for v in row] for row in np.hstack(columns))
+    c = protocol.analytic_concurrence(table.thetas)
+    energies = [*protocol.energies_from_table(table).T, c, protocol.gain_lower_bound(c)]
+    _write_csv(out_dir / "energies.csv", "theta,w_i,w_f,delta_w,concurrence_analytic,bound",
+               ",".join(["%.12g"] * 6), np.array([table.thetas, *energies]).tolist())
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
     keys = ["".join(map(str, cell)) for cell in protocol.CELLS]  # "d d' a'", e.g. "010"
-    points = [{"theta": t, "pr_d": dict(zip("01", d)), "pr_joint": dict(zip(keys, c))}
-              for t, d, c in zip(table.thetas.tolist(), table.pr_d.tolist(), table.cells.tolist())]
-    for point, counts in zip(points, [] if table.counts is None else table.counts.tolist()):
-        point["counts"] = dict(zip(keys, counts))  # sampled tables only
+    point = {"pr_d": dict.fromkeys("01"), "pr_joint": dict.fromkeys(keys), "theta": None}
+    cols = [*table.pr_d.T.tolist(), *table.cells.T.tolist(), table.thetas.tolist()]
+    if table.counts is not None:  # sampled tables only
+        point["counts"] = dict.fromkeys(keys)
+        cols[:0] = table.counts.T.tolist()
     _write_json(out_dir / "sweep_summary.json", {
-        "mode": mode, **sampling, "noise": list(noise.delta_phi), "points": points})
+        "mode": mode, **sampling, "noise": list(noise.delta_phi), "points": [point]}, zip(*cols))
     return 0
 
 
@@ -239,12 +252,9 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
     _write_json(out_dir / "fit_result.json", {
         **asdict(result), "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
     model = noisefit.model_curves(NoiseParams(result.delta_phi), data.thetas)
-    with open(out_dir / "fit_overlay.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "d", "d_prime", "a_prime", "data", "model"])
-        for theta, obs, fitted in zip(data.thetas, data.cells, model.cells):
-            for c, p, q in zip(protocol.CELLS, obs, fitted):
-                w.writerow([_fmt(theta), *c, _fmt(p), _fmt(q)])
+    rows = [f"{t:.12g},{d},{dp},{ap}" for t in data.thetas.tolist() for d, dp, ap in protocol.CELLS]
+    _write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
+               "%s,%.12g,%.12g", [rows, data.cells.ravel().tolist(), model.cells.ravel().tolist()])
     return 0
 
 
@@ -318,7 +328,7 @@ def _verify_checks():
 def cmd_verify(out_dir: Path) -> int:
     results = []
     for name, passed, measure in _verify_checks():
-        print(f"[{'PASS' if passed else 'FAIL'}] {name} (measure {_fmt(measure)})")
+        print(f"[{'PASS' if passed else 'FAIL'}] {name} (measure {measure:.12g})")
         results.append({"name": name, "passed": bool(passed), "measure": float(measure)})
     _write_json(out_dir / "verify_report.json", {"checks": results})
     return 0 if all(r["passed"] for r in results) else 1

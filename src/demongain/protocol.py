@@ -22,7 +22,7 @@ import numpy as np
 from . import gates
 from .gates import NoiseParams, _in_range
 from .qlin import ID2, kron
-from .tomography import draw_probs, stream
+from .tomography import _write_csv, draw_probs, stream
 
 DEFAULT_SHOTS = 3500
 DEFAULT_SEED = 20240901
@@ -199,11 +199,8 @@ def energies_from_table(t: OutcomeTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-CSV_HEADER = ["theta", "d", "d_prime", "a_prime", "count", "probability"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+CSV_HEADER = "theta,d,d_prime,a_prime,count,probability"
+_CELL_FIELDS = ["%d,%d,%d" % cell for cell in CELLS]  # d,d_prime,a_prime of each cell's row
 
 
 def write_tables_csv(path, table: OutcomeTable) -> None:
@@ -212,23 +209,16 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
     read_tables_csv groups rows by the written theta, so a grid with two
     thetas alike at 12 significant digits is refused before the file opens.
     """
-    thetas = table.thetas.tolist()
-    keys = [_fmt(t) for t in thetas]
+    keys = ["%.12g" % t for t in table.thetas.tolist()]
     seen = {}
-    for theta, key in zip(thetas, keys):
+    for theta, key in zip(table.thetas.tolist(), keys):
         if key in seen:
-            raise ValueError(
-                f"thetas {seen[key]!r} and {theta!r} both print as {key} "
-                "at 12 significant digits"
-            )
+            raise ValueError(f"thetas {seen[key]!r} and {theta!r} both print as {key} "
+                             "at 12 significant digits")
         seen[key] = theta
-    counts = [[""] * 8] * len(keys) if table.counts is None else table.counts.tolist()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for key, cells, row_counts in zip(keys, table.cells.tolist(), counts):
-            for cell, p, c in zip(CELLS, cells, row_counts):
-                w.writerow([key, *cell, c, _fmt(p)])
+    counts = [""] * (8 * len(keys)) if table.counts is None else table.counts.ravel().tolist()
+    _write_csv(path, CSV_HEADER, "%s,%s,%s,%.12g", [[key for key in keys for _ in CELLS],
+               _CELL_FIELDS * len(keys), counts, table.cells.ravel().tolist()])
 
 
 def read_tables_csv(path) -> OutcomeTable:
@@ -241,7 +231,7 @@ def read_tables_csv(path) -> OutcomeTable:
     grouped: dict[str, dict] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in CSV_HEADER if c not in (reader.fieldnames or [])]
+        missing = [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:

@@ -9,7 +9,6 @@ the agent sign first. Of the outputs, only the counts CSV names them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import product
 
@@ -292,10 +291,16 @@ def fit_c0(thetas, c) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization (_write_csv writes the CSVs of protocol and cli too)
 
-COUNTS_CSV_HEADER = ["setting_a", "setting_d", "outcome", "count"]
-_OUTCOME_NAMES = ("++", "+-", "-+", "--")
+_COUNT_ROWS = [f"{a},{d},{o}" for a, d in ALL_SETTINGS for o in ("++", "+-", "-+", "--")]
+
+
+def _write_csv(path, header: str, row: str, columns) -> None:
+    """Write `header`, then `row % values` per row of `columns`, in CRLF lines as csv.writer."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        fh.writelines(map((row + "\r\n").__mod__, zip(*columns)))
 
 
 def write_counts_csv(path, counts: np.ndarray) -> None:
@@ -303,9 +308,4 @@ def write_counts_csv(path, counts: np.ndarray) -> None:
     counts = np.asarray(counts)
     if counts.shape != (9, 4):
         raise ValueError(f"expected (9, 4) counts per setting, got shape {counts.shape}")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(COUNTS_CSV_HEADER)
-        for (sa, sd), row in zip(ALL_SETTINGS, counts.tolist()):
-            for name, c in zip(_OUTCOME_NAMES, row):
-                w.writerow([sa, sd, name, int(c)])
+    _write_csv(path, "setting_a,setting_d,outcome,count", "%s,%d", [_COUNT_ROWS, counts.flat])

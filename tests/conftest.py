@@ -1,8 +1,12 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from demongain import qlin
-from demongain.tomography import _clamped_sqrt
+from demongain.protocol import CELLS, analytic_concurrence, energies_from_table, gain_lower_bound
+from demongain.tomography import ALL_SETTINGS, _clamped_sqrt
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
@@ -59,3 +63,61 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     lam = _clamped_sqrt(wm)
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c
+
+
+# Reference writers: the csv.writer and dict-of-points serialization the
+# artifact writers replaced, which the new writers must match byte for byte.
+
+
+def tables_csv_oracle(path, table) -> None:
+    """outcome_tables.csv: one row per (theta, cell); count empty in exact mode."""
+    counts = [[""] * 8] * len(table.thetas) if table.counts is None else table.counts.tolist()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta", "d", "d_prime", "a_prime", "count", "probability"])
+        for theta, cells, row_counts in zip(table.thetas.tolist(), table.cells.tolist(), counts):
+            for cell, p, c in zip(CELLS, cells, row_counts):
+                w.writerow([f"{theta:.12g}", *cell, c, f"{p:.12g}"])
+
+
+def energies_csv_oracle(path, table) -> None:
+    """energies.csv of a sweep's outcome table."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta", "w_i", "w_f", "delta_w", "concurrence_analytic", "bound"])
+        c = analytic_concurrence(table.thetas)
+        columns = (table.thetas[:, None], energies_from_table(table), c[:, None],
+                   gain_lower_bound(c)[:, None])
+        w.writerows([f"{v:.12g}" for v in row] for row in np.hstack(columns))
+
+
+def sweep_summary_oracle(path, table, header: dict) -> None:
+    """sweep_summary.json: `header` and one dict per theta, through json.dump."""
+    keys = ["".join(map(str, cell)) for cell in CELLS]
+    points = [{"theta": t, "pr_d": dict(zip("01", d)), "pr_joint": dict(zip(keys, c))}
+              for t, d, c in zip(table.thetas.tolist(), table.pr_d.tolist(), table.cells.tolist())]
+    for point, counts in zip(points, [] if table.counts is None else table.counts.tolist()):
+        point["counts"] = dict(zip(keys, counts))
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, **header, "points": points}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def fit_overlay_csv_oracle(path, data, model) -> None:
+    """fit_overlay.csv: data and model cells per (theta, cell)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["theta", "d", "d_prime", "a_prime", "data", "model"])
+        for theta, obs, fitted in zip(data.thetas, data.cells, model.cells):
+            for c, p, q in zip(CELLS, obs, fitted):
+                w.writerow([f"{theta:.12g}", *c, f"{p:.12g}", f"{q:.12g}"])
+
+
+def counts_csv_oracle(path, counts) -> None:
+    """tomogram_NN.csv: one row per setting and outcome of (9, 4) counts."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["setting_a", "setting_d", "outcome", "count"])
+        for (sa, sd), row in zip(ALL_SETTINGS, np.asarray(counts).tolist()):
+            for name, c in zip(("++", "+-", "-+", "--"), row):
+                w.writerow([sa, sd, name, int(c)])

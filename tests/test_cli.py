@@ -754,23 +754,34 @@ class TestManifestHandling:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, section",
+        "command, section, key",
         [
-            ("sweep", {"mode": "sampled", "shots": 10**30}),
-            ("tomo", {"shots_per_setting": 10**30}),
+            ("sweep", {"mode": "sampled", "shots": 10**30}, "shots"),
+            ("sweep", {"theta_steps": 2**63}, "theta_steps"),
+            ("tomo", {"shots_per_setting": 10**30}, "shots_per_setting"),
+            ("tomo", {"resamples": 2**63}, "resamples"),
             ("fit", {"dataset": str(ROOT / "manifests/data/planted_tables.csv"),
-                     "spread_resamples": 2, "spread_shots": 10**30}),
+                     "spread_resamples": 2, "spread_shots": 10**30}, "spread_shots"),
+            ("fit", {"dataset": str(ROOT / "manifests/data/planted_tables.csv"),
+                     "spread_resamples": 2**64}, "spread_resamples"),
         ],
-        ids=["sweep-shots", "tomo-shots", "fit-spread-shots"],
+        ids=["sweep-shots", "sweep-steps", "tomo-shots", "tomo-resamples", "fit-spread-shots",
+             "fit-spread-resamples"],
     )
-    def test_integer_beyond_int64_exits_with_one_line(self, tmp_path, command, section):
-        # the draw refuses the shot count before it allocates anything
+    def test_integer_beyond_int64_exits_with_one_line(self, tmp_path, command, section, key):
+        # numpy's draws take int64 counts: the manifest refuses a larger one by name
         manifest = _write_manifest(tmp_path, {command: section})
         out = tmp_path / "o"
-        with pytest.raises(SystemExit, match=f"^demongain {command}: .*too large") as exc:
+        pattern = f"^demongain {command}: manifest {command}.{key}: .* too large"
+        with pytest.raises(SystemExit, match=pattern) as exc:
             _run([command, "--manifest", manifest, "--out", str(out)])
         assert "\n" not in str(exc.value)
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    def test_counts_below_2_63_pass_the_manifest(self):
+        # the largest int64 is a count; seeds keep their full range
+        section = cli._section({"sweep": {"shots": 2**63 - 1, "seed": 2**70}}, "sweep", None)
+        assert (section["shots"], section["seed"]) == (2**63 - 1, 2**70)
 
     def test_manifest_not_an_object_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, ["sweep"])
