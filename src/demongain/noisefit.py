@@ -13,7 +13,8 @@ fitted spread meets the Fisher bound. A 6^3 grid seeds Levenberg-Marquardt
 (damped Gauss-Newton) iterations on those residuals (More, "The
 Levenberg-Marquardt algorithm", 1978), each linearized by central
 differences from one 7-candidate `model_cells` call and clipped to
-BOUNDS. Both stages are deterministic.
+BOUNDS. Both stages are deterministic. Spread refits iterate in lockstep
+blocks, one `model_cells` call a round; each equals a lone fit bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ _MAX_ITER = 100
 # order, and their columns of J hold rounding noise, not a slope.
 _RCOND = 1e-8
 _DAMPING0, _MAX_DAMPING = 1e-3, 1e8
+_BLOCK = 64  # spread refits per lockstep descent, which bounds its memory
 
 
 def model_cells(params: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -134,6 +136,53 @@ def _lm_point(r, jac, damping: float, x) -> np.ndarray:
     return np.clip(x + s, lo, hi)
 
 
+def _linearize(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray) -> tuple[list, list, list]:
+    """Live-cell p (7, n, 4) at x and x +/- h e_k, residuals r at x, Jacobian J (4n, 3).
+
+    One list entry per row of x (k, 3), each against its own obs[i] (n, 4),
+    all from one model_cells call.
+    """
+    p = model_cells((x[:, None] + _OFFSETS).reshape(-1, 3), thetas)[..., LIVE]
+    p = p.reshape(len(x), 7, *obs.shape[1:])
+    r = _weighted(p, obs[:, None]).reshape(len(x), 7, -1)
+    jac = (r[:, 1:4] - r[:, 4:]) / (2 * _H)
+    return list(p), list(r[:, 0]), [j.T for j in jac]
+
+
+def _descend(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
+    """Levenberg-Marquardt from each row of x (R, 3) on its dataset obs[i] (n, 4).
+
+    Rows iterate in lockstep, each round linearizing all still iterating
+    with one model_cells call. A row keeps its own damping, iteration
+    count and stop tests, so it takes exactly the steps it would alone.
+    Returns per row: x, p at the last accepted x, converged, iterations.
+    """
+    x = x.copy()
+    p, r, jac = _linearize(obs, thetas, x)
+    damping, iterations, converged = [_DAMPING0] * len(x), [0] * len(x), [False] * len(x)
+    going = range(len(x))
+    while True:
+        trials = {}
+        for i in going:
+            if iterations[i] >= _MAX_ITER or damping[i] > _MAX_DAMPING:
+                continue
+            gauss_newton = _lm_point(r[i], jac[i], 0.0, x[i])
+            if np.linalg.norm(gauss_newton - x[i]) <= _XTOL:
+                x[i], converged[i] = gauss_newton, True
+                continue
+            iterations[i] += 1
+            trials[i] = _lm_point(r[i], jac[i], damping[i], x[i])
+        if not trials:
+            return x, p, converged, iterations
+        going = list(trials)
+        lins = _linearize(obs[going], thetas, np.array(list(trials.values())))
+        for i, p_t, r_t, jac_t in zip(going, *lins):
+            if r_t @ r_t <= r[i] @ r[i]:
+                x[i], p[i], r[i], jac[i], damping[i] = trials[i], p_t, r_t, jac_t, damping[i] / 10
+            else:
+                damping[i] *= 10
+
+
 def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
     """Recover the three phase deviations from outcome curves.
 
@@ -155,31 +204,8 @@ def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
     _check_empty_cells(data)
 
     obs = data.cells[:, LIVE]
-
-    def linearize(x):
-        """Live-cell probabilities at x +/- h, residuals r and their Jacobian."""
-        p = model_cells(x + _OFFSETS, data.thetas)[..., LIVE]
-        r = _weighted(p, obs).reshape(7, -1)
-        return p, r[0], ((r[1:4] - r[4:]) / (2 * _H)).T
-
-    if init is None:
-        x = _grid_seed(obs, data.thetas)
-    else:
-        x = np.clip(init.delta_phi, *BOUNDS)
-    p, r, jac = linearize(x)
-    damping, iterations, converged = _DAMPING0, 0, False
-    while iterations < _MAX_ITER and damping <= _MAX_DAMPING:
-        gauss_newton = _lm_point(r, jac, 0.0, x)
-        if np.linalg.norm(gauss_newton - x) <= _XTOL:
-            x, converged = gauss_newton, True
-            break
-        iterations += 1
-        trial = _lm_point(r, jac, damping, x)
-        p_t, r_t, jac_t = linearize(trial)
-        if r_t @ r_t <= r @ r:
-            x, p, r, jac, damping = trial, p_t, r_t, jac_t, damping / 10
-        else:
-            damping *= 10
+    x = _grid_seed(obs, data.thetas) if init is None else np.clip(init.delta_phi, *BOUNDS)
+    (x,), (p,), (converged,), (iterations,) = _descend(obs[None], data.thetas, x[None])
 
     stderr = None
     if data.counts is not None:
@@ -212,15 +238,18 @@ def bootstrap_spread(
     joint probabilities with the stated shot count, refits (iterations
     seeded at the original optimum), and reports the standard deviation
     per parameter. Resample r draws from stream(seed, "fit spread", r).
+    Blocks of _BLOCK resamples are drawn and refitted in lockstep, and
+    each refit equals `fit` on its resampled table bit for bit.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     dists = data.cells / data.cells.sum(axis=-1, keepdims=True)
+    x = np.tile(np.clip(fitted.delta_phi, *BOUNDS), (_BLOCK, 1))
     fits = np.empty((resamples, 3))
-    for r in range(resamples):
-        counts = stream(seed, "fit spread", r).multinomial(shots, dists)
-        resampled = OutcomeTable(thetas=data.thetas, cells=counts / shots, counts=counts)
-        fits[r] = fit(resampled, init=NoiseParams(fitted.delta_phi)).delta_phi
+    for start in range(0, resamples, _BLOCK):
+        block = range(start, min(start + _BLOCK, resamples))
+        counts = np.array([stream(seed, "fit spread", r).multinomial(shots, dists) for r in block])
+        fits[start:block.stop] = _descend(counts[..., LIVE] / shots, data.thetas, x[:len(block)])[0]
     return tuple(float(s) for s in fits.std(axis=0))

@@ -4,9 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from demongain import qlin
-from demongain.protocol import CELLS, analytic_concurrence, energies_from_table, gain_lower_bound
-from demongain.tomography import ALL_SETTINGS, _clamped_sqrt
+from demongain import noisefit, qlin
+from demongain.gates import NoiseParams
+from demongain.noisefit import BOUNDS, LIVE, FitResult
+from demongain.protocol import (
+    CELLS,
+    OutcomeTable,
+    analytic_concurrence,
+    energies_from_table,
+    gain_lower_bound,
+)
+from demongain.tomography import ALL_SETTINGS, _clamped_sqrt, stream
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
@@ -63,6 +71,70 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     lam = _clamped_sqrt(wm)
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c
+
+
+# One Levenberg-Marquardt loop per dataset: the form of noisefit.fit and
+# noisefit.bootstrap_spread that the lockstep descent replaced, which
+# every row of that descent must match bit for bit. Constants are read
+# from the module at call time, so monkeypatching them reaches both.
+
+
+def lone_fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
+    """noisefit.fit on one dataset, iterated alone."""
+    obs = data.cells[:, LIVE]
+
+    def linearize(x):
+        p = noisefit.model_cells(x + noisefit._OFFSETS, data.thetas)[..., LIVE]
+        r = noisefit._weighted(p, obs).reshape(7, -1)
+        return p, r[0], ((r[1:4] - r[4:]) / (2 * noisefit._H)).T
+
+    if init is None:
+        x = noisefit._grid_seed(obs, data.thetas)
+    else:
+        x = np.clip(init.delta_phi, *BOUNDS)
+    p, r, jac = linearize(x)
+    damping, iterations, converged = noisefit._DAMPING0, 0, False
+    while iterations < noisefit._MAX_ITER and damping <= noisefit._MAX_DAMPING:
+        gauss_newton = noisefit._lm_point(r, jac, 0.0, x)
+        if np.linalg.norm(gauss_newton - x) <= noisefit._XTOL:
+            x, converged = gauss_newton, True
+            break
+        iterations += 1
+        trial = noisefit._lm_point(r, jac, damping, x)
+        p_t, r_t, jac_t = linearize(trial)
+        if r_t @ r_t <= r @ r:
+            x, p, r, jac, damping = trial, p_t, r_t, jac_t, damping / 10
+        else:
+            damping *= 10
+
+    stderr = None
+    if data.counts is not None:
+        dp = (p[1:4] - p[4:]) / (2 * noisefit._H)
+        shots = data.counts.sum(axis=1)[:, None]
+        info = np.einsum("knc,lnc,nc->kl", dp, dp, shots / np.maximum(p[0], noisefit._WEIGHT_FLOOR))
+        w, v = np.linalg.eigh(info)
+        if w[0] > 1e-12 * w[-1]:
+            stderr = tuple(float(s) for s in np.sqrt((v**2 / w).sum(axis=1)))
+    return FitResult(
+        delta_phi=tuple(float(d) for d in x),
+        residual=noisefit.residual(x, data),
+        converged=converged,
+        iterations=iterations,
+        at_bound=bool(np.any((x <= BOUNDS[0]) | (x >= BOUNDS[1]))),
+        fisher_stderr=stderr,
+    )
+
+
+def spread_by_refits(data: OutcomeTable, fitted: FitResult, shots: int, resamples: int,
+                     seed: int) -> tuple[float, float, float]:
+    """noisefit.bootstrap_spread as one lone refit per resampled table."""
+    dists = data.cells / data.cells.sum(axis=-1, keepdims=True)
+    fits = np.empty((resamples, 3))
+    for r in range(resamples):
+        counts = stream(seed, "fit spread", r).multinomial(shots, dists)
+        resampled = OutcomeTable(thetas=data.thetas, cells=counts / shots, counts=counts)
+        fits[r] = lone_fit(resampled, init=NoiseParams(fitted.delta_phi)).delta_phi
+    return tuple(float(s) for s in fits.std(axis=0))
 
 
 # Reference writers: the csv.writer and dict-of-points serialization the

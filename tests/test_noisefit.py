@@ -1,6 +1,7 @@
 """Tests for the three-parameter phase-deviation fit."""
 
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lone_fit, spread_by_refits
 from demongain import noisefit
 from demongain.cli import main
 from demongain.gates import NoiseParams
@@ -37,13 +39,21 @@ HALF_PI = np.pi / 2
 PLANTED = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI))
 THETAS = np.linspace(0.0, HALF_PI, 17)
 SHOTS = 3500
+# delta_phi_3 on its upper bound pi/4: most refits of 40-shot draws end there
+AT_BOUND = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, np.pi / 4))
+# (truth, shots per theta) of the datasets the lockstep descent is checked on
+LOCKSTEP_CASES = {
+    "planted": (PLANTED.delta_phi, SHOTS),
+    "at bound, 40 shots": (AT_BOUND.delta_phi, 40),
+    "zero noise": ((0.0, 0.0, 0.0), SHOTS),
+}
 
 
-def sampled(delta_phi, k: int) -> OutcomeTable:
-    """Dataset k: one multinomial draw of SHOTS per theta from the exact cells."""
+def sampled(delta_phi, k: int, shots: int = SHOTS) -> OutcomeTable:
+    """Dataset k: one multinomial draw of `shots` per theta from the exact cells."""
     cells = model_cells(np.array([delta_phi]), THETAS)[0]
-    counts = np.random.default_rng([k, 2]).multinomial(SHOTS, cells / cells.sum(-1, keepdims=True))
-    return OutcomeTable(thetas=THETAS, cells=counts / SHOTS, counts=counts)
+    counts = np.random.default_rng([k, 2]).multinomial(shots, cells / cells.sum(-1, keepdims=True))
+    return OutcomeTable(thetas=THETAS, cells=counts / shots, counts=counts)
 
 
 class TestModelCells:
@@ -270,6 +280,56 @@ class TestBootstrapSpread:
         res = fit(ds, init=PLANTED)
         with pytest.raises(ValueError, match=f"^{message}$"):
             bootstrap_spread(ds, res, shots=shots, resamples=resamples, seed=5)
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
+        # refits run in blocks, so the traced peak does not grow with
+        # resamples. The peak is a block's first linearization, so one
+        # iteration reaches it: on this dataset, one descent over all 1000 rows
+        # peaks at 36 MB against 2.3 MB per block, at any iteration cap.
+        monkeypatch.setattr(noisefit, "_MAX_ITER", 1)
+        ds = sampled(PLANTED.delta_phi, 0)
+        res = fit(ds)
+
+        def peak(resamples: int) -> int:
+            tracemalloc.start()
+            try:
+                bootstrap_spread(ds, res, shots=SHOTS, resamples=resamples, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 2 * peak(noisefit._BLOCK)
+
+
+class TestLockstep:
+    """Each row of the lockstep descent against the same fit iterated alone.
+
+    At _MAX_ITER 5 some planted refits converge and others stop at the
+    cap; at 2 every row stops unconverged. The 40-shot refits at the
+    bound take 6 to 83 iterations, and two of them stop on the damping cap.
+    """
+
+    @pytest.mark.parametrize("max_iter", [100, 5, 2])
+    @pytest.mark.parametrize("init", [None, PLANTED], ids=["grid", "init"])
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_fit_matches_lone_fit(self, monkeypatch, case, init, max_iter):
+        monkeypatch.setattr(noisefit, "_MAX_ITER", max_iter)
+        ds = sampled(LOCKSTEP_CASES[case][0], 0, LOCKSTEP_CASES[case][1])
+        assert fit(ds, init=init) == lone_fit(ds, init=init)
+
+    @pytest.mark.parametrize(
+        "resamples, max_iter",
+        [(2, 100), (noisefit._BLOCK, 100), (noisefit._BLOCK + 1, 100),
+         (noisefit._BLOCK + 1, 5), (noisefit._BLOCK + 1, 2)],
+    )
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_spread_matches_refits(self, monkeypatch, case, resamples, max_iter):
+        monkeypatch.setattr(noisefit, "_MAX_ITER", max_iter)
+        delta_phi, shots = LOCKSTEP_CASES[case]
+        ds = sampled(delta_phi, 0, shots)
+        res = fit(ds)
+        spread = bootstrap_spread(ds, res, shots=shots, resamples=resamples, seed=5)
+        assert spread == spread_by_refits(ds, res, shots=shots, resamples=resamples, seed=5)
 
 
 def _fit_json(tmp_path, data: OutcomeTable) -> dict:
