@@ -13,10 +13,11 @@ checks the library at fixed tolerances and seeds.
 
 A relative "dataset" path is read from the manifest's directory. Only this
 module builds JSON: sorted keys, indent 2, a schema_version field, floats
-as Python's shortest round-trip repr. CSV rows end in CRLF and carry 12
-significant digits. Unreadable or malformed input ends the run with a
-one-line error; an unknown section or key, or a value of the wrong type
-or form, is named by section and key, e.g. "manifest sweep.shot: unknown key".
+as Python's shortest round-trip repr. CSV rows, written by
+`shared.write_csv`, end in CRLF and carry 12 significant digits.
+Unreadable or malformed input ends the run with a one-line error; an
+unknown section or key, or a value of the wrong type or form, is named
+by section and key, e.g. "manifest sweep.shot: unknown key".
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import noisefit, protocol, tomography
 from .gates import NoiseParams
 from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
-from .tomography import _write_csv
+from .shared import write_csv
 
 SCHEMA_VERSION = 1
 
@@ -51,7 +52,7 @@ def _load_manifest(path: str) -> dict:
 def _typed(where: str, value, convert):
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"manifest {where}: {exc}") from None
 
 
@@ -63,7 +64,10 @@ def _expect(value, kind, what: str):
 
 
 def _number(value) -> float:
-    return float(_expect(value, (int, float), "a number"))
+    number = float(_expect(value, (int, float), "a number"))
+    if not np.isfinite(number):  # json reads Infinity and NaN
+        raise ValueError(f"expected a finite number, got {number}")
+    return number
 
 
 def _integer(value) -> int:
@@ -185,8 +189,8 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
     protocol.write_tables_csv(out_dir / "outcome_tables.csv", table)
     c = protocol.analytic_concurrence(table.thetas)
     energies = [*protocol.energies_from_table(table).T, c, protocol.gain_lower_bound(c)]
-    _write_csv(out_dir / "energies.csv", "theta,w_i,w_f,delta_w,concurrence_analytic,bound",
-               ",".join(["%.12g"] * 6), np.array([table.thetas, *energies]).tolist())
+    write_csv(out_dir / "energies.csv", "theta,w_i,w_f,delta_w,concurrence_analytic,bound",
+              ",".join(["%.12g"] * 6), np.array([table.thetas, *energies]).tolist())
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
     keys = ["".join(map(str, cell)) for cell in protocol.CELLS]  # "d d' a'", e.g. "010"
@@ -253,8 +257,8 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
         **asdict(result), "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
     model = noisefit.model_curves(NoiseParams(result.delta_phi), data.thetas)
     rows = [f"{t:.12g},{d},{dp},{ap}" for t in data.thetas.tolist() for d, dp, ap in protocol.CELLS]
-    _write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
-               "%s,%.12g,%.12g", [rows, data.cells.ravel().tolist(), model.cells.ravel().tolist()])
+    write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
+              "%s,%.12g,%.12g", [rows, data.cells.ravel().tolist(), model.cells.ravel().tolist()])
     return 0
 
 

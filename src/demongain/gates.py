@@ -57,7 +57,7 @@ class NoiseParams:
         return cls((0.0, 0.0, 0.0))
 
 
-def _in_range(values, name: str, high: float, shown: str) -> np.ndarray:
+def in_range(values, name: str, high: float, shown: str) -> np.ndarray:
     """`values` as a float array; each must lie in [0, high], printed as `shown`."""
     values = np.asarray(values, dtype=float)
     bad = values[~((values >= 0.0) & (values <= high))]
@@ -153,7 +153,7 @@ def kets(params, thetas) -> np.ndarray:
     lie in [0, pi/2]: every state, table and fit model is checked here.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    ry_half = local_rot(_in_range(thetas, "theta", np.pi / 2, "pi/2"), np.pi / 2, "A")
+    ry_half = local_rot(in_range(thetas, "theta", np.pi / 2, "pi/2"), np.pi / 2, "A")
     s = bell_prep(params[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
     for u in (ry_half, _cnot_d_to_a(params[:, 1])[:, None], ry_half,
               _cnot_d_to_a(params[:, 2])[:, None]):

@@ -26,12 +26,11 @@ import numpy as np
 
 from . import gates
 from .gates import NoiseParams
-from .protocol import CELLS, _JOINT_GATHER, OutcomeTable, joint_cells, outcome_table_exact
-from .tomography import stream
+from .protocol import CELLS, LIVE, OutcomeTable, joint_cells, outcome_table_exact
+from .shared import stream
 
 BOUNDS = (-np.pi / 4, np.pi / 4)  # each deviation's search range
-LIVE = np.flatnonzero(_JOINT_GATHER)  # the cells a ket index lands in
-_EMPTY = np.flatnonzero(_JOINT_GATHER == 0)
+_EMPTY = np.delete(np.arange(len(CELLS)), LIVE)  # np.setdiff1d would import numpy.ma
 _GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot, in BOUNDS
 _H = 1e-6  # central-difference step
 _OFFSETS = np.vstack([np.zeros(3), _H * np.eye(3), -_H * np.eye(3)])  # x, x + h e_k, x - h e_k

@@ -20,9 +20,9 @@ from itertools import product
 import numpy as np
 
 from . import gates
-from .gates import NoiseParams, _in_range
+from .gates import NoiseParams, in_range
 from .qlin import ID2, kron
-from .tomography import _write_csv, draw_probs, stream
+from .shared import draw_probs, stream, write_csv
 
 DEFAULT_SHOTS = 3500
 DEFAULT_SEED = 20240901
@@ -107,6 +107,7 @@ def apply_feedback(branches: np.ndarray, policy: np.ndarray = CONDITIONAL_SWAP) 
 _TARGET = np.abs(CONDITIONAL_SWAP).argmax(axis=-2)  # (2, 4): U_d sends k to _TARGET[d, k]
 _LANDS = {(k % 2, *divmod(int(_TARGET[k % 2, k]), 2)[::-1]): k for k in range(4)}
 _JOINT_GATHER = np.array([_LANDS.get(c, -1) + 1 for c in CELLS])
+LIVE = np.flatnonzero(_JOINT_GATHER)  # the cells a ket index lands in
 
 
 def joint_cells(kets: np.ndarray) -> np.ndarray:
@@ -149,7 +150,7 @@ def gain_lower_bound(c):
 
     It holds on the ideal family (psi_11 = 0), not for every state of concurrence C.
     """
-    c = _in_range(c, "concurrence", 1.0, "1")
+    c = in_range(c, "concurrence", 1.0, "1")
     return 0.5 * (1.0 - np.sqrt(1.0 - c * c))
 
 
@@ -217,8 +218,8 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
                              "at 12 significant digits")
         seen[key] = theta
     counts = [""] * (8 * len(keys)) if table.counts is None else table.counts.ravel().tolist()
-    _write_csv(path, CSV_HEADER, "%s,%s,%s,%.12g", [[key for key in keys for _ in CELLS],
-               _CELL_FIELDS * len(keys), counts, table.cells.ravel().tolist()])
+    write_csv(path, CSV_HEADER, "%s,%s,%s,%.12g", [[key for key in keys for _ in CELLS],
+              _CELL_FIELDS * len(keys), counts, table.cells.ravel().tolist()])
 
 
 def read_tables_csv(path) -> OutcomeTable:

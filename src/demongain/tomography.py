@@ -16,6 +16,7 @@ import numpy as np
 
 from . import qlin
 from .qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron
+from .shared import draw_probs, stream, write_csv
 
 AXES = ("X", "Y", "Z")
 ALL_SETTINGS: tuple[tuple[str, str], ...] = tuple(product(AXES, AXES))
@@ -82,35 +83,6 @@ def setting_probs(rho: np.ndarray) -> np.ndarray:
         s = ALL_SETTINGS[np.flatnonzero(bad.reshape(-1, 9).any(axis=0))[0]]
         raise ValueError(f"setting {s} diagonal not normalizable after clamping")
     return diag / total
-
-
-def draw_probs(p: np.ndarray) -> np.ndarray:
-    """Probabilities (..., k) rounded to 12 decimals and renormalized, to draw from.
-
-    Counts then do not hinge on the last bits of p: numpy's binomial draws
-    n - X from 1 - p when p > 1/2, so p = 1/2 and 1/2 + 1 ulp would give
-    mirrored counts. Probabilities below 5e-13 become exact zeros.
-    """
-    p = np.round(p, 12)
-    return p / p.sum(axis=-1, keepdims=True)
-
-
-# What each keyed stream draws. A purpose's position is part of its
-# streams' keys, so new purposes are appended, never inserted.
-PURPOSES = ("shots", "bootstrap", "fit spread", "verify")
-
-
-def stream(seed: int, purpose: str, index: int) -> np.random.Generator:
-    """Philox generator of draw `index` for `purpose` under a run's `seed`.
-
-    The 128-bit key is hashed from (seed, purpose, index) by SeedSequence,
-    so distinct triples give independent streams by construction
-    (Salmon et al., SC'11).
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    key = np.random.SeedSequence(seed, spawn_key=(PURPOSES.index(purpose), index))
-    return np.random.Generator(np.random.Philox(key))
 
 
 def simulate_tomogram_counts(rhos: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -291,16 +263,9 @@ def fit_c0(thetas, c) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# serialization (_write_csv writes the CSVs of protocol and cli too)
+# serialization
 
 _COUNT_ROWS = [f"{a},{d},{o}" for a, d in ALL_SETTINGS for o in ("++", "+-", "-+", "--")]
-
-
-def _write_csv(path, header: str, row: str, columns) -> None:
-    """Write `header`, then `row % values` per row of `columns`, in CRLF lines as csv.writer."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(map((row + "\r\n").__mod__, zip(*columns)))
 
 
 def write_counts_csv(path, counts: np.ndarray) -> None:
@@ -308,4 +273,4 @@ def write_counts_csv(path, counts: np.ndarray) -> None:
     counts = np.asarray(counts)
     if counts.shape != (9, 4):
         raise ValueError(f"expected (9, 4) counts per setting, got shape {counts.shape}")
-    _write_csv(path, "setting_a,setting_d,outcome,count", "%s,%d", [_COUNT_ROWS, counts.flat])
+    write_csv(path, "setting_a,setting_d,outcome,count", "%s,%d", [_COUNT_ROWS, counts.flat])

@@ -14,7 +14,8 @@ from demongain.protocol import (
     energies_from_table,
     gain_lower_bound,
 )
-from demongain.tomography import ALL_SETTINGS, _clamped_sqrt, stream
+from demongain.shared import stream
+from demongain.tomography import ALL_SETTINGS, _clamped_sqrt
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from demongain import protocol, tomography
+from demongain import protocol, shared, tomography
 from demongain.gates import NoiseParams
 from demongain.noisefit import CELLS, bootstrap_spread, fit, model_curves
 from demongain.protocol import (
@@ -181,7 +181,7 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
         d = np.clip(np.real(np.diag(u @ rho_hat @ u.conj().T)), 0.0, None)
         d = np.round(d / d.sum(), 12)
         dists.append(d / d.sum())
-    rng = tomography.stream(3, "bootstrap", 0)
+    rng = shared.stream(3, "bootstrap", 0)
     draws = [np.array([rng.multinomial(100, d) for d in dists]) for _ in range(500)]
     conc = np.empty(500)
     for r in reversed(range(500)):

@@ -720,8 +720,14 @@ class TestManifestHandling:
             ("sweep", {"sweep": {"shots": None, "mode": "sampled"}}, "sweep.shots"),
             # read although no spread refit draws from it
             ("fit", {"fit": {"dataset": "tables.csv", "seed": "x"}}, "fit.seed"),
+            # json reads Infinity and NaN
+            ("sweep", {"sweep": {"theta_end": float("inf")}}, "sweep.theta_end"),
+            ("sweep", {"sweep": {"theta_start": float("nan")}}, "sweep.theta_start"),
+            ("tomo", {"tomo": {"thetas": [0.1, float("nan")]}}, "tomo.thetas"),
+            ("sweep", {"sweep": {"theta_end": 10**400}}, "sweep.theta_end"),  # beyond any float
         ],
-        ids=["noise-number", "thetas-number", "shots-null", "unused-seed"],
+        ids=["noise-number", "thetas-number", "shots-null", "unused-seed", "theta-end-inf",
+             "theta-start-nan", "thetas-nan", "theta-end-huge"],
     )
     def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload, key):
         manifest = _write_manifest(tmp_path, payload)

@@ -1,5 +1,10 @@
-"""Every public function of src/demongain is called by one of the four subcommands."""
+"""Reachability and layering of src/demongain.
 
+Every public function is called by one of the four subcommands, and the
+modules import each other only along the layers.
+"""
+
+import ast
 import json
 import os
 import subprocess
@@ -75,3 +80,25 @@ def test_every_public_function_is_reached_by_a_subcommand(tmp_path):
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["exit_codes"] == [0] * 5
     assert set(report["unreached"]) == ALLOWED_UNREACHED
+
+
+def _imports(path: Path):
+    """(module, names) of every relative import in `path`; module is None for `from . import`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield node.module, [alias.name for alias in node.names]
+
+
+def test_modules_import_along_the_layers():
+    paths = sorted((ROOT / "src/demongain").glob("*.py"))
+    assert {"protocol", "noisefit", "shared"} <= {path.stem for path in paths}
+    for path in paths:
+        modules = set()
+        for module, names in _imports(path):
+            private = [n for n in names if n.startswith("_")]
+            assert not private, f"{path.stem} imports {private} from {module}"
+            modules.update(names if module is None else [module.split(".")[0]])
+        if path.stem in ("protocol", "noisefit"):
+            assert "tomography" not in modules, f"{path.stem} imports tomography"
+        if path.stem == "shared":
+            assert not modules, f"shared imports {sorted(modules)}"

@@ -13,6 +13,7 @@ from demongain.cli import main
 from demongain.gates import NoiseParams, bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
+from demongain.shared import draw_probs, stream
 from demongain.tomography import (
     bootstrap,
     concurrence,
@@ -21,7 +22,6 @@ from demongain.tomography import (
     purity,
     setting_probs,
     simulate_tomogram_counts,
-    stream,
     tomography_study,
     write_counts_csv,
 )
@@ -219,7 +219,7 @@ class TestConcurrence:
         worst = 0.0
         for seed in range(20):
             rho_hat = linear_inversion(simulate_tomogram_counts(rhos, 100, seed))
-            dists = tg.draw_probs(setting_probs(rho_hat))
+            dists = draw_probs(setting_probs(rho_hat))
             counts = np.array([
                 stream(seed, "bootstrap", i).multinomial(100, d, size=(500, 9))
                 for i, d in enumerate(dists)
