@@ -180,6 +180,9 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
         raise ValueError(f"theta_steps must be >= 1, got {theta_steps}")
     if theta_steps > 1 and theta_end < theta_start:
         raise ValueError(f"theta_end {theta_end!r} lies below theta_start {theta_start!r}")
+    if theta_steps > np.iinfo(np.intp).max // 8:  # numpy cannot index the float64 grid
+        raise ValueError(f"theta_steps {theta_steps} is too large: its grid would exceed "
+                         f"{np.iinfo(np.intp).max} bytes")
     thetas = np.linspace(theta_start, theta_end, theta_steps)
     if mode == "exact":
         table = protocol.outcome_table_exact(thetas, noise)
@@ -365,8 +368,8 @@ def main(argv=None) -> int:
         if verify:
             return cmd_verify(out_dir)
         return handlers[args.command](out_dir, Path(args.manifest).parent, **values)
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
-        raise SystemExit(f"demongain {args.command}: {exc}")
+    except (OSError, ValueError, TypeError, OverflowError, MemoryError) as exc:
+        raise SystemExit(f"demongain {args.command}: {str(exc) or type(exc).__name__}")
 
 
 if __name__ == "__main__":

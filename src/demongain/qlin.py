@@ -69,8 +69,9 @@ def eig_hermitian(h):
     any matrix's max-abs deviation from Hermiticity exceeds HERMITICITY_TOL.
     """
     h = _as_square(h, stacked=True)
-    dev = np.max(np.abs(h - dag(h)), initial=0.0)  # an empty stack passes
+    h_dag = dag(h)
+    dev = np.max(np.abs(h - h_dag), initial=0.0)  # an empty stack passes
     if not dev <= HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
-    w, v = np.linalg.eigh((h + dag(h)) / 2)
+    w, v = np.linalg.eigh((h + h_dag) / 2)
     return w[..., ::-1], v[..., ::-1]

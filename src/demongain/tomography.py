@@ -5,10 +5,16 @@ operator, so in the energy basis <Z> = Pr(0) - Pr(1) (|1> is the
 energetically higher state). Counts and probabilities are (..., 9, 4)
 arrays: settings in ALL_SETTINGS order, outcomes (++, +-, -+, --) with
 the agent sign first. Of the outputs, only the counts CSV names them.
+
+tomography_study draws each theta's bootstrap block one theta ahead, on
+a helper thread that touches only shared.stream and numpy, while the
+main thread scores the theta before; on one CPU it draws inline.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import product
 
@@ -191,27 +197,84 @@ def purity(rho: np.ndarray) -> float | np.ndarray:
     return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))  # sum |rho_ij|^2 = Tr(rho rho^dag)
 
 
-def bootstrap(
-    rho_hat: np.ndarray, shots: int, resamples: int, seed: int, index: int = 0
-) -> BootstrapSummary:
-    """Parametric bootstrap of concurrence and purity.
+def bootstrap(counts) -> BootstrapSummary:
+    """Percentile spread of concurrence and purity over one theta's resampled counts.
 
-    Each resample redraws every setting's 4-outcome multinomial from
-    rho_hat's setting probabilities, rounded as for the counts, then
-    re-inverts and recomputes the metrics. All (resamples, 9) draws are
-    one block from stream(seed, "bootstrap", index), `index` being the
-    theta's place in its study; the block equals drawing resample by
-    resample and setting by setting from that one generator. The
-    resamples are then inverted and scored as one stacked batch.
+    `counts` is a (resamples, 9, 4) block of parametric resamples, as
+    tomography_study draws it. The resamples are inverted and scored as
+    one stacked batch.
     """
-    if resamples < 2:
-        raise ValueError("resamples must be >= 2")
-    dists = draw_probs(setting_probs(rho_hat))
-    counts = stream(seed, "bootstrap", index).multinomial(shots, dists, size=(resamples, 9))
+    counts = np.asarray(counts)
+    if counts.ndim != 3 or len(counts) < 2:
+        raise ValueError(f"expected (resamples, 9, 4) counts with resamples >= 2, "
+                         f"got shape {counts.shape}")
     rho_r = linear_inversion(counts)
     lo, hi = np.percentile([concurrence(rho_r), purity(rho_r)], PERCENTILES, axis=-1)
     names = ("concurrence", "purity")
-    return BootstrapSummary(resamples, dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist())))
+    return BootstrapSummary(len(counts), dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist())))
+
+
+class _Blocks:
+    """A study's (resamples, 9, 4) bootstrap blocks, one per theta, drawn one theta ahead.
+
+    With two CPUs or more, one helper thread draws block i + 1 while the
+    caller scores block i; on one CPU `get` draws each block inline.
+    `draw` calls only shared.stream and numpy, whose multinomial loop
+    releases the GIL. Blocks are handed over with semaphores: importing
+    the queue module would add about 1.5 ms to every start of the CLI.
+    """
+
+    def __init__(self, dists: np.ndarray, shots: int, resamples: int, seed: int):
+        self.dists, self.shots, self.resamples, self.seed = dists, shots, resamples, seed
+        self.blocks = [None] * len(dists)  # a drawn block, or the error its draw raised
+        self.asked = threading.Semaphore(0)  # one release per block the helper may draw
+        self.drawn = threading.Semaphore(0)  # one release per block the helper has drawn
+        self.closed = False
+        cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+                else range(os.cpu_count() or 1))  # not every platform has CPU affinity
+        self.helper = threading.Thread(target=self._serve) if len(cpus) > 1 else None
+
+    def __enter__(self) -> "_Blocks":
+        if self.helper is not None:
+            self.helper.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.helper is not None:
+            self.closed = True
+            self.asked.release()
+            self.helper.join()
+
+    def draw(self, i: int) -> np.ndarray:
+        """Block i, equal to drawing resample by resample and setting by setting."""
+        return stream(self.seed, "bootstrap", i).multinomial(
+            self.shots, self.dists[i], size=(self.resamples, 9))
+
+    def _serve(self) -> None:
+        for i in range(1, len(self.blocks)):
+            self.asked.acquire()
+            if self.closed:
+                return
+            try:
+                self.blocks[i] = self.draw(i)
+            except BaseException as exc:  # raised again on the main thread by get()
+                self.blocks[i] = exc
+            self.drawn.release()
+
+    def get(self, i: int) -> np.ndarray:
+        """Block i; with a helper, block i + 1 is asked for first, to draw meanwhile."""
+        if self.helper is None:
+            return self.draw(i)
+        if i + 1 < len(self.blocks):
+            self.asked.release()
+        if i == 0:
+            block = self.draw(0)
+        else:
+            self.drawn.acquire()
+            block, self.blocks[i] = self.blocks[i], None
+        if isinstance(block, BaseException):
+            raise block
+        return block
 
 
 def tomography_study(
@@ -220,16 +283,26 @@ def tomography_study(
     """Simulate counts of (n, 4, 4) states, reconstruct, and bootstrap each.
 
     Returns (n, 9, 4) counts, (n, 4, 4) reconstructions, and one
-    bootstrap(rho_hat[i], shots, resamples, seed, i) per state, or None
-    when `resamples` is 0. State i's counts draw from seed + i (see
-    simulate_tomogram_counts), its bootstrap from the stream keyed by
-    (seed, "bootstrap", i).
+    BootstrapSummary per state, or None when `resamples` is 0. State i's
+    counts draw from seed + i (see simulate_tomogram_counts). Its
+    bootstrap block redraws every setting `resamples` times from
+    rho_hat[i]'s setting probabilities, rounded as for the counts, in one
+    multinomial call on stream(seed, "bootstrap", i); `bootstrap` scores it.
+
+    The draws run one theta ahead: while the main thread scores theta i,
+    theta i + 1's block is drawn on a helper thread that touches only
+    shared.stream and numpy, so every layer function runs on the main
+    thread. On one CPU each block is drawn inline. Either way the results
+    equal drawing and scoring each theta in turn, bit for bit.
     """
     counts = simulate_tomogram_counts(rhos, shots, seed)
     rho_hat = linear_inversion(counts)
-    boots = None
-    if resamples:
-        boots = [bootstrap(r, shots, resamples, seed, i) for i, r in enumerate(rho_hat)]
+    if not resamples:
+        return counts, rho_hat, None
+    if resamples < 2:
+        raise ValueError("resamples must be >= 2")
+    with _Blocks(draw_probs(setting_probs(rho_hat)), shots, resamples, seed) as blocks:
+        boots = [bootstrap(blocks.get(i)) for i in range(len(rho_hat))]
     return counts, rho_hat, boots
 
 

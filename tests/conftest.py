@@ -14,8 +14,8 @@ from demongain.protocol import (
     energies_from_table,
     gain_lower_bound,
 )
-from demongain.shared import stream
-from demongain.tomography import ALL_SETTINGS, _clamped_sqrt
+from demongain.shared import draw_probs, stream
+from demongain.tomography import ALL_SETTINGS, _clamped_sqrt, setting_probs
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
@@ -72,6 +72,18 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     lam = _clamped_sqrt(wm)
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return float(c) if c.ndim == 0 else c
+
+
+def draw_resamples(rho_hat, shots: int, resamples: int, seed: int, index: int = 0) -> np.ndarray:
+    """A theta's (resamples, 9, 4) bootstrap block, drawn as tomography_study draws it.
+
+    Every setting's multinomial is redrawn from rho_hat's setting
+    probabilities, rounded as for the counts, in one block from the
+    stream keyed by (seed, "bootstrap", index); tomography.bootstrap
+    scores it.
+    """
+    dists = draw_probs(setting_probs(rho_hat))
+    return stream(seed, "bootstrap", index).multinomial(shots, dists, size=(resamples, 9))
 
 
 # One Levenberg-Marquardt loop per dataset: the form of noisefit.fit and

@@ -29,7 +29,7 @@ from demongain.protocol import (
     run_shots,
 )
 from demongain.qlin import kron
-from conftest import haar_unitary, random_density
+from conftest import draw_resamples, haar_unitary, random_density
 
 HALF_PI = np.pi / 2
 GRID = np.linspace(0.0, HALF_PI, 33)
@@ -168,8 +168,8 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
     rho_hat = tomography.linear_inversion(
         tomography.simulate_tomogram_counts(bell, shots=100, seed=12)
     )
-    a = tomography.bootstrap(rho_hat, shots=100, resamples=500, seed=3)
-    b = tomography.bootstrap(rho_hat, shots=100, resamples=500, seed=3)
+    a = tomography.bootstrap(draw_resamples(rho_hat, shots=100, resamples=500, seed=3))
+    b = tomography.bootstrap(draw_resamples(rho_hat, shots=100, resamples=500, seed=3))
     deterministic = a.lower == b.lower and a.upper == b.upper
 
     # order invariance: redraw the resamples setting by setting from the
@@ -198,7 +198,7 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
         rh = tomography.linear_inversion(
             tomography.simulate_tomogram_counts(rho, shots=shots, seed=21)
         )
-        s = tomography.bootstrap(rh, shots=shots, resamples=500, seed=21)
+        s = tomography.bootstrap(draw_resamples(rh, shots=shots, resamples=500, seed=21))
         widths.append(s.upper["concurrence"] - s.lower["concurrence"])
     ratios = (widths[0] / widths[1], widths[1] / widths[2])
     scaling_ok = all(10.0 / 1.5 <= r <= 10.0 * 1.5 for r in ratios)

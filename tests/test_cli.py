@@ -181,6 +181,33 @@ class TestSweep:
             _run(["sweep", "--manifest", manifest, "--out", str(out)])
         assert list(out.iterdir()) == []
 
+    def test_grid_beyond_the_address_space_exits_before_any_file(self, tmp_path):
+        # below 2**63, so the manifest passes it; its float64 grid could not be indexed
+        manifest = _write_manifest(tmp_path, {"sweep": {"theta_steps": 2**63 - 1}})
+        out = tmp_path / "o"
+        pattern = f"^demongain sweep: theta_steps {2**63 - 1} is too large: "
+        with pytest.raises(SystemExit, match=pattern) as exc:
+            _run(["sweep", "--manifest", manifest, "--out", str(out)])
+        assert "\n" not in str(exc.value)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [(MemoryError("Unable to allocate 4.00 EiB for an array"),
+          "Unable to allocate 4.00 EiB for an array"),
+         (MemoryError(), "MemoryError")],
+        ids=["numpy", "bare"],
+    )
+    def test_memory_error_exits_with_one_line(self, tmp_path, monkeypatch, error, message):
+        # a grid too large to allocate; raised here so that the test allocates nothing
+        def no_memory(*args):
+            raise error
+
+        monkeypatch.setattr(cli.protocol, "outcome_table_exact", no_memory)
+        manifest = _write_manifest(tmp_path, {"sweep": {"theta_steps": 3}})
+        with pytest.raises(SystemExit, match=f"^demongain sweep: {message}$"):
+            _run(["sweep", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
     def test_one_step_grid_is_theta_start(self, tmp_path):
         manifest = _write_manifest(
             tmp_path, {"sweep": {"theta_start": 1.0, "theta_end": 0.0, "theta_steps": 1}})

@@ -1,14 +1,18 @@
 """Tests for nine-setting tomography, concurrence, and the bootstrap."""
 
 import csv
+import inspect
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demongain import qlin, tomography as tg
+from demongain import cli, gates, noisefit, protocol, qlin, tomography as tg
 from demongain.cli import main
 from demongain.gates import NoiseParams, bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
@@ -26,7 +30,7 @@ from demongain.tomography import (
     write_counts_csv,
 )
 
-from conftest import ID4, random_density, haar_unitary, wootters_concurrence
+from conftest import ID4, draw_resamples, random_density, haar_unitary, wootters_concurrence
 
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
 PLANTED = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
@@ -364,14 +368,14 @@ class TestBatched:
 class TestBootstrap:
     def test_deterministic(self):
         rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
-        a = bootstrap(rho_hat, 100, 50, seed=4)
-        b = bootstrap(rho_hat, 100, 50, seed=4)
+        a = bootstrap(draw_resamples(rho_hat, 100, 50, seed=4))
+        b = bootstrap(draw_resamples(rho_hat, 100, 50, seed=4))
         assert a.lower == b.lower and a.upper == b.upper
 
     def test_interval_ordering(self):
         rho = prepare_resource(ProtocolConfig(theta=np.pi / 4))
         rho_hat = linear_inversion(simulate_tomogram_counts(rho, 200, seed=2))
-        s = bootstrap(rho_hat, 200, 100, seed=0)
+        s = bootstrap(draw_resamples(rho_hat, 200, 100, seed=0))
         for k in ("concurrence", "purity"):
             assert s.lower[k] <= s.upper[k]
 
@@ -388,7 +392,7 @@ class TestBootstrap:
         # one stream keyed by (seed, "bootstrap", index), from the setting
         # probabilities rounded as for the counts; scored in reverse order
         rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=9))
-        s = bootstrap(rho_hat, 100, 60, seed=4, index=2)
+        s = bootstrap(draw_resamples(rho_hat, 100, 60, seed=4, index=2))
         dists = _rounded(setting_probs(rho_hat))
         rng = stream(4, "bootstrap", 2)
         draws = [np.array([rng.multinomial(100, p) for p in dists]) for _ in range(60)]
@@ -402,20 +406,21 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("resamples", [2, 500])
     def test_draws_from_one_generator(self, resamples, monkeypatch):
-        # all of a theta's resamples are one block from one stream
+        # all of a theta's resamples are one block from one stream; the
+        # counts take nine raw keys
         made = []
         philox = np.random.Philox
-        monkeypatch.setattr(np.random, "Philox", lambda *a: made.append(a) or philox(*a))
-        bootstrap(BELL, 100, resamples, seed=4)
-        assert len(made) == 1
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(a) or philox(*a, **k))
+        tomography_study(BELL[None], 100, resamples, seed=4)
+        assert len(made) == 9 + 1
 
     def test_rejects_unnormalizable_setting(self):
         with pytest.raises(ValueError, match="not normalizable"):
-            bootstrap(np.zeros((4, 4), dtype=complex), 100, 10, seed=0)
+            bootstrap(draw_resamples(np.zeros((4, 4), dtype=complex), 100, 10, seed=0))
 
     def test_rejects_too_few_resamples(self):
         with pytest.raises(ValueError, match="resamples"):
-            bootstrap(BELL, 100, 1, seed=0)
+            bootstrap(draw_resamples(BELL, 100, 1, seed=0))
 
 
 class TestTomographyStudy:
@@ -438,7 +443,144 @@ class TestTomographyStudy:
         assert len(boots) == 2
         for i, b in enumerate(boots):
             assert b.resamples == 20
-            assert b == bootstrap(rho_hat[i], 100, 20, seed=13, index=i)
+            assert b == bootstrap(draw_resamples(rho_hat[i], 100, 20, seed=13, index=i))
+
+
+THETAS9 = prepare_resource(ProtocolConfig(theta=np.linspace(0, np.pi / 2, 9)))
+
+
+@pytest.fixture(params=[{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """tomography_study draws inline on one CPU and one theta ahead on a thread with two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param)
+    return request.param
+
+
+def _drawing_threads(monkeypatch):
+    """theta index -> the thread that drew its bootstrap block."""
+    threads = {}
+    real = tg.stream
+
+    def stream(seed, purpose, index):
+        threads[index] = threading.current_thread()
+        return real(seed, purpose, index)
+
+    monkeypatch.setattr(tg, "stream", stream)
+    return threads
+
+
+class TestDrawsAhead:
+    """tomography_study's one-ahead bootstrap draws change neither results nor threads."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    @pytest.mark.parametrize("resamples", [2, 500])
+    def test_equals_draw_then_score_on_the_main_thread(self, n, resamples, cpus, monkeypatch):
+        threads = _drawing_threads(monkeypatch)
+        counts, rho_hat, boots = tomography_study(THETAS9[:n], 100, resamples, seed=11)
+        assert len(boots) == n
+        for i, b in enumerate(boots):
+            assert b == bootstrap(draw_resamples(rho_hat[i], 100, resamples, seed=11, index=i))
+        # the first block is drawn before there is anything to score
+        main = threading.main_thread()
+        on_main = [threads[i] is main for i in range(n)]
+        assert on_main == [True] + [len(cpus) == 1] * (n - 1)
+
+    @pytest.mark.parametrize("count, helped", [(None, 0), (1, 0), (4, 2)])
+    def test_counts_cpus_without_affinity(self, count, helped, monkeypatch):
+        # os.cpu_count() may be None where there is no sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        threads = _drawing_threads(monkeypatch)
+        tomography_study(THETAS9[:3], 100, 2, seed=1)
+        assert sum(t is not threading.main_thread() for t in threads.values()) == helped
+
+    def test_equal_under_fast_thread_switching(self, monkeypatch):
+        # a lost or reordered handoff between the helper and the caller would
+        # hang or swap blocks; switching threads every microsecond exposes it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        _, rho_hat, _ = tomography_study(THETAS9, 100, 0, seed=5)
+        want = [bootstrap(draw_resamples(r, 100, 2, seed=5, index=i)) for i, r in enumerate(rho_hat)]
+        got = []
+        study = threading.Thread(target=lambda: got.extend(
+            tomography_study(THETAS9, 100, 2, seed=5)[2] for _ in range(30)), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            study.start()
+            study.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not study.is_alive()
+        assert got == [want] * 30
+
+    def test_layer_functions_run_on_the_main_thread(self, monkeypatch):
+        # perfbench's Tracer keeps one span stack, and the reachability test's
+        # profiler sees only the thread that set it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        modules = [qlin, gates, protocol, tg, noisefit, cli]
+        off_main = []
+
+        def guarded(name, fn):
+            def call(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        wrappers = {
+            id(fn): (fn, guarded(f"{mod.__name__}.{name}", fn))
+            for mod in modules for name, fn in vars(mod).items()
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+        }
+        for mod in modules:  # names imported by value too, such as tomography.kron
+            for name, obj in list(vars(mod).items()):
+                if id(obj) in wrappers and wrappers[id(obj)][0] is obj:
+                    monkeypatch.setattr(mod, name, wrappers[id(obj)][1])
+        threads = _drawing_threads(monkeypatch)
+        tg.tomography_study(THETAS9, 100, 50, seed=3)
+        assert sum(t is not threading.main_thread() for t in threads.values()) == 8
+        assert off_main == []
+
+    def test_a_failing_draw_raises_from_the_study(self, cpus, monkeypatch):
+        boom = RuntimeError("draw failed")
+        real = tg.stream
+
+        def stream_failing_at_3(seed, purpose, index):
+            if index == 3:
+                raise boom
+            return real(seed, purpose, index)
+
+        monkeypatch.setattr(tg, "stream", stream_failing_at_3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            tomography_study(THETAS9, 100, 50, seed=3)
+        assert exc.value is boom
+        assert threading.active_count() == before
+
+    def test_a_failing_score_raises_from_the_study(self, cpus, monkeypatch):
+        boom = RuntimeError("score failed")
+        scored, alive = [], []
+        real = tg.bootstrap
+
+        def bootstrap_failing_at_2(counts):
+            if len(scored) == 2:
+                alive.append(threading.active_count())
+                raise boom
+            scored.append(real(counts))
+            return scored[-1]
+
+        monkeypatch.setattr(tg, "bootstrap", bootstrap_failing_at_2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            tomography_study(THETAS9, 100, 50, seed=3)
+        assert exc.value is boom
+        # with two CPUs the helper thread was drawing ahead when theta 2 failed
+        assert alive == [before + (len(cpus) > 1)]
+        assert threading.active_count() == before
+
+    def test_rejects_one_resample(self):
+        with pytest.raises(ValueError, match="resamples must be >= 2"):
+            tomography_study(BELL[None], 100, 1, seed=0)
 
 
 def _tomo_point(tmp_path, section):
