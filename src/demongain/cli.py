@@ -85,7 +85,9 @@ def _flag(value) -> bool:
 
 
 def _numbers(value) -> list[float]:
-    return [_number(x) for x in _expect(value, list, "a list of numbers")]
+    if not _expect(value, list, "a list of numbers"):  # tomo.thetas: the study needs a point
+        raise ValueError("expected at least one number, got []")
+    return [_number(x) for x in value]
 
 
 def _mode(value) -> str:

@@ -6,9 +6,9 @@ energetically higher state). Counts and probabilities are (..., 9, 4)
 arrays: settings in ALL_SETTINGS order, outcomes (++, +-, -+, --) with
 the agent sign first. Of the outputs, only the counts CSV names them.
 
-tomography_study draws each theta's bootstrap block one theta ahead, on
-a helper thread that touches only shared.stream and numpy, while the
-main thread scores the theta before; on one CPU it draws inline.
+tomography_study draws bootstrap block 0 inline and each later block at
+most one theta ahead, on a helper thread that meets the main thread at
+a threading.Barrier; on one CPU it draws every block inline.
 """
 
 from __future__ import annotations
@@ -214,69 +214,6 @@ def bootstrap(counts) -> BootstrapSummary:
     return BootstrapSummary(len(counts), dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist())))
 
 
-class _Blocks:
-    """A study's (resamples, 9, 4) bootstrap blocks, one per theta, drawn one theta ahead.
-
-    With two CPUs or more, one helper thread draws block i + 1 while the
-    caller scores block i; on one CPU `get` draws each block inline.
-    `draw` calls only shared.stream and numpy, whose multinomial loop
-    releases the GIL. Blocks are handed over with semaphores: importing
-    the queue module would add about 1.5 ms to every start of the CLI.
-    """
-
-    def __init__(self, dists: np.ndarray, shots: int, resamples: int, seed: int):
-        self.dists, self.shots, self.resamples, self.seed = dists, shots, resamples, seed
-        self.blocks = [None] * len(dists)  # a drawn block, or the error its draw raised
-        self.asked = threading.Semaphore(0)  # one release per block the helper may draw
-        self.drawn = threading.Semaphore(0)  # one release per block the helper has drawn
-        self.closed = False
-        cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-                else range(os.cpu_count() or 1))  # not every platform has CPU affinity
-        self.helper = threading.Thread(target=self._serve) if len(cpus) > 1 else None
-
-    def __enter__(self) -> "_Blocks":
-        if self.helper is not None:
-            self.helper.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.helper is not None:
-            self.closed = True
-            self.asked.release()
-            self.helper.join()
-
-    def draw(self, i: int) -> np.ndarray:
-        """Block i, equal to drawing resample by resample and setting by setting."""
-        return stream(self.seed, "bootstrap", i).multinomial(
-            self.shots, self.dists[i], size=(self.resamples, 9))
-
-    def _serve(self) -> None:
-        for i in range(1, len(self.blocks)):
-            self.asked.acquire()
-            if self.closed:
-                return
-            try:
-                self.blocks[i] = self.draw(i)
-            except BaseException as exc:  # raised again on the main thread by get()
-                self.blocks[i] = exc
-            self.drawn.release()
-
-    def get(self, i: int) -> np.ndarray:
-        """Block i; with a helper, block i + 1 is asked for first, to draw meanwhile."""
-        if self.helper is None:
-            return self.draw(i)
-        if i + 1 < len(self.blocks):
-            self.asked.release()
-        if i == 0:
-            block = self.draw(0)
-        else:
-            self.drawn.acquire()
-            block, self.blocks[i] = self.blocks[i], None
-        if isinstance(block, BaseException):
-            raise block
-        return block
-
-
 def tomography_study(
     rhos: np.ndarray, shots: int, resamples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, list[BootstrapSummary] | None]:
@@ -289,11 +226,15 @@ def tomography_study(
     rho_hat[i]'s setting probabilities, rounded as for the counts, in one
     multinomial call on stream(seed, "bootstrap", i); `bootstrap` scores it.
 
-    The draws run one theta ahead: while the main thread scores theta i,
-    theta i + 1's block is drawn on a helper thread that touches only
-    shared.stream and numpy, so every layer function runs on the main
-    thread. On one CPU each block is drawn inline. Either way the results
-    equal drawing and scoring each theta in turn, bit for bit.
+    The draws run at most one theta ahead. With at least two CPUs and
+    two thetas, the main thread draws block 0, then scores block i while
+    a helper thread draws block i + 1; they meet at a threading.Barrier(2)
+    before each hand-over. The helper calls only shared.stream and numpy,
+    whose multinomial loop releases the GIL, so every layer function runs
+    on the main thread; a barrier needs no queue module, whose import
+    costs about 1.5 ms per CLI start. Otherwise each block is drawn
+    inline. Either way the results equal drawing and scoring each theta
+    in turn, bit for bit.
     """
     counts = simulate_tomogram_counts(rhos, shots, seed)
     rho_hat = linear_inversion(counts)
@@ -301,8 +242,43 @@ def tomography_study(
         return counts, rho_hat, None
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
-    with _Blocks(draw_probs(setting_probs(rho_hat)), shots, resamples, seed) as blocks:
-        boots = [bootstrap(blocks.get(i)) for i in range(len(rho_hat))]
+    dists = draw_probs(setting_probs(rho_hat))
+
+    def draw(i: int) -> np.ndarray:
+        """Block i, equal to drawing resample by resample and setting by setting."""
+        return stream(seed, "bootstrap", i).multinomial(shots, dists[i], size=(resamples, 9))
+
+    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+            else range(os.cpu_count() or 1))  # not every platform has CPU affinity
+    if len(cpus) < 2 or len(dists) < 2:
+        return counts, rho_hat, [bootstrap(draw(i)) for i in range(len(dists))]
+    blocks = [None] * len(dists)  # a drawn block, or the error its draw raised
+    step = threading.Barrier(2)  # passed once per block handed over; aborted to stop the helper
+
+    def serve() -> None:
+        for i in range(1, len(blocks)):
+            try:
+                blocks[i] = draw(i)
+            except BaseException as exc:  # raised again on the main thread
+                blocks[i] = exc
+            try:
+                step.wait()
+            except threading.BrokenBarrierError:
+                return
+
+    helper = threading.Thread(target=serve)
+    helper.start()
+    try:
+        boots = [bootstrap(draw(0))]
+        for i in range(1, len(blocks)):
+            step.wait()
+            block, blocks[i] = blocks[i], None
+            if isinstance(block, BaseException):
+                raise block
+            boots.append(bootstrap(block))
+    finally:
+        step.abort()
+        helper.join()
     return counts, rho_hat, boots
 
 

@@ -325,10 +325,12 @@ class TestTomo:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_no_theta_exits(self, tmp_path, exact):
-        # an empty stack runs through every kernel and stops at the c0 fit
+        # refused by key before the study would run on nothing
         manifest = _write_manifest(tmp_path, {"tomo": {"thetas": [], "exact_moments": exact}})
-        with pytest.raises(SystemExit, match=r"^demongain tomo: need at least one point$"):
+        with pytest.raises(SystemExit, match=(
+                r"^demongain tomo: manifest tomo\.thetas: expected at least one number, got \[\]$")):
             _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
 
     def test_bad_theta_exits_before_any_csv(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"tomo": {"thetas": [0.1, 2.0], "resamples": 0}})
@@ -511,10 +513,27 @@ def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_out():
+    # each costs start-up time or memory: scipy, numpy.ma (about 19 ms and
+    # 0.6 MB), queue (1-2 ms), logging and concurrent.futures (7-8 ms).
+    # Neither the import nor a study that draws ahead on a helper thread
+    # loads them, except numpy.ma, which np.percentile's np.unique imports
+    # the first time bootstrap scores a block.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    probe = "import sys, demongain.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = """if True:
+        import os, sys
+        def loaded(*names):
+            return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+        costly = ("scipy", "queue", "logging", "concurrent.futures")
+        import demongain.cli
+        from demongain import protocol, tomography
+        print(loaded("numpy.ma", *costly))
+        os.sched_getaffinity = lambda pid: {0, 1}
+        rhos = protocol.prepare_resource(protocol.ProtocolConfig(theta=[0.0, 0.5, 1.0]))
+        tomography.tomography_study(rhos, 100, 50, 1)
+        print(loaded(*costly))
+    """
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_planted_dataset_matches_study_deviations(tmp_path):
