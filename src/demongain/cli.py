@@ -16,8 +16,9 @@ module builds JSON: sorted keys, indent 2, a schema_version field, floats
 as Python's shortest round-trip repr. CSV rows, written by
 `shared.write_csv`, end in CRLF and carry 12 significant digits.
 Unreadable or malformed input ends the run with a one-line error; an
-unknown section or key, or a value of the wrong type or form, is named
-by section and key, e.g. "manifest sweep.shot: unknown key".
+unknown section or key, or a value of the wrong type, form or range, is
+named by section and key, e.g. "manifest sweep.shot: unknown key"; an
+out-of-range --seed is named as such.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _typed(where: str, value, convert):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"manifest {where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _expect(value, kind, what: str):
@@ -70,13 +71,23 @@ def _number(value) -> float:
     return number
 
 
-def _integer(value) -> int:
-    return _expect(value, int, "an integer")
+def _seed(value) -> int:
+    if _expect(value, int, "an integer") < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
 
 
-def _count(value) -> int:
-    if _integer(value) >= 2**63:  # numpy draws take int64 counts
+def _count(value, least=1) -> int:
+    if _expect(value, int, "an integer") >= 2**63:  # numpy draws take int64 counts
         raise ValueError(f"{value} is too large: a count must be below 2**63")
+    if value < least:
+        raise ValueError(f"expected a count >= {least}, got {value}")
+    return value
+
+
+def _resamples(value) -> int:
+    if _count(value, 0) == 1:  # 0 skips the bootstrap; one resample has no spread
+        raise ValueError("expected 0 or a count >= 2, got 1")
     return value
 
 
@@ -110,24 +121,24 @@ MANIFEST = {
         "theta_end": (np.pi / 2, _number),
         "theta_steps": (33, _count),
         "shots": (DEFAULT_SHOTS, _count),
-        "seed": (DEFAULT_SEED, _integer),
+        "seed": (DEFAULT_SEED, _seed),
         "mode": ("exact", _mode),
         "noise": ([0.0, 0.0, 0.0], _noise),
     },
     "tomo": {
         "thetas": (np.linspace(0, np.pi / 2, 9).tolist(), _numbers),
         "shots_per_setting": (100, _count),
-        "resamples": (500, _count),
-        "seed": (DEFAULT_SEED, _integer),
+        "resamples": (500, _resamples),
+        "seed": (DEFAULT_SEED, _seed),
         "exact_moments": (False, _flag),
         "noise": ([0.0, 0.0, 0.0], _noise),
     },
     "fit": {
         "dataset": (None, lambda v: _expect(v, str, "a CSV path")),
         "init": (None, lambda v: None if v is None else _noise(v)),
-        "spread_resamples": (0, _count),
+        "spread_resamples": (0, _resamples),
         "spread_shots": (DEFAULT_SHOTS, _count),
-        "seed": (DEFAULT_SEED, _integer),
+        "seed": (DEFAULT_SEED, _seed),
     },
 }
 
@@ -144,14 +155,14 @@ def _section(manifest, name: str, seed) -> dict:
         raise ValueError(f"manifest {unknown[0]}: unknown section")
     if name not in manifest:
         raise ValueError(f"manifest has no '{name}' section")
-    given = _typed(name, manifest[name], lambda v: _expect(v, dict, "an object"))
+    given = _typed(f"manifest {name}", manifest[name], lambda v: _expect(v, dict, "an object"))
     unknown = [key for key in given if key not in MANIFEST[name]]
     if unknown:
         raise ValueError(f"manifest {name}.{unknown[0]}: unknown key")
-    values = {key: _typed(f"{name}.{key}", given.get(key, default), convert)
+    values = {key: _typed(f"manifest {name}.{key}", given.get(key, default), convert)
               for key, (default, convert) in MANIFEST[name].items()}
     if seed is not None:
-        values["seed"] = seed
+        values["seed"] = _typed("--seed", seed, _seed)
     return values
 
 
@@ -178,8 +189,6 @@ def _write_json(path: Path, payload: dict, rows=None) -> None:
 def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_steps,
               shots, seed, mode, noise) -> int:
     # refused here, so every sweep's outcome table is a dataset fit accepts
-    if theta_steps < 1:
-        raise ValueError(f"theta_steps must be >= 1, got {theta_steps}")
     if theta_steps > 1 and theta_end < theta_start:
         raise ValueError(f"theta_end {theta_end!r} lies below theta_start {theta_start!r}")
     if theta_steps > np.iinfo(np.intp).max // 8:  # numpy cannot index the float64 grid

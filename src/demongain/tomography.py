@@ -209,7 +209,13 @@ def bootstrap(counts) -> BootstrapSummary:
         raise ValueError(f"expected (resamples, 9, 4) counts with resamples >= 2, "
                          f"got shape {counts.shape}")
     rho_r = linear_inversion(counts)
-    lo, hi = np.percentile([concurrence(rho_r), purity(rho_r)], PERCENTILES, axis=-1)
+    # np.percentile's linear rule, bit for bit, without the numpy.ma import its np.unique makes
+    scores = np.sort([concurrence(rho_r), purity(rho_r)])
+    v = (len(counts) - 1) * (np.array(PERCENTILES) / 100)
+    i = np.floor(v).astype(int)
+    t = v - i
+    a, b = scores[:, i], scores[:, np.minimum(i + 1, len(counts) - 1)]
+    lo, hi = np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t).T
     names = ("concurrence", "purity")
     return BootstrapSummary(len(counts), dict(zip(names, lo.tolist())), dict(zip(names, hi.tolist())))
 

@@ -166,8 +166,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "sweep, message",
         [
-            ({"theta_steps": 0}, "theta_steps must be >= 1, got 0"),
-            ({"theta_steps": 0, "mode": "sampled"}, "theta_steps must be >= 1, got 0"),
+            ({"theta_steps": 0}, "manifest sweep.theta_steps: expected a count >= 1, got 0"),
+            ({"theta_steps": 0, "mode": "sampled"},
+             "manifest sweep.theta_steps: expected a count >= 1, got 0"),
             ({"theta_start": 1.0, "theta_end": 0.0, "theta_steps": 3},
              "theta_end 0.0 lies below theta_start 1.0"),
         ],
@@ -179,7 +180,7 @@ class TestSweep:
         out = tmp_path / "o"
         with pytest.raises(SystemExit, match=f"^demongain sweep: {re.escape(message)}$"):
             _run(["sweep", "--manifest", manifest, "--out", str(out)])
-        assert list(out.iterdir()) == []
+        assert not any(out.glob("*"))  # theta_steps is refused before out is made
 
     def test_grid_beyond_the_address_space_exits_before_any_file(self, tmp_path):
         # below 2**63, so the manifest passes it; its float64 grid could not be indexed
@@ -514,19 +515,19 @@ def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
 
 def test_cli_import_leaves_scipy_out():
     # each costs start-up time or memory: scipy, numpy.ma (about 19 ms and
-    # 0.6 MB), queue (1-2 ms), logging and concurrent.futures (7-8 ms).
-    # Neither the import nor a study that draws ahead on a helper thread
-    # loads them, except numpy.ma, which np.percentile's np.unique imports
-    # the first time bootstrap scores a block.
+    # 0.6 MB; np.percentile's np.unique would import it), queue (1-2 ms),
+    # logging and concurrent.futures (7-8 ms). Neither the import nor a
+    # study that draws ahead on a helper thread and scores its bootstrap
+    # blocks loads them.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     probe = """if True:
         import os, sys
         def loaded(*names):
             return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
-        costly = ("scipy", "queue", "logging", "concurrent.futures")
+        costly = ("scipy", "numpy.ma", "queue", "logging", "concurrent.futures")
         import demongain.cli
         from demongain import protocol, tomography
-        print(loaded("numpy.ma", *costly))
+        print(loaded(*costly))
         os.sched_getaffinity = lambda pid: {0, 1}
         rhos = protocol.prepare_resource(protocol.ProtocolConfig(theta=[0.0, 0.5, 1.0]))
         tomography.tomography_study(rhos, 100, 50, 1)
@@ -750,8 +751,11 @@ class TestManifestHandling:
     )
     def test_negative_seed_exits(self, tmp_path, command, payload):
         manifest = _write_manifest(tmp_path, payload)
-        with pytest.raises(SystemExit, match=r"seed must be a non-negative integer, got -1$"):
-            _run([command, "--manifest", manifest, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        out = tmp_path / "o"
+        pattern = f"^demongain {command}: --seed: expected a non-negative integer, got -1$"
+        with pytest.raises(SystemExit, match=pattern):
+            _run([command, "--manifest", manifest, "--out", str(out), "--seed", "-1"])
+        assert not out.exists()
 
     def test_bad_noise_exits(self, tmp_path):
         manifest = _write_manifest(tmp_path, {"sweep": {"noise": [0.1]}})
@@ -771,16 +775,32 @@ class TestManifestHandling:
             ("sweep", {"sweep": {"theta_start": float("nan")}}, "sweep.theta_start"),
             ("tomo", {"tomo": {"thetas": [0.1, float("nan")]}}, "tomo.thetas"),
             ("sweep", {"sweep": {"theta_end": 10**400}}, "sweep.theta_end"),  # beyond any float
+            # out of range; exact sweeps draw nothing but are refused too
+            ("sweep", {"sweep": {"seed": -1}}, "sweep.seed"),
+            ("sweep", {"sweep": {"shots": 0}}, "sweep.shots"),
+            ("tomo", {"tomo": {"seed": -1}}, "tomo.seed"),
+            ("tomo", {"tomo": {"shots_per_setting": 0}}, "tomo.shots_per_setting"),
+            ("tomo", {"tomo": {"resamples": 1}}, "tomo.resamples"),
+            ("tomo", {"tomo": {"resamples": -1}}, "tomo.resamples"),
+            ("fit", {"fit": {"dataset": "tables.csv", "seed": -1}}, "fit.seed"),
+            ("fit", {"fit": {"dataset": "tables.csv", "spread_shots": 0}}, "fit.spread_shots"),
+            ("fit", {"fit": {"dataset": "tables.csv", "spread_resamples": 1}},
+             "fit.spread_resamples"),
         ],
         ids=["noise-number", "thetas-number", "shots-null", "unused-seed", "theta-end-inf",
-             "theta-start-nan", "thetas-nan", "theta-end-huge"],
+             "theta-start-nan", "thetas-nan", "theta-end-huge", "sweep-seed-negative",
+             "sweep-shots-zero", "tomo-seed-negative", "tomo-shots-zero", "tomo-resamples-one",
+             "tomo-resamples-negative", "fit-seed-negative", "fit-spread-shots-zero",
+             "fit-spread-resamples-one"],
     )
     def test_wrong_value_type_exits_with_one_line(self, tmp_path, command, payload, key):
         manifest = _write_manifest(tmp_path, payload)
+        out = tmp_path / "o"
         pattern = f"demongain {command}: manifest {re.escape(key)}: "
         with pytest.raises(SystemExit, match=pattern) as exc:
-            _run([command, "--manifest", manifest, "--out", str(tmp_path / "o")])
+            _run([command, "--manifest", manifest, "--out", str(out)])
         assert "\n" not in str(exc.value)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, payload, where",

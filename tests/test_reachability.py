@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,3 +103,15 @@ def test_modules_import_along_the_layers():
             assert "tomography" not in modules, f"{path.stem} imports tomography"
         if path.stem == "shared":
             assert not modules, f"shared imports {sorted(modules)}"
+
+
+def test_package_namespace_holds_only_the_traced_alias():
+    # callers import from the modules; perfbench's tracer test patches
+    # demongain.bootstrap through the package
+    import demongain
+    from demongain import tomography
+
+    public = {name for name, value in vars(demongain).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {"bootstrap"}
+    assert demongain.bootstrap is tomography.bootstrap

@@ -414,6 +414,23 @@ class TestBootstrap:
         tomography_study(BELL[None], 100, resamples, seed=4)
         assert len(made) == 9 + 1
 
+    def test_interval_equals_np_percentile_bit_for_bit(self, monkeypatch):
+        # bootstrap applies np.percentile's linear rule itself; oracle: np.percentile
+        # on (2, R) scores for R = 2..1000, a third of them rounded to hold ties
+        rng = np.random.default_rng(11)
+        monkeypatch.setattr(tg, "linear_inversion", lambda counts: counts)
+        monkeypatch.setattr(tg, "concurrence", lambda rho: rho[:, 0, 0])
+        monkeypatch.setattr(tg, "purity", lambda rho: rho[:, 0, 1])
+        for r in range(2, 1001):
+            scores = rng.normal(size=(2, r))
+            if r % 3 == 0:
+                scores = np.round(scores, 1)
+            counts = np.zeros((r, 9, 4))
+            counts[:, 0, :2] = scores.T
+            s = bootstrap(counts)
+            lo, hi = np.percentile(scores, tg.PERCENTILES, axis=-1)
+            assert [*s.lower.values(), *s.upper.values()] == [*lo.tolist(), *hi.tolist()], r
+
     def test_rejects_unnormalizable_setting(self):
         with pytest.raises(ValueError, match="not normalizable"):
             bootstrap(draw_resamples(np.zeros((4, 4), dtype=complex), 100, 10, seed=0))
