@@ -14,7 +14,8 @@ two-qubit phase.
 
 Every block takes scalar angles or arrays of angles; array arguments
 broadcast against each other and give an (..., 4, 4) stack whose items
-equal the scalar calls bit for bit.
+equal the scalar calls bit for bit; `kets` relies on that to build each
+block once per distinct phase.
 
 Angle convention for the controlled-Y: cy(theta) acts as exp[-i theta Y]
 on the agent when the demon is in |0>, so that cy(theta) applied to the
@@ -145,18 +146,38 @@ def cy(theta, delta_phi_2=0.0, delta_phi_3=0.0) -> np.ndarray:
     return _cnot_d_to_a(delta_phi_3) @ ry_half @ _cnot_d_to_a(delta_phi_2) @ ry_half
 
 
+def _once_per_phase(block, phases: np.ndarray) -> np.ndarray:
+    """block(phases), built once per distinct phase and gathered back.
+
+    Equal to block(phases) bit for bit: stack items equal single calls,
+    and +0.0 and -0.0 enter u_zz as pi/8 + delta/4, the same angle. NaN
+    never compares equal, so each NaN phase is built on its own.
+    """
+    if len(phases) < 2:
+        return block(phases)
+    order = np.argsort(phases)
+    ordered = phases[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[0], first[1:] = True, ordered[1:] != ordered[:-1]
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    return block(ordered[first])[group]
+
+
 def kets(params, thetas) -> np.ndarray:
     """(m, n, 4) circuit output on |00> for (m, 3) deviations and n angles.
 
     Column 0 of bell_prep, then the four factors of cy applied to the
-    state vectors, so no (m, n, 4, 4) product is formed. Each angle must
-    lie in [0, pi/2]: every state, table and fit model is checked here.
+    state vectors, so no (m, n, 4, 4) product is formed. Fit candidates
+    repeat their phases, so each block is built once per distinct phase
+    of its slot. Each angle must lie in [0, pi/2]: every state, table
+    and fit model is checked here.
     """
     params = np.atleast_2d(np.asarray(params, dtype=float))
     ry_half = local_rot(in_range(thetas, "theta", np.pi / 2, "pi/2"), np.pi / 2, "A")
-    s = bell_prep(params[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
-    for u in (ry_half, _cnot_d_to_a(params[:, 1])[:, None], ry_half,
-              _cnot_d_to_a(params[:, 2])[:, None]):
+    s = _once_per_phase(bell_prep, params[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
+    for u in (ry_half, _once_per_phase(_cnot_d_to_a, params[:, 1])[:, None], ry_half,
+              _once_per_phase(_cnot_d_to_a, params[:, 2])[:, None]):
         s = u @ s
     return s[..., 0]
 

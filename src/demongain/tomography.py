@@ -123,6 +123,9 @@ def _freqs(counts) -> np.ndarray:
     if v.shape[-2:] != (9, 4):
         raise ValueError(f"expected (..., 9, 4) counts per setting, got shape {v.shape}")
     total = v.sum(axis=-1, keepdims=True)
+    # a non-finite count makes its setting's total non-finite
+    if v.size and np.isfinite(total).all() and v.min() >= 0 and total.all():
+        return v / total
     # per setting, over the whole stack; an empty stack passes
     bad = (~np.isfinite(v) | (v < 0)).reshape(-1, 9, 4).any(axis=(0, 2))
     empty = (total == 0).reshape(-1, 9).any(axis=0)

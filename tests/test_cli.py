@@ -515,10 +515,10 @@ def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
 
 def test_cli_import_leaves_scipy_out():
     # each costs start-up time or memory: scipy, numpy.ma (about 19 ms and
-    # 0.6 MB; np.percentile's np.unique would import it), queue (1-2 ms),
-    # logging and concurrent.futures (7-8 ms). Neither the import nor a
+    # 0.6 MB; np.unique, which np.percentile calls, would import it), queue
+    # (1-2 ms), logging and concurrent.futures (7-8 ms). Neither the import, nor a
     # study that draws ahead on a helper thread and scores its bootstrap
-    # blocks loads them.
+    # blocks, nor a fit with spread refits loads them.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     probe = """if True:
         import os, sys
@@ -526,15 +526,18 @@ def test_cli_import_leaves_scipy_out():
             return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
         costly = ("scipy", "numpy.ma", "queue", "logging", "concurrent.futures")
         import demongain.cli
-        from demongain import protocol, tomography
+        from demongain import gates, noisefit, protocol, tomography
         print(loaded(*costly))
         os.sched_getaffinity = lambda pid: {0, 1}
         rhos = protocol.prepare_resource(protocol.ProtocolConfig(theta=[0.0, 0.5, 1.0]))
         tomography.tomography_study(rhos, 100, 50, 1)
         print(loaded(*costly))
+        data = protocol.run_shots([0.0, 0.4, 0.8, 1.2], gates.NoiseParams((0.01, 0.1, 0.2)), 500, 3)
+        noisefit.bootstrap_spread(data, noisefit.fit(data), 500, 3, 5)
+        print(loaded(*costly))
     """
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split("\n") == ["[]", "[]", ""]
+    assert done.stdout.split("\n") == ["[]", "[]", "[]", ""]
 
 
 def test_planted_dataset_matches_study_deviations(tmp_path):

@@ -1,8 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from demongain import gates
 from demongain.gates import NoiseParams, apply, bell_prep, cy, cz_half, kets, local_rot, swap, u_zz
+from demongain.noisefit import _GRID_AXIS
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
 from conftest import cy_exact, haar_unitary, random_density
@@ -203,3 +206,40 @@ class TestBatched:
             for n, th in enumerate(thetas):
                 ref = cy(th, d2, d3) @ bell_prep(d1)[:, 0]
                 assert np.max(np.abs(got[m, n] - ref)) < 1e-14
+
+    def test_kets_equal_per_row_calls(self, rng):
+        # the fit's candidate shapes: the seed grid, linearization stars
+        # x, x +- h e_k, and the repeated rows of a first lockstep round
+        def stars(xs):
+            return np.concatenate([[x, *(x + s * 1e-6 * e for e in np.eye(3) for s in (1, -1))]
+                                   for x in xs])
+
+        one_star = stars(rng.uniform(-0.3, 0.3, (1, 3)))
+        cases = {
+            "grid": np.array(list(product(_GRID_AXIS, repeat=3))),
+            "one star": one_star,
+            "20 stars": stars(rng.uniform(-0.3, 0.3, (20, 3))),
+            "repeated rows": np.tile(one_star, (20, 1)),
+            "signed zeros": np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.1, -0.0, 0.0]]),
+            "random": rng.uniform(-0.7, 0.7, (50, 3)),
+            "NaN": np.array([[np.nan, 0.1, 0.1], [np.nan, 0.1, np.nan], [0.2, 0.1, 0.3]]),
+        }
+        thetas = np.linspace(0, np.pi / 2, 17)
+        for name, params in cases.items():
+            rows = np.array([kets(p[None], thetas)[0] for p in params])
+            assert np.array_equal(kets(params, thetas), rows, equal_nan=True), name
+
+    def test_kets_build_each_block_once_per_distinct_phase(self, monkeypatch):
+        seen = {"bell_prep": [], "_cnot_d_to_a": []}
+
+        def counted(block, calls):
+            def build(delta_phi):
+                calls.append(delta_phi)
+                return block(delta_phi)
+            return build
+
+        for name, calls in seen.items():
+            monkeypatch.setattr(gates, name, counted(getattr(gates, name), calls))
+        kets(np.array(list(product(_GRID_AXIS, repeat=3))), np.linspace(0, np.pi / 2, 17))
+        assert [list(d) for d in seen["bell_prep"]] == [list(_GRID_AXIS)]
+        assert [list(d) for d in seen["_cnot_d_to_a"]] == [list(_GRID_AXIS)] * 2

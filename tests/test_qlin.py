@@ -129,6 +129,25 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(np.full((4, 4), np.nan))
 
+    def test_exact_stack_skips_symmetrizing_bit_for_bit(self, rng):
+        # an exactly Hermitian stack goes to eigh as it is; -0.0 imaginary
+        # diagonal parts are all that (h + h^dag)/2 would change
+        h = np.array([random_density(rng) for _ in range(6)])
+        diag = np.arange(4)
+        h.imag[:, diag, diag] = -0.0
+        assert np.array_equal(h, qlin.dag(h)) and np.signbit(h.imag[:, diag, diag]).all()
+        w, v = np.linalg.eigh((h + qlin.dag(h)) / 2)
+        got = eig_hermitian(h)
+        assert got[0].tobytes() == w[..., ::-1].tobytes() and got[1].tobytes() == v[..., ::-1].tobytes()
+
+    def test_near_hermitian_stack_is_symmetrized(self, rng):
+        h = np.array([random_density(rng) for _ in range(6)])
+        h[2, 1, 0] += 1e-12  # eigh reads the lower triangle
+        w, v = np.linalg.eigh((h + qlin.dag(h)) / 2)
+        got = eig_hermitian(h)
+        assert got[0].tobytes() == w[..., ::-1].tobytes() and got[1].tobytes() == v[..., ::-1].tobytes()
+        assert got[1].tobytes() != np.linalg.eigh(h)[1][..., ::-1].tobytes()
+
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_density_eigenvalues_sum_to_one(self, seed):

@@ -149,6 +149,19 @@ class TestLinearInversion:
         with pytest.raises(ValueError, match=r"setting \('X', 'Y'\) has no counts"):
             linear_inversion(stack)
 
+    @pytest.mark.parametrize("bad, what", [
+        ([np.nan, 50, 25, 25], "negative or non-finite counts"),
+        ([np.inf, 50, 25, 25], "negative or non-finite counts"),
+        ([-np.inf, 50, 25, 25], "negative or non-finite counts"),
+        ([60, -10, 30, 20], "negative or non-finite counts"),
+        ([0, 0, 0, 0], "no counts"),
+    ])
+    def test_bad_setting_in_resample_block_named(self, bad, what):
+        block = np.tile(simulate_tomogram_counts(BELL, 100, seed=7).astype(float), (50, 1, 1))
+        block[37, YY] = bad
+        with pytest.raises(ValueError, match=rf"^setting \('Y', 'Y'\) has {what}$"):
+            linear_inversion(block)
+
     def test_array_shape_rejected(self):
         for shape in [(8, 4), (36,), (2, 4, 9)]:
             with pytest.raises(ValueError, match=r"\(\.\.\., 9, 4\)"):
