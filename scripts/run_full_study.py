@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from demongain.cli import main as cli_main
-from demongain.gates import NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFESTS = REPO / "manifests"
 HALF_PI = np.pi / 2
 
-# fitted phase deviations used as the planted ground truth, in units of pi/2
-PLANTED = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI))
+# the paper's fitted phase deviations, used as the planted ground truth
+PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 
 
 def run(argv: list[str]) -> None:

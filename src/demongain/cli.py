@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import noisefit, protocol, tomography
-from .gates import NoiseParams
+from .gates import PLANTED_DELTA_PHI, NoiseParams
 from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
 from .shared import write_csv
 
@@ -317,8 +317,7 @@ def _verify_checks():
         dev = max(dev, np.max(np.abs(rec - rho)))
     yield "linear inversion exact on moments", dev <= 1e-12, dev
 
-    planted = NoiseParams(tuple(np.array([0.009, 0.068, 0.165]) * np.pi / 2))
-    for at, noise in (("", NoiseParams.zeros()), (" at planted noise", planted)):
+    for at, noise in (("", NoiseParams()), (" at planted noise", NoiseParams(PLANTED_DELTA_PHI))):
         table = protocol.outcome_table_exact(thetas, noise)
         noisy = protocol.prepare_resource(ProtocolConfig(theta=thetas, noise=noise))
         gain = protocol.demonic_gain(noisy, protocol.apply_feedback(protocol.measure_demon(noisy)))

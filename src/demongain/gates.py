@@ -38,6 +38,7 @@ _SWAP = np.array(
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _RZ = np.diag(np.exp([0.25j * np.pi, -0.25j * np.pi]))  # Rz(-pi/2)
 _RZRZ = kron(_RZ, _RZ)
+PLANTED_DELTA_PHI = tuple(d * np.pi / 2 for d in (0.009, 0.068, 0.165))  # as fitted in the paper
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ shot data, the quadratic form of the multinomial likelihood, so the
 fitted spread meets the Fisher bound. A 6^3 grid seeds Levenberg-Marquardt
 (damped Gauss-Newton) iterations on those residuals (More, "The
 Levenberg-Marquardt algorithm", 1978), each linearized by central
-differences from one 7-candidate `model_cells` call and clipped to
-BOUNDS. Both stages are deterministic. Spread refits iterate in lockstep
-blocks, one `model_cells` call a round; each equals a lone fit bit for bit.
+differences from one 7-candidate `model_cells` call, solved by SVD under
+lstsq's rcond rule and clipped to BOUNDS. Both stages are deterministic.
+Spread refits iterate in lockstep blocks, one `model_cells` call and one
+stacked SVD a round; each equals a lone fit bit for bit.
 """
 
 from __future__ import annotations
@@ -111,75 +112,74 @@ def _grid_seed(obs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return combos[np.argmin(cost)]
 
 
-def _lm_point(r, jac, damping: float, x) -> np.ndarray:
+def _lm_point(r, jac, damping, x) -> np.ndarray:
     """x + s within BOUNDS, s minimizing |r + J s|^2 + damping |D s|^2.
 
-    D holds the column norms of J. Solved as one least-squares problem,
-    so a vanishing column (a deviation acting only at second order)
-    gives the minimum-norm step instead of a singular system. A
-    deviation on a bound that the step would push past it is held there
-    and the others are solved for without it.
+    One row, r (4n,), J (4n, 3), x (3,), or a stack with damping scalar or per
+    row; D holds J's column norms. One SVD solves all [J; sqrt(damping) D] by
+    lstsq's minimum-norm rule (singular values <= _RCOND times the largest count
+    as zero), so a vanishing column gives no step. A deviation the step would
+    push past a bound is held on it, by one more SVD with its column zeroed.
     """
     def solve(free):
-        j = jac[:, free]
-        a = np.vstack([j, np.sqrt(damping) * np.diag(np.linalg.norm(j, axis=0))])
-        s = np.zeros(3)
-        s[free] = np.linalg.lstsq(a, -np.concatenate([r, np.zeros(j.shape[1])]), rcond=_RCOND)[0]
-        return s
+        j = np.multiply(jac, free[..., None, :], order="C")  # one layout for every stack
+        d = np.sqrt(damping)[..., None, None] * np.linalg.norm(j, axis=-2)[..., None, :]
+        u, sv, vt = np.linalg.svd(np.concatenate([j, d * np.eye(3)], axis=-2), full_matrices=False)
+        c = (np.swapaxes(u[..., :r.shape[-1], :], -1, -2) @ -r[..., None])[..., 0]
+        c = np.divide(c, sv, out=np.zeros_like(c), where=sv > _RCOND * sv[..., :1])
+        return (np.swapaxes(vt, -1, -2) @ c[..., None])[..., 0]
 
-    lo, hi = BOUNDS
-    s = solve(np.ones(3, dtype=bool))
-    held = ((x <= lo) & (s < 0)) | ((x >= hi) & (s > 0))
+    s = solve(np.ones_like(x, dtype=bool))
+    held = ((x <= BOUNDS[0]) & (s < 0)) | ((x >= BOUNDS[1]) & (s > 0))
     if held.any():
-        s = solve(~held)
-    return np.clip(x + s, lo, hi)
+        s = np.where(held, 0.0, solve(~held))
+    return np.clip(x + s, *BOUNDS)
 
 
-def _linearize(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray) -> tuple[list, list, list]:
-    """Live-cell p (7, n, 4) at x and x +/- h e_k, residuals r at x, Jacobian J (4n, 3).
+def _linearize(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
+    """Live-cell p (k, 7, n, 4) at x and x +/- h e_k, residuals r (k, 4n) at x, J (k, 4n, 3).
 
-    One list entry per row of x (k, 3), each against its own obs[i] (n, 4),
-    all from one model_cells call.
+    Row i of x (k, 3) is weighed against its own obs[i] (n, 4); one model_cells call.
     """
     p = model_cells((x[:, None] + _OFFSETS).reshape(-1, 3), thetas)[..., LIVE]
     p = p.reshape(len(x), 7, *obs.shape[1:])
     r = _weighted(p, obs[:, None]).reshape(len(x), 7, -1)
-    jac = (r[:, 1:4] - r[:, 4:]) / (2 * _H)
-    return list(p), list(r[:, 0]), [j.T for j in jac]
+    return p, r[:, 0], np.swapaxes(r[:, 1:4] - r[:, 4:], 1, 2) / (2 * _H)
 
 
 def _descend(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
     """Levenberg-Marquardt from each row of x (R, 3) on its dataset obs[i] (n, 4).
 
-    Rows iterate in lockstep, each round linearizing all still iterating
-    with one model_cells call. A row keeps its own damping, iteration
-    count and stop tests, so it takes exactly the steps it would alone.
+    Rows iterate in lockstep: a round takes all undamped steps and damped trials
+    from one `_lm_point` call and linearizes the unconverged rows' trials with one
+    model_cells call. Each row keeps its own damping, iteration count, r @ r
+    acceptance and stop tests, so it takes exactly the steps it would alone.
     Returns per row: x, p at the last accepted x, converged, iterations.
     """
+    def dot(a):  # each row's a @ a, by the dot product that a lone row takes
+        return (a[:, None] @ a[..., None])[:, 0, 0]
+
     x = x.copy()
     p, r, jac = _linearize(obs, thetas, x)
-    damping, iterations, converged = [_DAMPING0] * len(x), [0] * len(x), [False] * len(x)
-    going = range(len(x))
-    while True:
-        trials = {}
-        for i in going:
-            if iterations[i] >= _MAX_ITER or damping[i] > _MAX_DAMPING:
-                continue
-            gauss_newton = _lm_point(r[i], jac[i], 0.0, x[i])
-            if np.linalg.norm(gauss_newton - x[i]) <= _XTOL:
-                x[i], converged[i] = gauss_newton, True
-                continue
-            iterations[i] += 1
-            trials[i] = _lm_point(r[i], jac[i], damping[i], x[i])
-        if not trials:
-            return x, p, converged, iterations
-        going = list(trials)
-        lins = _linearize(obs[going], thetas, np.array(list(trials.values())))
-        for i, p_t, r_t, jac_t in zip(going, *lins):
-            if r_t @ r_t <= r[i] @ r[i]:
-                x[i], p[i], r[i], jac[i], damping[i] = trials[i], p_t, r_t, jac_t, damping[i] / 10
-            else:
-                damping[i] *= 10
+    damping, iterations = np.full(len(x), _DAMPING0), np.zeros(len(x), dtype=int)
+    converged = np.zeros(len(x), dtype=bool)
+    i = np.arange(len(x))  # rows still iterating
+    while (i := i[(iterations[i] < _MAX_ITER) & (damping[i] <= _MAX_DAMPING)]).size:
+        both = np.append(i, i)
+        steps = _lm_point(r[both], jac[both], np.append(np.zeros(len(i)), damping[i]), x[both])
+        gauss_newton, trial = np.split(steps, 2)
+        done = np.sqrt(dot(gauss_newton - x[i])) <= _XTOL
+        x[i[done]], converged[i[done]] = gauss_newton[done], True
+        i, trial = i[~done], trial[~done]
+        if not i.size:
+            break
+        iterations[i] += 1
+        p_t, r_t, jac_t = _linearize(obs[i], thetas, trial)
+        better = dot(r_t) <= dot(r[i])
+        up = i[better]
+        x[up], p[up], r[up], jac[up] = trial[better], p_t[better], r_t[better], jac_t[better]
+        damping[i] = np.where(better, damping[i] / 10, damping[i] * 10)
+    return x, p, converged, iterations
 
 
 def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
@@ -217,8 +217,8 @@ def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
     return FitResult(
         delta_phi=tuple(float(d) for d in x),
         residual=residual(x, data),
-        converged=converged,
-        iterations=iterations,
+        converged=bool(converged),
+        iterations=int(iterations),
         at_bound=bool(np.any((x <= BOUNDS[0]) | (x >= BOUNDS[1]))),
         fisher_stderr=stderr,
     )

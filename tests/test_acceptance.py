@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from demongain import protocol, shared, tomography
-from demongain.gates import NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
 from demongain.noisefit import CELLS, bootstrap_spread, fit, model_curves
 from demongain.protocol import (
     DEFAULT_SEED,
@@ -33,9 +33,8 @@ from conftest import draw_resamples, haar_unitary, random_density
 
 HALF_PI = np.pi / 2
 GRID = np.linspace(0.0, HALF_PI, 33)
-REFERENCE_DELTA_PHI = (0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI)
 # regression fixture: amplitude of the model-implied concurrence-vs-theta
-# cosine under REFERENCE_DELTA_PHI, 17-point grid (see notes ledger)
+# cosine under PLANTED_DELTA_PHI, 17-point grid (see notes ledger)
 MODEL_IMPLIED_C0 = 0.9580143261163677
 
 
@@ -212,7 +211,7 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
 
 def test_criterion_08_noise_fit_recovery():
     t0 = time.perf_counter()
-    planted = NoiseParams(REFERENCE_DELTA_PHI)
+    planted = NoiseParams(PLANTED_DELTA_PHI)
     thetas = np.linspace(0.0, HALF_PI, 17)
     ds = model_curves(planted, thetas)
     exact_fit = fit(ds)
@@ -237,7 +236,7 @@ def test_criterion_08_noise_fit_recovery():
 
 
 def test_criterion_09_model_implied_amplitude_regression():
-    noise = NoiseParams(REFERENCE_DELTA_PHI)
+    noise = NoiseParams(PLANTED_DELTA_PHI)
     thetas = np.linspace(0.0, HALF_PI, 17)
     concs = [
         tomography.concurrence(prepare_resource(ProtocolConfig(theta=float(t), noise=noise)))

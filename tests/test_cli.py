@@ -15,7 +15,7 @@ import pytest
 
 from demongain import cli, gates, tomography
 from demongain.cli import MANIFEST, main
-from demongain.gates import NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
 from demongain.noisefit import model_curves
 from demongain.protocol import (
     DEFAULT_SEED,
@@ -32,7 +32,6 @@ from demongain.protocol import (
 from conftest import resource_ket
 
 HALF_PI = np.pi / 2
-PLANTED = (0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI)
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -292,11 +291,13 @@ class TestTomo:
         # state's concurrence, not |cos(theta)|
         thetas = [0.0, 0.7, HALF_PI]
         manifest = _write_manifest(
-            tmp_path, {"tomo": {"thetas": thetas, "exact_moments": True, "noise": list(PLANTED)}}
+            tmp_path,
+            {"tomo": {"thetas": thetas, "exact_moments": True, "noise": list(PLANTED_DELTA_PHI)}},
         )
         assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
         points = json.loads((tmp_path / "o/tomo_metrics.json").read_text())["points"]
-        rhos = prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=NoiseParams(PLANTED)))
+        noise = NoiseParams(PLANTED_DELTA_PHI)
+        rhos = prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=noise))
         moments = tomography.linear_inversion(tomography.setting_probs(rhos))
         for pt, rho, rho_hat in zip(points, rhos, moments):
             assert pt["concurrence"] == tomography.concurrence(rho_hat)
@@ -401,7 +402,7 @@ class TestTomo:
 
 class TestFit:
     def test_fit_recovers_planted(self, tmp_path):
-        planted = NoiseParams(PLANTED)
+        planted = NoiseParams(PLANTED_DELTA_PHI)
         dataset = tmp_path / "tables.csv"
         write_tables_csv(dataset, model_curves(planted, np.linspace(0, HALF_PI, 9)))
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
@@ -418,7 +419,8 @@ class TestFit:
 
     def test_sampled_fit_records_fisher_stderr(self, tmp_path):
         dataset = tmp_path / "tables.csv"
-        write_tables_csv(dataset, run_shots(np.linspace(0, HALF_PI, 17), NoiseParams(PLANTED), 3500, 3))
+        planted = NoiseParams(PLANTED_DELTA_PHI)
+        write_tables_csv(dataset, run_shots(np.linspace(0, HALF_PI, 17), planted, 3500, 3))
         manifest = _write_manifest(
             tmp_path, {"fit": {"dataset": str(dataset), "spread_resamples": 4, "seed": 1}}
         )
@@ -432,7 +434,7 @@ class TestFit:
         # shots moved into a cell no phase deviation reaches, as a readout
         # that flips the demon's qubit would put them there
         dataset = tmp_path / "tables.csv"
-        table = run_shots([0.3, 0.9], NoiseParams(PLANTED), 3500, 7)
+        table = run_shots([0.3, 0.9], NoiseParams(PLANTED_DELTA_PHI), 3500, 7)
         table.counts[0, [0, 1]] += [-40, 40]  # (0, 0, 0) -> (0, 0, 1)
         write_tables_csv(dataset, replace(table, cells=table.counts / 3500))
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
@@ -481,7 +483,7 @@ class TestFit:
     def test_negative_count_exits(self, tmp_path):
         # the (0, 0, 0) row of theta 0.3 keeps its probability; only its count turns negative
         dataset = tmp_path / "tables.csv"
-        write_tables_csv(dataset, run_shots([0.3, 0.9], NoiseParams(PLANTED), 3500, 7))
+        write_tables_csv(dataset, run_shots([0.3, 0.9], NoiseParams(PLANTED_DELTA_PHI), 3500, 7))
         rows = dataset.read_text().splitlines()
         theta, *cell, count, p = rows[1].split(",")
         rows[1] = ",".join([theta, *cell, f"-{count}", p])
@@ -555,7 +557,7 @@ def test_full_study_with_relative_out(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", "out/study"])
     runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="__main__")
     fit = json.loads((tmp_path / "out/study/fit/fit_result.json").read_text())
-    assert np.max(np.abs(np.array(fit["delta_phi"]) - PLANTED)) < 1e-3 * HALF_PI
+    assert np.max(np.abs(np.array(fit["delta_phi"]) - PLANTED_DELTA_PHI)) < 1e-3 * HALF_PI
     report = json.loads((tmp_path / "out/study/verify/verify_report.json").read_text())
     assert all(c["passed"] for c in report["checks"])
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from demongain import gates
-from demongain.gates import NoiseParams, apply, bell_prep, cy, cz_half, kets, local_rot, swap, u_zz
+from demongain.gates import (
+    PLANTED_DELTA_PHI, NoiseParams, apply, bell_prep, cy, cz_half, kets, local_rot, swap, u_zz,
+)
 from demongain.noisefit import _GRID_AXIS
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
 from conftest import cy_exact, haar_unitary, random_density
 
 BELL = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-PAPER_DELTAS = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
+PAPER_DELTAS = NoiseParams(PLANTED_DELTA_PHI)
 
 
 def max_abs_after_phase(u, v):

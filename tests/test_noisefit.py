@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import lone_fit, spread_by_refits
 from demongain import noisefit
 from demongain.cli import main
-from demongain.gates import NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
 from demongain.noisefit import (
     CELLS,
     LIVE,
@@ -36,11 +36,11 @@ from demongain.protocol import (
 
 HALF_PI = np.pi / 2
 # the deviation triple used throughout as the planted ground truth
-PLANTED = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI))
+PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 THETAS = np.linspace(0.0, HALF_PI, 17)
 SHOTS = 3500
 # delta_phi_3 on its upper bound pi/4: most refits of 40-shot draws end there
-AT_BOUND = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, np.pi / 4))
+AT_BOUND = NoiseParams((*PLANTED_DELTA_PHI[:2], np.pi / 4))
 # (truth, shots per theta) of the datasets the lockstep descent is checked on
 LOCKSTEP_CASES = {
     "planted": (PLANTED.delta_phi, SHOTS),
@@ -179,7 +179,7 @@ class TestFit:
 
     def test_bound_clips_and_is_reported(self):
         # a planted delta_phi_3 = 0.6 pi/2 lies above the upper bound pi/4
-        beyond = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.6 * HALF_PI))
+        beyond = NoiseParams((*PLANTED_DELTA_PHI[:2], 0.6 * HALF_PI))
         res = fit(model_curves(beyond, THETAS))
         assert res.converged and res.at_bound
         assert res.delta_phi[2] == noisefit.BOUNDS[1] == np.pi / 4
@@ -299,6 +299,103 @@ class TestBootstrapSpread:
                 tracemalloc.stop()
 
         assert peak(1000) <= 2 * peak(noisefit._BLOCK)
+
+
+def lstsq_point(r, jac, damping: float, x):
+    """noisefit._lm_point of one row by its definition, its held deviations and error scale.
+
+    np.linalg.lstsq on [J; sqrt(damping) D] at rcond=_RCOND; a deviation
+    that the step would push past its bound is held and the system solved
+    again without its column. The scale |r| / sigma, sigma the least
+    singular value kept, bounds the step, and rounding in a backward-stable
+    solve moves the step by a multiple of machine epsilon times it.
+    """
+    def solve(free):
+        j = jac[:, free]
+        a = np.vstack([j, np.sqrt(damping) * np.diag(np.linalg.norm(j, axis=0))])
+        b = -np.concatenate([r, np.zeros(j.shape[1])])
+        s, _, rank, sv = np.linalg.lstsq(a, b, rcond=noisefit._RCOND)
+        step = np.zeros(3)
+        step[free] = s
+        return step, np.linalg.norm(r) / sv[rank - 1] if rank else 0.0
+
+    lo, hi = noisefit.BOUNDS
+    s, scale = solve(np.ones(3, dtype=bool))
+    held = ((x <= lo) & (s < 0)) | ((x >= hi) & (s > 0))
+    if held.any():
+        s, scale = solve(~held)
+    return np.clip(x + s, lo, hi), held, scale
+
+
+def recorded_rows(case: str):
+    """(r, J, x) of every row the step solves in a fit and a 20-refit spread of a case."""
+    delta_phi, shots = LOCKSTEP_CASES[case]
+    ds = sampled(delta_phi, 0, shots)
+    rows, step = [], noisefit._lm_point
+
+    def record(r, jac, damping, x):
+        rows.append((r, jac, x))
+        return step(r, jac, damping, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(noisefit, "_lm_point", record)
+        bootstrap_spread(ds, fit(ds), shots=shots, resamples=20, seed=5)
+    return tuple(np.concatenate(a) for a in zip(*rows))
+
+
+class TestStep:
+    """noisefit._lm_point against lstsq on the linearizations a fit and its spread make.
+
+    The planted case is well conditioned. In the zero-noise case the
+    delta_phi_2 and delta_phi_3 columns of J are rounding noise, below
+    _RCOND of the strongest, so only the cut-off keeps the step finite.
+    In the 40-shot case at the bound, steps push deviations past it.
+    """
+
+    @pytest.mark.parametrize("damping", [0.0, 1e-3, 10.0])
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_matches_lstsq(self, case, damping):
+        r, jac, x = recorded_rows(case)
+        got = noisefit._lm_point(r, jac, damping, x)
+        held = np.zeros(x.shape, dtype=bool)
+        for k in range(len(x)):
+            want, held[k], scale = lstsq_point(r[k], jac[k], damping, x[k])
+            assert np.linalg.norm(got[k] - want) <= 1e-12 * scale, k
+        sv = np.linalg.svd(jac, compute_uv=False)
+        cut = (sv[:, -1] <= noisefit._RCOND * sv[:, 0]).any()
+        assert cut == (case == "zero noise")
+        assert held.any() == (case == "at bound, 40 shots")
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_a_row_does_not_depend_on_its_stack(self, case):
+        r, jac, x = recorded_rows(case)
+        damping = np.random.default_rng(1).choice([0.0, 1e-3, 10.0], size=len(x))
+        whole = noisefit._lm_point(r, jac, damping, x)
+        rng = np.random.default_rng(2)
+        for rows in (rng.permutation(len(x)), rng.choice(len(x), len(x) // 3, replace=False)):
+            part = noisefit._lm_point(r[rows], jac[rows], damping[rows], x[rows])
+            assert part.tobytes() == whole[rows].tobytes()
+        for k in rng.choice(len(x), 5, replace=False):
+            # one row, unstacked and with J in column-major order as `lone_fit` passes it
+            lone = noisefit._lm_point(r[k], np.asfortranarray(jac[k]), damping[k], x[k])
+            assert lone.tobytes() == whole[k].tobytes()
+
+    @pytest.mark.parametrize("case", LOCKSTEP_CASES)
+    def test_solves_are_batched_per_round(self, monkeypatch, case):
+        # a lockstep round is one model_cells call; the steps of all its rows
+        # take one or two stacked solves, however many rows iterate
+        delta_phi, shots = LOCKSTEP_CASES[case]
+        ds = sampled(delta_phi, 0, shots)
+        res = fit(ds)
+        calls = []
+        for module, name in ((np.linalg, "svd"), (np.linalg, "lstsq"), (noisefit, "model_cells")):
+            def wrapped(*args, _f=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapped)
+        bootstrap_spread(ds, res, shots=shots, resamples=noisefit._BLOCK + 1, seed=5)
+        rounds = " ".join(calls).split("model_cells")
+        assert len(rounds) > 2 and max(len(part.split()) for part in rounds) <= 3
 
 
 class TestLockstep:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demongain import gates, protocol
-from demongain.gates import NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
 from demongain.protocol import (
     CELLS,
     CONDITIONAL_SWAP,
@@ -37,7 +37,7 @@ from conftest import random_density, resource_ket
 THETA_GRID = np.linspace(0, np.pi / 2, 33)
 IDEAL = NoiseParams.zeros()
 RUN_SHOTS_FIXTURE = Path(__file__).resolve().parent / "data" / "run_shots_counts.json"
-PAPER_DELTAS = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
+PAPER_DELTAS = NoiseParams(PLANTED_DELTA_PHI)
 # (theta, noise) points of the density-matrix reference; the first is the
 # config of run_shots_counts.json
 REFERENCE_POINTS = [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from demongain import cli, gates, noisefit, protocol, qlin, tomography as tg
 from demongain.cli import main
-from demongain.gates import NoiseParams, bell_prep
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams, bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from demongain.shared import draw_probs, stream
@@ -33,7 +33,7 @@ from demongain.tomography import (
 from conftest import ID4, draw_resamples, random_density, haar_unitary, wootters_concurrence
 
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
-PLANTED = NoiseParams(tuple(np.pi / 2 * np.array([0.009, 0.068, 0.165])))
+PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 
 
 XX, XY, ZX, YY, ZZ = (tg.ALL_SETTINGS.index(tuple(s)) for s in ("XX", "XY", "ZX", "YY", "ZZ"))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demongain import cli, protocol
-from demongain.gates import NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
 from demongain.noisefit import model_curves
 from demongain.protocol import OutcomeTable, outcome_table_exact, read_tables_csv, run_shots
 from demongain.tomography import write_counts_csv
@@ -24,7 +24,7 @@ from conftest import (
 )
 
 HALF_PI = np.pi / 2
-PLANTED = NoiseParams((0.009 * HALF_PI, 0.068 * HALF_PI, 0.165 * HALF_PI))
+PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 
 # Cells at the edges of float text: exact zeros and ones, a value below
 # 12 significant digits of its neighbours, and the smallest subnormal.
