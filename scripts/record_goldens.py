@@ -27,7 +27,6 @@ import tempfile
 from pathlib import Path
 
 from demongain.cli import main as cli_main
-from demongain.gates import NoiseParams
 from demongain.protocol import CELLS, run_shots
 
 REPO = Path(__file__).resolve().parent.parent
@@ -58,7 +57,7 @@ def _run_shots_counts() -> str:
     cases = json.loads((GOLDENS / "run_shots_counts.json").read_text())
     for case in cases:
         c = case["config"]
-        t = run_shots([c["theta"]], NoiseParams(tuple(c["noise"])), c["shots"], c["seed"])
+        t = run_shots([c["theta"]], c["noise"], c["shots"], c["seed"])
         case["counts"] = {f"{d}{dp}{ap}": n for (d, dp, ap), n in zip(CELLS, t.counts[0].tolist())}
         case["pr_d"] = {str(d): p for d, p in enumerate(t.pr_d[0].tolist())}
     return json.dumps(cases, indent=2) + "\n"

@@ -17,14 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from demongain.cli import main as cli_main
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI
 
 REPO = Path(__file__).resolve().parent.parent
 MANIFESTS = REPO / "manifests"
 HALF_PI = np.pi / 2
-
-# the paper's fitted phase deviations, used as the planted ground truth
-PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 
 
 def run(argv: list[str]) -> None:
@@ -57,7 +54,7 @@ def main() -> None:
     run(["fit", "--manifest", str(MANIFESTS / "fit_planted.json"),
          "--out", str(fit_dir), *common])
 
-    planted = np.array(PLANTED.delta_phi)
+    planted = np.array(PLANTED_DELTA_PHI)  # the paper's fitted deviations, planted
     fitted = np.array(json.loads((fit_dir / "fit_result.json").read_text())["delta_phi"])
     print(f"planted delta_phi / (pi/2): {np.round(planted / HALF_PI, 6)}")
     print(f"fitted  delta_phi / (pi/2): {np.round(fitted / HALF_PI, 6)}")

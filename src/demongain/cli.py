@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import noisefit, protocol, tomography
-from .gates import PLANTED_DELTA_PHI, NoiseParams
+from .gates import PLANTED_DELTA_PHI, deviations
 from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
 from .shared import write_csv
 
@@ -107,10 +107,10 @@ def _mode(value) -> str:
     return value
 
 
-def _noise(value) -> NoiseParams:
+def _noise(value) -> tuple[float, float, float]:
     if len(_expect(value, list, "a list of three phase deviations")) != 3:
         raise ValueError(f"expected three phase deviations, got {value!r}")
-    return NoiseParams(tuple(_numbers(value)))
+    return tuple(deviations(_numbers(value))[0].tolist())
 
 
 # section -> key -> (default, converter). A default is written as in a
@@ -214,7 +214,7 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
         point["counts"] = dict.fromkeys(keys)
         cols[:0] = table.counts.T.tolist()
     _write_json(out_dir / "sweep_summary.json", {
-        "mode": mode, **sampling, "noise": list(noise.delta_phi), "points": [point]}, zip(*cols))
+        "mode": mode, **sampling, "noise": list(noise), "points": [point]}, zip(*cols))
     return 0
 
 
@@ -225,7 +225,7 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
 def cmd_tomo(out_dir: Path, manifest_dir: Path, thetas, shots_per_setting, resamples, seed,
              exact_moments, noise) -> int:
     # every theta is checked before the first tomogram CSV is written
-    rhos = protocol.prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=noise))
+    rhos = protocol.prepare_resource(ProtocolConfig(theta=np.array(thetas), delta_phi=noise))
     bootstraps = None
     if exact_moments:
         rho_hat = tomography.linear_inversion(tomography.setting_probs(rhos))
@@ -250,7 +250,7 @@ def cmd_tomo(out_dir: Path, manifest_dir: Path, thetas, shots_per_setting, resam
     except tomography.Unidentifiable:  # the per-theta metrics stand without the fit
         c0_fit = None
     _write_json(out_dir / "tomo_metrics.json", {
-        **sampling, "noise": list(noise.delta_phi), "exact_moments": exact_moments,
+        **sampling, "noise": list(noise), "exact_moments": exact_moments,
         "points": points, "c0_fit": c0_fit})
     return 0
 
@@ -269,7 +269,7 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
         )
     _write_json(out_dir / "fit_result.json", {
         **asdict(result), "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
-    model = noisefit.model_curves(NoiseParams(result.delta_phi), data.thetas)
+    model = noisefit.model_curves(result.delta_phi, data.thetas)
     rows = [f"{t:.12g},{d},{dp},{ap}" for t in data.thetas.tolist() for d, dp, ap in protocol.CELLS]
     write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
               "%s,%.12g,%.12g", [rows, data.cells.ravel().tolist(), model.cells.ravel().tolist()])
@@ -317,9 +317,9 @@ def _verify_checks():
         dev = max(dev, np.max(np.abs(rec - rho)))
     yield "linear inversion exact on moments", dev <= 1e-12, dev
 
-    for at, noise in (("", NoiseParams()), (" at planted noise", NoiseParams(PLANTED_DELTA_PHI))):
-        table = protocol.outcome_table_exact(thetas, noise)
-        noisy = protocol.prepare_resource(ProtocolConfig(theta=thetas, noise=noise))
+    for at, delta_phi in (("", (0.0, 0.0, 0.0)), (" at planted noise", PLANTED_DELTA_PHI)):
+        table = protocol.outcome_table_exact(thetas, delta_phi)
+        noisy = protocol.prepare_resource(ProtocolConfig(theta=thetas, delta_phi=delta_phi))
         gain = protocol.demonic_gain(noisy, protocol.apply_feedback(protocol.measure_demon(noisy)))
         dev = np.max(np.abs(protocol.energies_from_table(table)[:, 2] - gain))
         yield f"table energies match state gain{at}", dev <= 1e-12, dev
@@ -335,9 +335,7 @@ def _verify_checks():
     )  # best gain minus the conditional swap's, worst theta
     yield "conditional swap is the optimal policy", margin <= 1e-12, margin
 
-    table = protocol.run_shots(
-        thetas, NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED, purpose="verify"
-    )
+    table = protocol.run_shots(thetas, (0.0, 0.0, 0.0), DEFAULT_SHOTS, DEFAULT_SEED, "verify")
     z = np.max(np.abs(table.pr_d[:, 1] - 0.5)) / np.sqrt(0.25 / DEFAULT_SHOTS)
     yield "sampled Pr(d) within 4 sigma of 1/2", z <= 4.0, z  # z of the worst theta
 

@@ -10,7 +10,8 @@ composite controlled-Z pi/2 block is two U_ZZ gates with a simultaneous
 X(x)X echo in between. Three such blocks appear in the circuit (one in
 the Bell preparation, two inside the parametric controlled-Y); each may
 carry a coherent phase deviation delta_phi relative to its preset pi/2
-two-qubit phase.
+two-qubit phase. The three deviations are plain numbers, a length-3
+sequence or an (m, 3) array of m candidates, checked by `deviations`.
 
 Every block takes scalar angles or arrays of angles; array arguments
 broadcast against each other and give an (..., 4, 4) stack whose items
@@ -25,38 +26,29 @@ in the (|00>, |01>, |10>, |11>) basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qlin import ID2, PAULI_X, PAULI_Y, dag, kron
 
 _XX = kron(PAULI_X, PAULI_X)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _RZ = np.diag(np.exp([0.25j * np.pi, -0.25j * np.pi]))  # Rz(-pi/2)
 _RZRZ = kron(_RZ, _RZ)
 PLANTED_DELTA_PHI = tuple(d * np.pi / 2 for d in (0.009, 0.068, 0.165))  # as fitted in the paper
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    """Coherent phase deviations of the three controlled-Z pi/2 blocks."""
+def deviations(delta_phi) -> np.ndarray:
+    """(m, 3) float rows of three deviations, from a length-3 sequence or an (m, 3) array.
 
-    delta_phi: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if len(self.delta_phi) != 3:
-            raise ValueError("delta_phi must have exactly three entries")
-        for d in self.delta_phi:
-            if not abs(d) < np.pi / 2:
-                raise ValueError(f"|delta_phi| must be < pi/2, got {d}")
-
-    @classmethod
-    def zeros(cls) -> "NoiseParams":
-        return cls((0.0, 0.0, 0.0))
+    Each deviation must satisfy |delta_phi| < pi/2, which NaN does not.
+    """
+    rows = np.atleast_2d(np.asarray(delta_phi, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValueError("delta_phi must have exactly three entries")
+    bad = rows[~(np.abs(rows) < np.pi / 2)]
+    if bad.size:
+        raise ValueError(f"|delta_phi| must be < pi/2, got {bad[0]}")
+    return rows
 
 
 def in_range(values, name: str, high: float, shown: str) -> np.ndarray:
@@ -151,8 +143,7 @@ def _once_per_phase(block, phases: np.ndarray) -> np.ndarray:
     """block(phases), built once per distinct phase and gathered back.
 
     Equal to block(phases) bit for bit: stack items equal single calls,
-    and +0.0 and -0.0 enter u_zz as pi/8 + delta/4, the same angle. NaN
-    never compares equal, so each NaN phase is built on its own.
+    and +0.0 and -0.0 enter u_zz as pi/8 + delta/4, the same angle.
     """
     if len(phases) < 2:
         return block(phases)
@@ -165,27 +156,23 @@ def _once_per_phase(block, phases: np.ndarray) -> np.ndarray:
     return block(ordered[first])[group]
 
 
-def kets(params, thetas) -> np.ndarray:
-    """(m, n, 4) circuit output on |00> for (m, 3) deviations and n angles.
+def kets(delta_phi, thetas) -> np.ndarray:
+    """(m, n, 4) circuit output on |00> for m rows of deviations and n angles.
 
-    Column 0 of bell_prep, then the four factors of cy applied to the
-    state vectors, so no (m, n, 4, 4) product is formed. Fit candidates
-    repeat their phases, so each block is built once per distinct phase
-    of its slot. Each angle must lie in [0, pi/2]: every state, table
-    and fit model is checked here.
+    `delta_phi` is a length-3 sequence (m = 1) or an (m, 3) array. Column 0
+    of bell_prep, then the four factors of cy applied to the state vectors,
+    so no (m, n, 4, 4) product is formed. Fit candidates repeat their
+    phases, so each block is built once per distinct phase of its slot.
+    Each angle must lie in [0, pi/2] and the deviations pass `deviations`:
+    every state, table and fit model is checked here.
     """
-    params = np.atleast_2d(np.asarray(params, dtype=float))
+    rows = deviations(delta_phi)
     ry_half = local_rot(in_range(thetas, "theta", np.pi / 2, "pi/2"), np.pi / 2, "A")
-    s = _once_per_phase(bell_prep, params[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
-    for u in (ry_half, _once_per_phase(_cnot_d_to_a, params[:, 1])[:, None], ry_half,
-              _once_per_phase(_cnot_d_to_a, params[:, 2])[:, None]):
+    s = _once_per_phase(bell_prep, rows[:, 0])[:, None, :, :1]  # (m, 1, 4, 1) column
+    for u in (ry_half, _once_per_phase(_cnot_d_to_a, rows[:, 1])[:, None], ry_half,
+              _once_per_phase(_cnot_d_to_a, rows[:, 2])[:, None]):
         s = u @ s
     return s[..., 0]
-
-
-def swap() -> np.ndarray:
-    """Exchange the two qubits."""
-    return _SWAP.copy()
 
 
 def apply(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

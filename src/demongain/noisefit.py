@@ -26,7 +26,6 @@ from itertools import product
 import numpy as np
 
 from . import gates
-from .gates import NoiseParams
 from .protocol import CELLS, LIVE, OutcomeTable, joint_cells, outcome_table_exact
 from .shared import stream
 
@@ -50,13 +49,13 @@ _DAMPING0, _MAX_DAMPING = 1e-3, 1e8
 _BLOCK = 64  # spread refits per lockstep descent, which bounds its memory
 
 
-def model_cells(params: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def model_cells(delta_phi, thetas: np.ndarray) -> np.ndarray:
     """(m, n, 8) joint cell probabilities in CELLS order.
 
-    `params` is an (m, 3) array of candidate phase deviations, `thetas`
-    the length-n preparation-angle grid.
+    `delta_phi` is an (m, 3) array of candidate phase deviations, or one
+    length-3 sequence, `thetas` the length-n preparation-angle grid.
     """
-    return joint_cells(gates.kets(params, thetas))
+    return joint_cells(gates.kets(delta_phi, thetas))
 
 
 @dataclass
@@ -70,9 +69,9 @@ class FitResult:
     per_parameter_spread: tuple[float, float, float] | None = None
 
 
-def model_curves(noise: NoiseParams, thetas) -> OutcomeTable:
-    """Exact outcome table over the theta grid under the given deviations."""
-    return outcome_table_exact(thetas, noise)
+def model_curves(delta_phi, thetas) -> OutcomeTable:
+    """Exact outcome table over the theta grid under the three deviations `delta_phi`."""
+    return outcome_table_exact(thetas, delta_phi)
 
 
 def _weighted(p: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -80,13 +79,13 @@ def _weighted(p: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return (obs - p) / np.sqrt(np.maximum(p, _WEIGHT_FLOOR))
 
 
-def residual(params, data: OutcomeTable) -> float:
-    """Pearson's chi-square sum (obs - p)^2/p over the live cells.
+def residual(delta_phi, data: OutcomeTable) -> float:
+    """Pearson's chi-square sum (obs - p)^2/p over the live cells at one delta_phi triple.
 
     `obs` are the table's cell frequencies, so for shot data this is the
     chi-square statistic divided by the shots per theta.
     """
-    p = model_cells(np.asarray(params), data.thetas)[0][:, LIVE]
+    p = model_cells(np.ravel(delta_phi), data.thetas)[0][:, LIVE]
     return float((_weighted(p, data.cells[:, LIVE]) ** 2).sum())
 
 
@@ -182,16 +181,17 @@ def _descend(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
     return x, p, converged, iterations
 
 
-def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
+def fit(data: OutcomeTable, init=None) -> FitResult:
     """Recover the three phase deviations from outcome curves.
 
     `data` needs a strictly increasing theta grid and no probability or
     count in a cell outside LIVE. Each deviation is searched within
     BOUNDS, [-pi/4, pi/4]; `at_bound` says a component ended on one.
-    When `init` is given the grid is skipped and the iterations start
-    there (clipped to BOUNDS). The fit converges when the undamped step
-    is shorter than 1e-8 rad; it is then taken. It stops unconverged
-    after 100 iterations, or when no damping up to 1e8 lowers the loss.
+    When `init`, three deviations, is given the grid is skipped and the
+    iterations start there (checked by `gates.deviations`, then clipped
+    to BOUNDS). The fit converges when the undamped step is shorter than
+    1e-8 rad; it is then taken. It stops unconverged after 100
+    iterations, or when no damping up to 1e8 lowers the loss.
     `fisher_stderr` is sqrt(diag(I^-1)) with I = sum over theta of its
     shots (count total) times J^T W J, J the live cells' derivatives and
     W = 1/p; None without counts or when I is singular.
@@ -203,7 +203,8 @@ def fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
     _check_empty_cells(data)
 
     obs = data.cells[:, LIVE]
-    x = _grid_seed(obs, data.thetas) if init is None else np.clip(init.delta_phi, *BOUNDS)
+    x = (_grid_seed(obs, data.thetas) if init is None
+         else np.clip(gates.deviations(np.ravel(init))[0], *BOUNDS))
     (x,), (p,), (converged,), (iterations,) = _descend(obs[None], data.thetas, x[None])
 
     stderr = None

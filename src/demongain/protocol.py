@@ -6,21 +6,23 @@ stack, which `measure_demon`, `apply_feedback` and the gains take as
 stacks. Exact outcome tables and shot sampling read the kets for a whole
 theta grid at once, into one `OutcomeTable` of (n, 8) arrays; sampled
 mode draws each theta's counts as one multinomial from its exact cells.
-The feedback rule is stated once, as `CONDITIONAL_SWAP`. All energies
-are reported in units of the qubit splitting epsilon, so the demon's
+The feedback rule is stated once, as `CONDITIONAL_SWAP`. The three gate
+deviations `delta_phi` are plain numbers, checked by `gates.kets`; they
+are raveled first, so a stack of several triples fails that check. All
+energies are in units of the qubit splitting epsilon, so the demon's
 local Hamiltonian is H_D = I_A (x) |1><1|.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import gates
-from .gates import NoiseParams, in_range
+from .gates import in_range
 from .qlin import ID2, kron
 from .shared import draw_probs, stream, write_csv
 
@@ -35,16 +37,16 @@ _PI_D = kron(ID2, _PROJ)  # (2, 4, 4) demon projectors Pi_d
 CELLS = tuple(product((0, 1), (0, 1), (0, 1)))  # (d, d', a')
 
 # The protocol's feedback policy U_d, as a (2, 4, 4) stack: outcome 0
-# swaps the qubits, outcome 1 keeps them.
-CONDITIONAL_SWAP = np.array([gates.swap(), np.eye(4, dtype=complex)])
+# swaps the qubits (|01> and |10> trade places), outcome 1 keeps them.
+CONDITIONAL_SWAP = np.eye(4, dtype=complex)[[[0, 2, 1, 3], [0, 1, 2, 3]]]
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Preparation angle, a scalar or an array, and gate deviations of the resource."""
+    """Preparation angle, a scalar or an array, and the three gate deviations."""
 
     theta: float | np.ndarray
-    noise: NoiseParams = field(default_factory=NoiseParams.zeros)
+    delta_phi: tuple = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def prepare_resource(cfg: ProtocolConfig) -> np.ndarray:
     Gives np.shape(cfg.theta) + (4, 4): one state per angle.
     """
     theta = np.asarray(cfg.theta, dtype=float)
-    psi = gates.kets(cfg.noise.delta_phi, theta.ravel())[0].reshape(theta.shape + (4,))
+    psi = gates.kets(np.ravel(cfg.delta_phi), theta.ravel())[0].reshape(theta.shape + (4,))
     return psi[..., :, None] * psi[..., None, :].conj()
 
 
@@ -154,14 +156,14 @@ def gain_lower_bound(c):
     return 0.5 * (1.0 - np.sqrt(1.0 - c * c))
 
 
-def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
-    """Exact joint outcome probabilities Pr(d, d', a') at every theta.
+def outcome_table_exact(thetas, delta_phi) -> OutcomeTable:
+    """Exact joint outcome probabilities Pr(d, d', a') at every theta under `delta_phi`.
 
     Cells below 1e-15 are rounding residue of analytically empty cells
     and are set to exactly 0.
     """
     thetas = np.asarray(thetas, dtype=float)
-    cells = joint_cells(gates.kets(noise.delta_phi, thetas)[0])
+    cells = joint_cells(gates.kets(np.ravel(delta_phi), thetas)[0])
     cells[cells < 1e-15] = 0.0
     tol = 1e-9
     if not (np.all((cells >= -tol) & (cells <= 1 + tol))
@@ -170,10 +172,8 @@ def outcome_table_exact(thetas, noise: NoiseParams) -> OutcomeTable:
     return OutcomeTable(thetas=thetas, cells=cells)
 
 
-def run_shots(
-    thetas, noise: NoiseParams, shots: int, seed: int, purpose: str = "shots"
-) -> OutcomeTable:
-    """Shot-sampled outcome tables.
+def run_shots(thetas, delta_phi, shots: int, seed: int, purpose: str = "shots") -> OutcomeTable:
+    """Shot-sampled outcome tables under the three gate deviations `delta_phi`.
 
     Shots are independent, so a theta's eight counts are one multinomial
     from its `joint_cells`, rounded by `draw_probs`. All thetas draw in
@@ -184,7 +184,7 @@ def run_shots(
     thetas = np.asarray(thetas, dtype=float)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    kets = gates.kets(noise.delta_phi, thetas)[0]
+    kets = gates.kets(np.ravel(delta_phi), thetas)[0]
     q = draw_probs(joint_cells(kets))
     counts = stream(seed, purpose, 0).multinomial(shots, q)
     return OutcomeTable(thetas=thetas, cells=counts / shots, counts=counts)

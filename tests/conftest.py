@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from demongain import noisefit, qlin
-from demongain.gates import NoiseParams
 from demongain.noisefit import BOUNDS, LIVE, FitResult
 from demongain.protocol import (
     CELLS,
@@ -92,7 +91,7 @@ def draw_resamples(rho_hat, shots: int, resamples: int, seed: int, index: int = 
 # from the module at call time, so monkeypatching them reaches both.
 
 
-def lone_fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
+def lone_fit(data: OutcomeTable, init=None) -> FitResult:
     """noisefit.fit on one dataset, iterated alone."""
     obs = data.cells[:, LIVE]
 
@@ -104,7 +103,7 @@ def lone_fit(data: OutcomeTable, init: NoiseParams | None = None) -> FitResult:
     if init is None:
         x = noisefit._grid_seed(obs, data.thetas)
     else:
-        x = np.clip(init.delta_phi, *BOUNDS)
+        x = np.clip(init, *BOUNDS)
     p, r, jac = linearize(x)
     damping, iterations, converged = noisefit._DAMPING0, 0, False
     while iterations < noisefit._MAX_ITER and damping <= noisefit._MAX_DAMPING:
@@ -146,7 +145,7 @@ def spread_by_refits(data: OutcomeTable, fitted: FitResult, shots: int, resample
     for r in range(resamples):
         counts = stream(seed, "fit spread", r).multinomial(shots, dists)
         resampled = OutcomeTable(thetas=data.thetas, cells=counts / shots, counts=counts)
-        fits[r] = lone_fit(resampled, init=NoiseParams(fitted.delta_phi)).delta_phi
+        fits[r] = lone_fit(resampled, init=fitted.delta_phi).delta_phi
     return tuple(float(s) for s in fits.std(axis=0))
 
 

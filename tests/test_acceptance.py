@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from demongain import protocol, shared, tomography
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI
 from demongain.noisefit import CELLS, bootstrap_spread, fit, model_curves
 from demongain.protocol import (
     DEFAULT_SEED,
@@ -108,8 +108,8 @@ def test_criterion_05_sampled_conditionals_within_five_sigma():
     t0 = time.perf_counter()
     worst_z = 0.0
     ok = True
-    exact = outcome_table_exact(GRID, NoiseParams.zeros())
-    sampled = run_shots(GRID, NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED)
+    exact = outcome_table_exact(GRID, (0.0, 0.0, 0.0))
+    sampled = run_shots(GRID, (0.0, 0.0, 0.0), DEFAULT_SHOTS, DEFAULT_SEED)
     for i in range(len(GRID)):
         for d in (0, 1):
             n_d = sampled.counts[i, 4 * d : 4 * d + 4].sum()
@@ -211,11 +211,10 @@ def test_criterion_07_bootstrap_determinism_and_width_scaling():
 
 def test_criterion_08_noise_fit_recovery():
     t0 = time.perf_counter()
-    planted = NoiseParams(PLANTED_DELTA_PHI)
     thetas = np.linspace(0.0, HALF_PI, 17)
-    ds = model_curves(planted, thetas)
+    ds = model_curves(PLANTED_DELTA_PHI, thetas)
     exact_fit = fit(ds)
-    exact_err = float(np.max(np.abs(np.array(exact_fit.delta_phi) - planted.delta_phi)))
+    exact_err = float(np.max(np.abs(np.array(exact_fit.delta_phi) - PLANTED_DELTA_PHI)))
 
     shots = 3500
     fits = np.empty((20, 3))
@@ -224,7 +223,7 @@ def test_criterion_08_noise_fit_recovery():
         counts = rng.multinomial(shots, ds.cells)
         fits[seed] = fit(OutcomeTable(thetas=thetas, cells=counts / shots)).delta_phi
     spread = fits.std(axis=0)
-    noisy_dev = np.abs(fits.mean(axis=0) - np.array(planted.delta_phi))
+    noisy_dev = np.abs(fits.mean(axis=0) - np.array(PLANTED_DELTA_PHI))
     noisy_ok = bool(np.all(noisy_dev <= 3 * spread))
     elapsed = time.perf_counter() - t0
     _report(
@@ -236,12 +235,9 @@ def test_criterion_08_noise_fit_recovery():
 
 
 def test_criterion_09_model_implied_amplitude_regression():
-    noise = NoiseParams(PLANTED_DELTA_PHI)
     thetas = np.linspace(0.0, HALF_PI, 17)
-    concs = [
-        tomography.concurrence(prepare_resource(ProtocolConfig(theta=float(t), noise=noise)))
-        for t in thetas
-    ]
+    concs = [tomography.concurrence(prepare_resource(
+        ProtocolConfig(theta=float(t), delta_phi=PLANTED_DELTA_PHI))) for t in thetas]
     c0, _ = tomography.fit_c0(thetas, concs)
     dev = abs(c0 - MODEL_IMPLIED_C0)
     _report(

@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demongain import cli, gates, tomography
+from demongain import cli, tomography
 from demongain.cli import MANIFEST, main
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI
 from demongain.noisefit import model_curves
 from demongain.protocol import (
+    CONDITIONAL_SWAP,
     DEFAULT_SEED,
     DEFAULT_SHOTS,
     ProtocolConfig,
@@ -232,7 +233,7 @@ class TestSweepPoints:
             tmp_path, {"sweep": {"theta_steps": 3, "mode": "sampled", "shots": 400, "seed": 3}})
         assert _run(["sweep", "--manifest", manifest, "--out", str(tmp_path)]) == 0
         points = json.loads((tmp_path / "sweep_summary.json").read_text())["points"]
-        table = run_shots(np.linspace(0, HALF_PI, 3), NoiseParams.zeros(), 400, 3)
+        table = run_shots(np.linspace(0, HALF_PI, 3), (0.0, 0.0, 0.0), 400, 3)
         assert all(p.keys() == {"theta", "pr_d", "pr_joint", "counts"} for p in points)
         assert [list(p["counts"].values()) for p in points] == table.counts.tolist()
         assert [list(p["pr_joint"].values()) for p in points] == table.cells.tolist()
@@ -296,8 +297,7 @@ class TestTomo:
         )
         assert _run(["tomo", "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
         points = json.loads((tmp_path / "o/tomo_metrics.json").read_text())["points"]
-        noise = NoiseParams(PLANTED_DELTA_PHI)
-        rhos = prepare_resource(ProtocolConfig(theta=np.array(thetas), noise=noise))
+        rhos = prepare_resource(ProtocolConfig(theta=np.array(thetas), delta_phi=PLANTED_DELTA_PHI))
         moments = tomography.linear_inversion(tomography.setting_probs(rhos))
         for pt, rho, rho_hat in zip(points, rhos, moments):
             assert pt["concurrence"] == tomography.concurrence(rho_hat)
@@ -402,16 +402,15 @@ class TestTomo:
 
 class TestFit:
     def test_fit_recovers_planted(self, tmp_path):
-        planted = NoiseParams(PLANTED_DELTA_PHI)
         dataset = tmp_path / "tables.csv"
-        write_tables_csv(dataset, model_curves(planted, np.linspace(0, HALF_PI, 9)))
+        write_tables_csv(dataset, model_curves(PLANTED_DELTA_PHI, np.linspace(0, HALF_PI, 9)))
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
         out = tmp_path / "out"
         assert _run(["fit", "--manifest", manifest, "--out", str(out)]) == 0
         payload = json.loads((out / "fit_result.json").read_text())
         assert payload["schema_version"] == 1
         got = np.array(payload["delta_phi"])
-        assert np.max(np.abs(got - planted.delta_phi)) < 1e-3 * HALF_PI
+        assert np.max(np.abs(got - PLANTED_DELTA_PHI)) < 1e-3 * HALF_PI
         assert (out / "fit_overlay.csv").exists()
         # exact curves hold no counts, so no Fisher spread can be given
         assert payload["converged"] is True and payload["at_bound"] is False
@@ -419,8 +418,8 @@ class TestFit:
 
     def test_sampled_fit_records_fisher_stderr(self, tmp_path):
         dataset = tmp_path / "tables.csv"
-        planted = NoiseParams(PLANTED_DELTA_PHI)
-        write_tables_csv(dataset, run_shots(np.linspace(0, HALF_PI, 17), planted, 3500, 3))
+        table = run_shots(np.linspace(0, HALF_PI, 17), PLANTED_DELTA_PHI, 3500, 3)
+        write_tables_csv(dataset, table)
         manifest = _write_manifest(
             tmp_path, {"fit": {"dataset": str(dataset), "spread_resamples": 4, "seed": 1}}
         )
@@ -434,7 +433,7 @@ class TestFit:
         # shots moved into a cell no phase deviation reaches, as a readout
         # that flips the demon's qubit would put them there
         dataset = tmp_path / "tables.csv"
-        table = run_shots([0.3, 0.9], NoiseParams(PLANTED_DELTA_PHI), 3500, 7)
+        table = run_shots([0.3, 0.9], PLANTED_DELTA_PHI, 3500, 7)
         table.counts[0, [0, 1]] += [-40, 40]  # (0, 0, 0) -> (0, 0, 1)
         write_tables_csv(dataset, replace(table, cells=table.counts / 3500))
         manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
@@ -483,7 +482,7 @@ class TestFit:
     def test_negative_count_exits(self, tmp_path):
         # the (0, 0, 0) row of theta 0.3 keeps its probability; only its count turns negative
         dataset = tmp_path / "tables.csv"
-        write_tables_csv(dataset, run_shots([0.3, 0.9], NoiseParams(PLANTED_DELTA_PHI), 3500, 7))
+        write_tables_csv(dataset, run_shots([0.3, 0.9], PLANTED_DELTA_PHI, 3500, 7))
         rows = dataset.read_text().splitlines()
         theta, *cell, count, p = rows[1].split(",")
         rows[1] = ",".join([theta, *cell, f"-{count}", p])
@@ -528,13 +527,13 @@ def test_cli_import_leaves_scipy_out():
             return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
         costly = ("scipy", "numpy.ma", "queue", "logging", "concurrent.futures")
         import demongain.cli
-        from demongain import gates, noisefit, protocol, tomography
+        from demongain import noisefit, protocol, tomography
         print(loaded(*costly))
         os.sched_getaffinity = lambda pid: {0, 1}
         rhos = protocol.prepare_resource(protocol.ProtocolConfig(theta=[0.0, 0.5, 1.0]))
         tomography.tomography_study(rhos, 100, 50, 1)
         print(loaded(*costly))
-        data = protocol.run_shots([0.0, 0.4, 0.8, 1.2], gates.NoiseParams((0.01, 0.1, 0.2)), 500, 3)
+        data = protocol.run_shots([0.0, 0.4, 0.8, 1.2], (0.01, 0.1, 0.2), 500, 3)
         noisefit.bootstrap_spread(data, noisefit.fit(data), 500, 3, 5)
         print(loaded(*costly))
     """
@@ -546,7 +545,7 @@ def test_planted_dataset_matches_study_deviations(tmp_path):
     # manifests/data/planted_tables.csv holds the exact curves of the
     # deviations the study script reports as planted
     study = runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="study")
-    ds = model_curves(study["PLANTED"], np.linspace(0.0, HALF_PI, 17))
+    ds = model_curves(study["PLANTED_DELTA_PHI"], np.linspace(0.0, HALF_PI, 17))
     write_tables_csv(tmp_path / "tables.csv", ds)
     checked_in = (ROOT / "manifests/data/planted_tables.csv").read_bytes()
     assert (tmp_path / "tables.csv").read_bytes() == checked_in
@@ -664,7 +663,7 @@ class TestVerify:
         assert _run(["verify", "--out", str(tmp_path)]) == 0
         checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
         measure = {c["name"]: c["measure"] for c in checks}["conditional swap is the optimal policy"]
-        swap, ident = gates.swap(), np.eye(4, dtype=complex)
+        swap, ident = CONDITIONAL_SWAP
         x_d = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
         candidates = [ident, swap, x_d, x_d @ swap]
         margin = -np.inf
@@ -683,7 +682,7 @@ class TestVerify:
         checks = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
         measure = {c["name"]: c["measure"] for c in checks}["sampled Pr(d) within 4 sigma of 1/2"]
         table = run_shots(
-            np.linspace(0, HALF_PI, 33), NoiseParams.zeros(), DEFAULT_SHOTS, DEFAULT_SEED, "verify"
+            np.linspace(0, HALF_PI, 33), (0.0, 0.0, 0.0), DEFAULT_SHOTS, DEFAULT_SEED, "verify"
         )
         z = np.abs(table.pr_d[:, 1] - 0.5) / np.sqrt(0.25 / DEFAULT_SHOTS)
         assert measure == pytest.approx(z.max(), rel=1e-12, abs=0.0)
@@ -766,6 +765,49 @@ class TestManifestHandling:
         manifest = _write_manifest(tmp_path, {"sweep": {"noise": [0.1]}})
         with pytest.raises(SystemExit, match="noise"):
             _run(["sweep", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
+    # each value's one line after "demongain <command>: manifest <section>.<key>: "
+    BAD_DEVIATIONS = {
+        "two": ([0.1, 0.2], "expected three phase deviations, got [0.1, 0.2]"),
+        "2.0": ([2.0, 0, 0], "|delta_phi| must be < pi/2, got 2.0"),
+        "-pi/2": ([-HALF_PI, 0, 0], "|delta_phi| must be < pi/2, got -1.5707963267948966"),
+        "string": (["a", 0, 0], "expected a number, got 'a'"),
+        "true": ([True, 0, 0], "expected a number, got True"),
+        "number": (0.1, "expected a list of three phase deviations, got 0.1"),
+        "null": (None, "expected a list of three phase deviations, got None"),
+        "empty": ([], "expected three phase deviations, got []"),
+        "one string": (["a"], "expected three phase deviations, got ['a']"),
+        "Infinity": ([float("inf"), 0, 0], "expected a finite number, got inf"),
+    }
+
+    @pytest.mark.parametrize("bad", BAD_DEVIATIONS)
+    @pytest.mark.parametrize("where", ["sweep.noise", "tomo.noise", "fit.init"])
+    def test_bad_deviations_exit_with_one_pinned_line(self, tmp_path, where, bad):
+        value, error = self.BAD_DEVIATIONS[bad]
+        command, key = where.split(".")
+        section = {key: value}
+        if command == "fit":
+            section["dataset"] = str(ROOT / "manifests/data/planted_tables.csv")
+        argv = [command, "--manifest", _write_manifest(tmp_path, {command: section}),
+                "--out", str(tmp_path / "o")]
+        if where == "fit.init" and value is None:  # null seeds the fit from its grid
+            assert _run(argv) == 0
+            return
+        with pytest.raises(SystemExit) as exc:
+            _run(argv)
+        assert str(exc.value) == f"demongain {command}: manifest {where}: {error}"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("sweep", {"theta_steps": 2}),
+        ("tomo", {"thetas": [0.3], "exact_moments": True}),
+    ])
+    def test_noise_field_echoes_the_manifest(self, tmp_path, command, section):
+        manifest = _write_manifest(tmp_path, {command: {**section, "noise": [0, -0.0, 5e-324]}})
+        assert _run([command, "--manifest", manifest, "--out", str(tmp_path / "o")]) == 0
+        name = "sweep_summary.json" if command == "sweep" else "tomo_metrics.json"
+        text = (tmp_path / "o" / name).read_text()
+        assert '"noise": [\n    0.0,\n    -0.0,\n    5e-324\n  ],' in text
 
     @pytest.mark.parametrize(
         "command, payload, key",

@@ -3,17 +3,18 @@ from itertools import product
 import numpy as np
 import pytest
 
-from demongain import gates
+from demongain import gates, noisefit, protocol
 from demongain.gates import (
-    PLANTED_DELTA_PHI, NoiseParams, apply, bell_prep, cy, cz_half, kets, local_rot, swap, u_zz,
+    PLANTED_DELTA_PHI, apply, bell_prep, cy, cz_half, deviations, kets, local_rot, u_zz,
 )
 from demongain.noisefit import _GRID_AXIS
+from demongain.protocol import CONDITIONAL_SWAP, ProtocolConfig
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
 from conftest import cy_exact, haar_unitary, random_density
 
 BELL = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-PAPER_DELTAS = NoiseParams(PLANTED_DELTA_PHI)
+SWAP = CONDITIONAL_SWAP[0]
 
 
 def max_abs_after_phase(u, v):
@@ -22,11 +23,52 @@ def max_abs_after_phase(u, v):
     return np.max(np.abs(u - (u.flat[k] / v.flat[k]) * v))
 
 
-def test_noise_params_validation():
-    with pytest.raises(ValueError):
-        NoiseParams((0.0, 0.0))
-    with pytest.raises(ValueError):
-        NoiseParams((np.pi / 2, 0.0, 0.0))
+def test_deviations_validation():
+    with pytest.raises(ValueError, match="^delta_phi must have exactly three entries$"):
+        deviations((0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^\|delta_phi\| must be < pi/2, got 1.5707963267948966$"):
+        deviations((np.pi / 2, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^delta_phi must have exactly three entries$"):
+        deviations(np.zeros((2, 1, 3)))
+    rows = np.array([[0.1, -0.0, 0.2], [-1.5, 1.5, 0.0]])
+    assert deviations(rows).tobytes() == rows.tobytes()
+    assert deviations([0.1, -0.0, 0.2]).tobytes() == rows[:1].tobytes()
+
+
+# Every entry point that reads deviations refuses a bad one with the
+# message of gates.deviations, raised where gates.kets reads them.
+_THETAS = np.linspace(0, np.pi / 2, 5)
+_TABLE = protocol.outcome_table_exact(_THETAS, (0.0, 0.0, 0.0))
+_ENTRY_POINTS = {
+    "kets": lambda d: kets(d, _THETAS),
+    "model_cells": lambda d: noisefit.model_cells(d, _THETAS),
+    "residual": lambda d: noisefit.residual(d, _TABLE),
+    "outcome_table_exact": lambda d: protocol.outcome_table_exact(_THETAS, d),
+    "run_shots": lambda d: protocol.run_shots(_THETAS, d, 10, 0),
+    "prepare_resource": lambda d: protocol.prepare_resource(ProtocolConfig(_THETAS, d)),
+    "fit init": lambda d: noisefit.fit(_TABLE, init=d),
+}
+_BAD = {
+    "two entries": ((0.1, 0.2), "^delta_phi must have exactly three entries$"),
+    "+pi/2": ((np.pi / 2, 0.0, 0.0), r"^\|delta_phi\| must be < pi/2, got 1.5707963267948966$"),
+    "-pi/2": ((0.0, -np.pi / 2, 0.0), r"^\|delta_phi\| must be < pi/2, got -1.5707963267948966$"),
+    "NaN": ((0.0, 0.0, np.nan), r"^\|delta_phi\| must be < pi/2, got nan$"),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD)
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_entry_point_refuses_bad_deviations(entry, bad):
+    value, message = _BAD[bad]
+    with pytest.raises(ValueError, match=message):
+        _ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", [e for e in _ENTRY_POINTS if e not in ("kets", "model_cells")])
+def test_one_triple_entry_points_refuse_a_stack(entry):
+    # kets and model_cells take (m, 3) candidates; the others one triple
+    with pytest.raises(ValueError, match="^delta_phi must have exactly three entries$"):
+        _ENTRY_POINTS[entry](np.zeros((2, 3)))
 
 
 class TestLocalRot:
@@ -84,8 +126,7 @@ class TestBellPrep:
 
     def test_noisy_fidelity_regression(self):
         # frozen output of this simulator at the largest paper deviation
-        nz = NoiseParams((0.165 * np.pi / 2, 0.0, 0.0))
-        psi = bell_prep(nz.delta_phi[0]) @ np.array([1, 0, 0, 0], dtype=complex)
+        psi = bell_prep(0.165 * np.pi / 2) @ np.array([1, 0, 0, 0], dtype=complex)
         fid = abs(np.vdot(BELL, psi)) ** 2
         assert fid < 1.0
         assert fid == pytest.approx(0.9833000510084537, abs=1e-12)
@@ -119,18 +160,22 @@ class TestSwap:
     def test_exchanges_basis_states(self):
         v = np.zeros(4, dtype=complex)
         v[1] = 1  # |0_A 1_D>
-        out = swap() @ v
+        out = SWAP @ v
         assert out[2] == 1  # |1_A 0_D>
 
     def test_involution(self):
-        s = swap()
-        assert np.allclose(s @ s, np.eye(4))
+        assert np.allclose(SWAP @ SWAP, np.eye(4))
 
     def test_conjugation_swaps_factors(self, rng):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        s = swap()
-        assert np.allclose(s @ kron(a, b) @ s.conj().T, kron(b, a))
+        assert np.allclose(SWAP @ kron(a, b) @ SWAP.conj().T, kron(b, a))
+
+    def test_bits_equal_the_literal(self):
+        literal = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+        expected = np.array([literal, np.eye(4, dtype=complex)])
+        assert CONDITIONAL_SWAP.dtype == expected.dtype and CONDITIONAL_SWAP.shape == (2, 4, 4)
+        assert CONDITIONAL_SWAP.tobytes() == expected.tobytes()
 
 
 class TestApply:
@@ -140,7 +185,7 @@ class TestApply:
 
     def test_bell_state_swap_invariant(self):
         rho = np.outer(BELL, BELL.conj())
-        assert np.allclose(apply(swap(), rho), rho)
+        assert np.allclose(apply(SWAP, rho), rho)
 
     def test_preserves_trace_spectrum_purity(self, rng):
         rho = random_density(rng)
@@ -153,18 +198,17 @@ class TestApply:
 
 
 def test_zero_noise_gates_equal_ideal():
-    nz = NoiseParams.zeros()
-    assert np.array_equal(cz_half(nz.delta_phi[1]), cz_half())
-    assert np.array_equal(bell_prep(nz.delta_phi[0]), bell_prep())
-    assert np.array_equal(cy(0.4, *nz.delta_phi[1:]), cy(0.4))
+    assert np.array_equal(cz_half(0.0), cz_half())
+    assert np.array_equal(bell_prep(0.0), bell_prep())
+    assert np.array_equal(cy(0.4, 0.0, 0.0), cy(0.4))
 
 
 def test_all_gates_unitary_under_noise():
     for u in (
-        bell_prep(PAPER_DELTAS.delta_phi[0]),
-        cy(0.7, *PAPER_DELTAS.delta_phi[1:]),
-        cz_half(PAPER_DELTAS.delta_phi[2]),
-        swap(),
+        bell_prep(PLANTED_DELTA_PHI[0]),
+        cy(0.7, *PLANTED_DELTA_PHI[1:]),
+        cz_half(PLANTED_DELTA_PHI[2]),
+        SWAP,
         local_rot(1.2, 0.3, "D"),
     ):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
@@ -224,12 +268,11 @@ class TestBatched:
             "repeated rows": np.tile(one_star, (20, 1)),
             "signed zeros": np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.1, -0.0, 0.0]]),
             "random": rng.uniform(-0.7, 0.7, (50, 3)),
-            "NaN": np.array([[np.nan, 0.1, 0.1], [np.nan, 0.1, np.nan], [0.2, 0.1, 0.3]]),
         }
         thetas = np.linspace(0, np.pi / 2, 17)
         for name, params in cases.items():
             rows = np.array([kets(p[None], thetas)[0] for p in params])
-            assert np.array_equal(kets(params, thetas), rows, equal_nan=True), name
+            assert np.array_equal(kets(params, thetas), rows), name
 
     def test_kets_build_each_block_once_per_distinct_phase(self, monkeypatch):
         seen = {"bell_prep": [], "_cnot_d_to_a": []}

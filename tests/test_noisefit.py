@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import lone_fit, spread_by_refits
 from demongain import noisefit
 from demongain.cli import main
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI
 from demongain.noisefit import (
     CELLS,
     LIVE,
@@ -35,16 +35,14 @@ from demongain.protocol import (
 )
 
 HALF_PI = np.pi / 2
-# the deviation triple used throughout as the planted ground truth
-PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 THETAS = np.linspace(0.0, HALF_PI, 17)
 SHOTS = 3500
 # delta_phi_3 on its upper bound pi/4: most refits of 40-shot draws end there
-AT_BOUND = NoiseParams((*PLANTED_DELTA_PHI[:2], np.pi / 4))
+AT_BOUND = (*PLANTED_DELTA_PHI[:2], np.pi / 4)
 # (truth, shots per theta) of the datasets the lockstep descent is checked on
 LOCKSTEP_CASES = {
-    "planted": (PLANTED.delta_phi, SHOTS),
-    "at bound, 40 shots": (AT_BOUND.delta_phi, 40),
+    "planted": (PLANTED_DELTA_PHI, SHOTS),
+    "at bound, 40 shots": (AT_BOUND, 40),
     "zero noise": ((0.0, 0.0, 0.0), SHOTS),
 }
 
@@ -68,7 +66,7 @@ class TestModelCells:
         for m, p in enumerate(params):
             for n, th in enumerate(thetas):
                 rho = prepare_resource(
-                    ProtocolConfig(theta=float(th), noise=NoiseParams(tuple(p)))
+                    ProtocolConfig(theta=float(th), delta_phi=p)
                 )
                 ref = {}
                 branches = measure_demon(rho)
@@ -99,34 +97,34 @@ class TestCurveDataset:
     """The fit's dataset: one OutcomeTable over the theta grid."""
 
     def test_requires_increasing_thetas(self):
-        ds = model_curves(NoiseParams.zeros(), [0.2, 0.1])
+        ds = model_curves((0.0, 0.0, 0.0), [0.2, 0.1])
         with pytest.raises(ValueError, match="increasing"):
             fit(ds)
 
     def test_cell_matrix_shape(self):
-        ds = model_curves(NoiseParams.zeros(), THETAS)
+        ds = model_curves((0.0, 0.0, 0.0), THETAS)
         assert ds.cells.shape == (len(THETAS), 8)
 
 
 class TestResidual:
     def test_zero_at_truth(self):
-        ds = model_curves(PLANTED, THETAS)
-        assert residual(np.array(PLANTED.delta_phi), ds) < 1e-24
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
+        assert residual(np.array(PLANTED_DELTA_PHI), ds) < 1e-24
 
     def test_is_pearson_chi_square_over_live_cells(self):
-        ds = sampled(PLANTED.delta_phi, 0)
-        p = model_cells(np.array([PLANTED.delta_phi]), THETAS)[0][:, LIVE]
+        ds = sampled(PLANTED_DELTA_PHI, 0)
+        p = model_cells(np.array([PLANTED_DELTA_PHI]), THETAS)[0][:, LIVE]
         expected = ((ds.cells[:, LIVE] - p) ** 2 / p).sum()
-        assert residual(np.array(PLANTED.delta_phi), ds) == pytest.approx(expected, rel=1e-12)
+        assert residual(np.array(PLANTED_DELTA_PHI), ds) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_away_from_truth(self):
-        ds = model_curves(PLANTED, THETAS)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
         assert residual(np.zeros(3), ds) > 1e-6
 
     def test_truth_beats_grid(self):
         # the loss at the generating parameters lower-bounds any grid probe
-        ds = model_curves(PLANTED, THETAS)
-        r_true = residual(np.array(PLANTED.delta_phi), ds)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
+        r_true = residual(np.array(PLANTED_DELTA_PHI), ds)
         rng = np.random.default_rng(11)
         for p in rng.uniform(-np.pi / 4, np.pi / 4, size=(25, 3)):
             assert residual(p, ds) >= r_true
@@ -134,29 +132,29 @@ class TestResidual:
 
 class TestFit:
     def test_recovers_zero_noise(self):
-        ds = model_curves(NoiseParams.zeros(), THETAS)
+        ds = model_curves((0.0, 0.0, 0.0), THETAS)
         res = fit(ds)
         assert np.max(np.abs(res.delta_phi)) < 1e-4 * HALF_PI
         assert res.converged
 
     def test_recovers_planted_values(self):
-        ds = model_curves(PLANTED, THETAS)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
         res = fit(ds)
-        assert np.max(np.abs(np.array(res.delta_phi) - PLANTED.delta_phi)) < (
+        assert np.max(np.abs(np.array(res.delta_phi) - PLANTED_DELTA_PHI)) < (
             1e-3 * HALF_PI
         )
         assert res.residual < 1e-12
 
     def test_init_skips_grid_and_refines(self):
-        ds = model_curves(PLANTED, THETAS)
-        near = NoiseParams(tuple(d + 0.003 for d in PLANTED.delta_phi))
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
+        near = tuple(d + 0.003 for d in PLANTED_DELTA_PHI)
         res = fit(ds, init=near)
-        assert np.max(np.abs(np.array(res.delta_phi) - PLANTED.delta_phi)) < (
+        assert np.max(np.abs(np.array(res.delta_phi) - PLANTED_DELTA_PHI)) < (
             1e-3 * HALF_PI
         )
 
     def test_deterministic(self):
-        ds = model_curves(PLANTED, THETAS)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
         assert fit(ds).delta_phi == fit(ds).delta_phi
 
     def test_rejects_empty_dataset(self):
@@ -171,7 +169,7 @@ class TestFit:
     @pytest.mark.parametrize("n", [5, 17, 33])
     def test_recovers_exact_curves_to_1e9(self, point, n):
         truth = np.array(point) * HALF_PI
-        res = fit(model_curves(NoiseParams(tuple(truth)), np.linspace(0.0, HALF_PI, n)))
+        res = fit(model_curves(truth, np.linspace(0.0, HALF_PI, n)))
         assert res.converged and not res.at_bound
         assert np.max(np.abs(np.array(res.delta_phi) - truth)) <= 1e-9
         assert res.residual < 1e-20
@@ -179,14 +177,14 @@ class TestFit:
 
     def test_bound_clips_and_is_reported(self):
         # a planted delta_phi_3 = 0.6 pi/2 lies above the upper bound pi/4
-        beyond = NoiseParams((*PLANTED_DELTA_PHI[:2], 0.6 * HALF_PI))
+        beyond = (*PLANTED_DELTA_PHI[:2], 0.6 * HALF_PI)
         res = fit(model_curves(beyond, THETAS))
         assert res.converged and res.at_bound
         assert res.delta_phi[2] == noisefit.BOUNDS[1] == np.pi / 4
 
     def test_iteration_cap_is_not_convergence(self, monkeypatch):
         monkeypatch.setattr(noisefit, "_MAX_ITER", 1)
-        res = fit(sampled(PLANTED.delta_phi, 0))
+        res = fit(sampled(PLANTED_DELTA_PHI, 0))
         assert res.iterations == 1 and not res.converged
 
     def test_sampled_zero_noise_converges_without_warnings(self):
@@ -199,7 +197,7 @@ class TestFit:
 
     @pytest.mark.parametrize("cell", [c for i, c in enumerate(CELLS) if i not in LIVE])
     def test_rejects_data_in_a_structurally_empty_cell(self, cell):
-        ds = model_curves(PLANTED, THETAS)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS)
         j = CELLS.index(cell)
         ds.cells[3, LIVE[0]] -= 0.001
         ds.cells[3, j] += 0.001
@@ -210,7 +208,7 @@ class TestFit:
     def test_rejects_counts_of_qnd_flips(self):
         # a readout that flips the demon's qubit would put shots in cells the
         # three-deviation model leaves empty; here they are moved there
-        ds = run_shots(THETAS, PLANTED, SHOTS, 7)
+        ds = run_shots(THETAS, PLANTED_DELTA_PHI, SHOTS, 7)
         ds.counts[8:, :2] += [-3, 3]  # (0, 0, 0) -> (0, 0, 1) from the ninth theta on
         ds = replace(ds, cells=ds.counts / SHOTS)
         with pytest.raises(ValueError, match=r"count [1-9]\d* in a cell that no phase deviation"):
@@ -225,14 +223,14 @@ class TestCalibration:
     DATASETS = 200
 
     def test_fisher_stderr_matches_scatter(self):
-        fits = [fit(sampled(PLANTED.delta_phi, k)) for k in range(self.DATASETS)]
+        fits = [fit(sampled(PLANTED_DELTA_PHI, k)) for k in range(self.DATASETS)]
         assert all(f.converged for f in fits)
         scatter = np.std([f.delta_phi for f in fits], axis=0)
         stderr = np.mean([f.fisher_stderr for f in fits], axis=0)
         assert np.all(np.abs(stderr / scatter - 1.0) <= 0.15), stderr / scatter
 
     def test_bootstrap_spread_matches_fisher_stderr(self):
-        ds = sampled(PLANTED.delta_phi, 0)
+        ds = sampled(PLANTED_DELTA_PHI, 0)
         res = fit(ds)
         spread = bootstrap_spread(ds, res, shots=SHOTS, resamples=200, seed=5)
         ratio = np.array(spread) / np.array(res.fisher_stderr)
@@ -243,15 +241,15 @@ class TestSensitivity:
     def test_each_parameter_moves_the_curves(self):
         # all three slots are identifiable: perturbing any one changes
         # the cell probabilities somewhere on the grid
-        base = model_cells(np.array([PLANTED.delta_phi]), THETAS)[0]
+        base = model_cells(np.array([PLANTED_DELTA_PHI]), THETAS)[0]
         for k in range(3):
-            p = np.array(PLANTED.delta_phi)
+            p = np.array(PLANTED_DELTA_PHI)
             p[k] += 0.02
             moved = model_cells(p[None, :], THETAS)[0]
             assert np.max(np.abs(moved - base)) > 1e-5
 
     def test_no_slot_exchange_symmetry(self):
-        p = np.array(PLANTED.delta_phi)
+        p = np.array(PLANTED_DELTA_PHI)
         swapped = p[[0, 2, 1]]
         a = model_cells(p[None, :], THETAS)[0]
         b = model_cells(swapped[None, :], THETAS)[0]
@@ -260,8 +258,8 @@ class TestSensitivity:
 
 class TestBootstrapSpread:
     def test_deterministic_and_positive(self):
-        ds = model_curves(PLANTED, THETAS[::4])
-        res = fit(ds, init=PLANTED)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS[::4])
+        res = fit(ds, init=PLANTED_DELTA_PHI)
         s1 = bootstrap_spread(ds, res, shots=2000, resamples=8, seed=5)
         s2 = bootstrap_spread(ds, res, shots=2000, resamples=8, seed=5)
         assert s1 == s2
@@ -276,8 +274,8 @@ class TestBootstrapSpread:
         ],
     )
     def test_bad_sizes_rejected(self, shots, resamples, message):
-        ds = model_curves(PLANTED, THETAS[::4])
-        res = fit(ds, init=PLANTED)
+        ds = model_curves(PLANTED_DELTA_PHI, THETAS[::4])
+        res = fit(ds, init=PLANTED_DELTA_PHI)
         with pytest.raises(ValueError, match=f"^{message}$"):
             bootstrap_spread(ds, res, shots=shots, resamples=resamples, seed=5)
 
@@ -287,7 +285,7 @@ class TestBootstrapSpread:
         # iteration reaches it: on this dataset, one descent over all 1000 rows
         # peaks at 36 MB against 2.3 MB per block, at any iteration cap.
         monkeypatch.setattr(noisefit, "_MAX_ITER", 1)
-        ds = sampled(PLANTED.delta_phi, 0)
+        ds = sampled(PLANTED_DELTA_PHI, 0)
         res = fit(ds)
 
         def peak(resamples: int) -> int:
@@ -407,7 +405,7 @@ class TestLockstep:
     """
 
     @pytest.mark.parametrize("max_iter", [100, 5, 2])
-    @pytest.mark.parametrize("init", [None, PLANTED], ids=["grid", "init"])
+    @pytest.mark.parametrize("init", [None, PLANTED_DELTA_PHI], ids=["grid", "init"])
     @pytest.mark.parametrize("case", LOCKSTEP_CASES)
     def test_fit_matches_lone_fit(self, monkeypatch, case, init, max_iter):
         monkeypatch.setattr(noisefit, "_MAX_ITER", max_iter)
@@ -442,7 +440,7 @@ class TestFitJson:
         # every FitResult field as it is, and delta_phi in units of pi/2
         res = FitResult(delta_phi=(0.01, 0.02, 0.03), residual=1e-9, converged=True)
         monkeypatch.setattr(noisefit, "fit", lambda data, init=None: res)
-        assert _fit_json(tmp_path, model_curves(PLANTED, THETAS)) == {
+        assert _fit_json(tmp_path, model_curves(PLANTED_DELTA_PHI, THETAS)) == {
             "schema_version": 1,
             "delta_phi": [0.01, 0.02, 0.03],
             "delta_phi_over_half_pi": [d / HALF_PI for d in (0.01, 0.02, 0.03)],
@@ -455,7 +453,7 @@ class TestFitJson:
         }
 
     def test_record_of_a_sampled_fit(self, tmp_path):
-        payload = _fit_json(tmp_path, sampled(PLANTED.delta_phi, 1))
+        payload = _fit_json(tmp_path, sampled(PLANTED_DELTA_PHI, 1))
         assert payload["converged"] is True and payload["at_bound"] is False
         assert payload["iterations"] >= 1
         assert len(payload["fisher_stderr"]) == 3

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demongain import gates, protocol
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI
+from demongain.noisefit import fit
 from demongain.protocol import (
     CELLS,
     CONDITIONAL_SWAP,
@@ -35,14 +37,13 @@ from demongain.tomography import concurrence
 from conftest import random_density, resource_ket
 
 THETA_GRID = np.linspace(0, np.pi / 2, 33)
-IDEAL = NoiseParams.zeros()
+IDEAL = (0.0, 0.0, 0.0)
 RUN_SHOTS_FIXTURE = Path(__file__).resolve().parent / "data" / "run_shots_counts.json"
-PAPER_DELTAS = NoiseParams(PLANTED_DELTA_PHI)
 # (theta, noise) points of the density-matrix reference; the first is the
 # config of run_shots_counts.json
 REFERENCE_POINTS = [
-    {"theta": 0.3, "noise": list(PAPER_DELTAS.delta_phi)},
-    {"theta": 0.9, "noise": list(PAPER_DELTAS.delta_phi)},
+    {"theta": 0.3, "noise": list(PLANTED_DELTA_PHI)},
+    {"theta": 0.9, "noise": list(PLANTED_DELTA_PHI)},
     {"theta": 1.3, "noise": [0.1, -0.2, 0.3]},
 ]
 
@@ -58,12 +59,12 @@ def _reference_cells(c) -> np.ndarray:
     The demon is measured (branch d, trace Pr(d)), left in |d>, and d
     selects the feedback: SWAP on 0, identity on 1.
     """
-    rho = prepare_resource(ProtocolConfig(theta=c["theta"], noise=NoiseParams(tuple(c["noise"]))))
+    rho = prepare_resource(ProtocolConfig(theta=c["theta"], delta_phi=c["noise"]))
     cells = np.zeros(8)
     for d, branch in enumerate(measure_demon(rho)):
         agent = partial_trace(branch, keep="A")
         demon = np.diag(np.eye(2)[d])
-        u = gates.swap() if d == 0 else np.eye(4)
+        u = CONDITIONAL_SWAP[0] if d == 0 else np.eye(4)
         pops = np.real(np.diag(gates.apply(u, np.kron(agent, demon))))  # index 2a' + d'
         for dp, ap in product((0, 1), (0, 1)):
             cells[CELLS.index((d, dp, ap))] += pops[2 * ap + dp]
@@ -196,7 +197,7 @@ class TestOutcomeTableExact:
             assert cell[(1, 1, 0)] == pytest.approx(0.5, abs=1e-12)
 
     def test_gate_errors_populate_red_channel(self):
-        t = outcome_table_exact([np.pi / 4], PAPER_DELTAS)
+        t = outcome_table_exact([np.pi / 4], PLANTED_DELTA_PHI)
         red = t.cells[0, CELLS.index((0, 1, 1))] + t.cells[0, CELLS.index((1, 1, 1))]
         assert red > 1e-4
 
@@ -234,8 +235,8 @@ class TestRunShots:
         shots = 10**6
         ideal = {"theta": 0.9, "noise": [0.0] * 3}
         for c in [ideal, *REFERENCE_POINTS]:
-            t = run_shots([c["theta"]], NoiseParams(tuple(c["noise"])), shots=shots, seed=77)
-            q = outcome_table_exact([c["theta"]], NoiseParams(tuple(c["noise"]))).cells[0]
+            t = run_shots([c["theta"]], c["noise"], shots=shots, seed=77)
+            q = outcome_table_exact([c["theta"]], c["noise"]).cells[0]
             for got, p in zip(t.cells[0], q):
                 se = np.sqrt(p * (1 - p) / shots)
                 if se == 0:
@@ -256,7 +257,7 @@ class TestRunShots:
         # counts of one multinomial draw per theta from the closed-form
         # cells under noisy gates
         c = case["config"]
-        t = run_shots([c["theta"]], NoiseParams(tuple(c["noise"])), shots=c["shots"], seed=c["seed"])
+        t = run_shots([c["theta"]], c["noise"], shots=c["shots"], seed=c["seed"])
         assert {f"{d}{dp}{ap}": n for (d, dp, ap), n in zip(CELLS, t.counts[0])} == case["counts"]
         assert {str(d): p for d, p in enumerate(t.pr_d[0])} == case["pr_d"]
 
@@ -274,9 +275,8 @@ class TestClosedFormGain:
 
     def test_table_gain_matches_state_gain_at_random_noise(self, rng):
         for deltas in rng.uniform(-0.7, 0.7, (5, 3)):
-            noise = NoiseParams(tuple(deltas))
-            rhos = prepare_resource(ProtocolConfig(theta=THETA_GRID, noise=noise))
-            table_gain = energies_from_table(outcome_table_exact(THETA_GRID, noise))[:, 2]
+            rhos = prepare_resource(ProtocolConfig(theta=THETA_GRID, delta_phi=deltas))
+            table_gain = energies_from_table(outcome_table_exact(THETA_GRID, deltas))[:, 2]
             assert np.max(np.abs(table_gain - self._gain(rhos))) <= 1e-12
 
     def test_even_bell_state_has_full_concurrence_and_no_gain(self):
@@ -291,7 +291,7 @@ class TestClosedFormGain:
 
 class TestPolicyOptimality:
     def test_conditional_swap_is_optimal(self):
-        swap_u = gates.swap()
+        swap_u = CONDITIONAL_SWAP[0]
         eye = np.eye(4, dtype=complex)
         x_d = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
         candidates = [eye, swap_u, x_d, x_d @ swap_u]
@@ -309,7 +309,7 @@ class TestPolicyOptimality:
         rho = prepare_resource(ProtocolConfig(theta=np.pi / 4))
         x_d = np.kron(np.eye(2), [[0, 1], [1, 0]]).astype(complex)
         eye = np.eye(4, dtype=complex)
-        pumped, swapped = np.array([x_d, eye]), np.array([gates.swap(), eye])
+        pumped, swapped = np.array([x_d, eye]), np.array([CONDITIONAL_SWAP[0], eye])
 
         def raw(policy):
             return demonic_gain(rho, apply_feedback(measure_demon(rho), policy))
@@ -323,7 +323,7 @@ class TestBatched:
 
     def test_items_equal_single_calls(self, rng):
         thetas = rng.uniform(0, np.pi / 2, (3, 5))
-        rho = prepare_resource(ProtocolConfig(theta=thetas, noise=PAPER_DELTAS))
+        rho = prepare_resource(ProtocolConfig(theta=thetas, delta_phi=PLANTED_DELTA_PHI))
         branches = measure_demon(rho)
         fed = apply_feedback(branches)
         swap_u, eye = CONDITIONAL_SWAP
@@ -333,7 +333,8 @@ class TestBatched:
         assert rho.shape == (3, 5, 4, 4) and branches.shape == (3, 5, 2, 4, 4)
         assert fed.shape == (3, 5, 4, 4) and gains.shape == (16, 3, 5)
         for i, j in np.ndindex(3, 5):
-            single = prepare_resource(ProtocolConfig(theta=float(thetas[i, j]), noise=PAPER_DELTAS))
+            cfg = ProtocolConfig(theta=float(thetas[i, j]), delta_phi=PLANTED_DELTA_PHI)
+            single = prepare_resource(cfg)
             assert single.shape == (4, 4)
             assert np.array_equal(rho[i, j], single)
             assert np.array_equal(branches[i, j], measure_demon(single))
@@ -381,11 +382,10 @@ class TestSerialization:
     )
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random_grids(self, thetas, deltas, shots, seed):
-        noise = NoiseParams(deltas)
         if shots is None:
-            table = outcome_table_exact(thetas, noise)
+            table = outcome_table_exact(thetas, deltas)
         else:
-            table = run_shots(thetas, noise, shots, seed)
+            table = run_shots(thetas, deltas, shots, seed)
         with tempfile.TemporaryDirectory() as d:
             write_tables_csv(Path(d) / "tables.csv", table)
             back = read_tables_csv(Path(d) / "tables.csv")
@@ -405,3 +405,21 @@ def test_config_validation():
         run_shots([0.2], IDEAL, shots=0, seed=1)
     with pytest.raises(ValueError, match="theta"):
         outcome_table_exact([0.1, 2.0], IDEAL)
+
+
+def test_deviations_in_any_plain_form_give_the_same_bits():
+    # a tuple, a list, a (3,) array and a (1, 3) array of the same deviations
+    forms = [PLANTED_DELTA_PHI, list(PLANTED_DELTA_PHI), np.array(PLANTED_DELTA_PHI),
+             np.array([PLANTED_DELTA_PHI])]
+    thetas = np.linspace(0, np.pi / 2, 9)
+    data = run_shots(thetas, PLANTED_DELTA_PHI, 500, 3)
+
+    def outputs(delta_phi):
+        return [outcome_table_exact(thetas, delta_phi).cells.tobytes(),
+                run_shots(thetas, delta_phi, 500, 3).counts.tobytes(),
+                prepare_resource(ProtocolConfig(thetas, delta_phi)).tobytes(),
+                asdict(fit(data, init=delta_phi))]
+
+    first = outputs(forms[0])
+    for delta_phi in forms[1:]:
+        assert outputs(delta_phi) == first

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from demongain import cli, gates, noisefit, protocol, qlin, tomography as tg
 from demongain.cli import main
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams, bell_prep
+from demongain.gates import PLANTED_DELTA_PHI, bell_prep
 from demongain.protocol import prepare_resource, ProtocolConfig, analytic_concurrence
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from demongain.shared import draw_probs, stream
@@ -33,7 +33,6 @@ from demongain.tomography import (
 from conftest import ID4, draw_resamples, random_density, haar_unitary, wootters_concurrence
 
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
-PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 
 
 XX, XY, ZX, YY, ZZ = (tg.ALL_SETTINGS.index(tuple(s)) for s in ("XX", "XY", "ZX", "YY", "ZZ"))
@@ -363,7 +362,7 @@ class TestBatched:
 
     def test_items_equal_single_calls(self):
         thetas = np.array([0.2, 0.9, 1.4])
-        rhos = prepare_resource(ProtocolConfig(theta=thetas, noise=PLANTED))
+        rhos = prepare_resource(ProtocolConfig(theta=thetas, delta_phi=PLANTED_DELTA_PHI))
         probs = setting_probs(rhos)
         counts = simulate_tomogram_counts(rhos, 100, seed=17)
         rho_hat = linear_inversion(counts)

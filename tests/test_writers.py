@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demongain import cli, protocol
-from demongain.gates import PLANTED_DELTA_PHI, NoiseParams
+from demongain.gates import PLANTED_DELTA_PHI
 from demongain.noisefit import model_curves
 from demongain.protocol import OutcomeTable, outcome_table_exact, read_tables_csv, run_shots
 from demongain.tomography import write_counts_csv
@@ -24,7 +24,6 @@ from conftest import (
 )
 
 HALF_PI = np.pi / 2
-PLANTED = NoiseParams(PLANTED_DELTA_PHI)
 
 # Cells at the edges of float text: exact zeros and ones, a value below
 # 12 significant digits of its neighbours, and the smallest subnormal.
@@ -35,7 +34,7 @@ EDGE_CELLS = np.array([
 ])
 
 
-def _sweep_matches_oracles(out: Path, table: OutcomeTable, noise: NoiseParams, shots, seed):
+def _sweep_matches_oracles(out: Path, table: OutcomeTable, noise, shots, seed):
     """Run cmd_sweep on `table` and compare its three artifacts with the oracles' bytes."""
     mode = "exact" if table.counts is None else "sampled"
     make = "outcome_table_exact" if mode == "exact" else "run_shots"
@@ -47,7 +46,7 @@ def _sweep_matches_oracles(out: Path, table: OutcomeTable, noise: NoiseParams, s
     tables_csv_oracle(out / "oracle_tables.csv", table)
     energies_csv_oracle(out / "oracle_energies.csv", table)
     sweep_summary_oracle(out / "oracle_summary.json", table,
-                         {"mode": mode, **sampling, "noise": list(noise.delta_phi)})
+                         {"mode": mode, **sampling, "noise": list(noise)})
     for written, oracle in [("outcome_tables.csv", "oracle_tables.csv"),
                             ("energies.csv", "oracle_energies.csv"),
                             ("sweep_summary.json", "oracle_summary.json")]:
@@ -59,7 +58,7 @@ def test_sweep_artifacts_at_edge_cells(tmp_path, sampled):
     thetas = np.array([0.0, 0.7, HALF_PI])
     counts = (EDGE_CELLS * 4).astype(int) if sampled else None  # counts need not match cells
     table = OutcomeTable(thetas=thetas, cells=EDGE_CELLS, counts=counts)
-    _sweep_matches_oracles(tmp_path, table, NoiseParams((0.0, -0.0, 5e-324)), 4, 2**64 - 1)
+    _sweep_matches_oracles(tmp_path, table, (0.0, -0.0, 5e-324), 4, 2**64 - 1)
 
 
 @given(
@@ -73,23 +72,23 @@ def test_sweep_artifacts_at_edge_cells(tmp_path, sampled):
 @example(thetas=[HALF_PI], deltas=(0.0, 0.0, 0.0), shots=7, seed=1)
 @settings(max_examples=30, deadline=None)
 def test_sweep_artifacts_on_random_grids(thetas, deltas, shots, seed):
-    noise = NoiseParams(deltas)
     if shots is None:
-        table = outcome_table_exact(thetas, noise)
+        table = outcome_table_exact(thetas, deltas)
     else:
-        table = run_shots(thetas, noise, shots, seed)
+        table = run_shots(thetas, deltas, shots, seed)
     with tempfile.TemporaryDirectory() as d:
-        _sweep_matches_oracles(Path(d), table, noise, shots, seed)
+        _sweep_matches_oracles(Path(d), table, deltas, shots, seed)
 
 
 def test_fit_overlay_matches_oracle(tmp_path):
     dataset = tmp_path / "tables.csv"
-    protocol.write_tables_csv(dataset, run_shots(np.linspace(0, HALF_PI, 9), PLANTED, 3500, 5))
+    table = run_shots(np.linspace(0, HALF_PI, 9), PLANTED_DELTA_PHI, 3500, 5)
+    protocol.write_tables_csv(dataset, table)
     assert cli.cmd_fit(tmp_path, tmp_path, "tables.csv", None, 0, 3500, 0) == 0
     data = read_tables_csv(dataset)
     fitted = json.loads((tmp_path / "fit_result.json").read_text())["delta_phi"]
     fit_overlay_csv_oracle(tmp_path / "oracle.csv", data,
-                           model_curves(NoiseParams(tuple(fitted)), data.thetas))
+                           model_curves(fitted, data.thetas))
     assert (tmp_path / "fit_overlay.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
