@@ -13,8 +13,8 @@ checks the library at fixed tolerances and seeds.
 
 A relative "dataset" path is read from the manifest's directory. Only this
 module builds JSON: sorted keys, indent 2, a schema_version field, floats
-as Python's shortest round-trip repr. CSV rows, written by
-`shared.write_csv`, end in CRLF and carry 12 significant digits.
+as Python's shortest round-trip repr. CSV rows, written by `shared.write_csv`
+from `shared.texts` columns, end in CRLF and carry 12 significant digits.
 Unreadable or malformed input ends the run with a one-line error; an
 unknown section or key, or a value of the wrong type, form or range, is
 named by section and key, e.g. "manifest sweep.shot: unknown key"; an
@@ -35,7 +35,7 @@ import numpy as np
 from . import noisefit, protocol, tomography
 from .gates import PLANTED_DELTA_PHI, deviations
 from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
-from .shared import write_csv
+from .shared import texts, write_csv
 
 SCHEMA_VERSION = 1
 
@@ -169,14 +169,14 @@ def _section(manifest, name: str, seed) -> dict:
 def _write_json(path: Path, payload: dict, rows=None) -> None:
     """Write `payload` and its schema_version as sorted JSON indented by 2.
 
-    With `rows`, payload["points"] = [point]: each row fills point's nulls in sorted key order.
+    With `rows`, payload["points"] = [point]: each row of texts fills its nulls in sorted key order.
     """
     text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        if rows is not None:  # json lays out the point; %r of a finite number is json's text
+        if rows is not None:  # json lays out the point; texts' %r of a finite number is json's text
             row = json.dumps(payload["points"][0], indent=2, sort_keys=True).replace("\n", "\n    ")
             head, text = text.split(row)
-            row = row.replace("null", "%r")
+            row = row.replace("null", "%s")
             fh.writelines([head, row % next(rows)])
             fh.writelines(map((",\n    " + row).__mod__, rows))
         fh.write(text + "\n")
@@ -204,15 +204,15 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
     c = protocol.analytic_concurrence(table.thetas)
     energies = [*protocol.energies_from_table(table).T, c, protocol.gain_lower_bound(c)]
     write_csv(out_dir / "energies.csv", "theta,w_i,w_f,delta_w,concurrence_analytic,bound",
-              ",".join(["%.12g"] * 6), np.array([table.thetas, *energies]).tolist())
+              [texts(col, "%.12g") for col in (table.thetas, *energies)])
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
     keys = ["".join(map(str, cell)) for cell in protocol.CELLS]  # "d d' a'", e.g. "010"
     point = {"pr_d": dict.fromkeys("01"), "pr_joint": dict.fromkeys(keys), "theta": None}
-    cols = [*table.pr_d.T.tolist(), *table.cells.T.tolist(), table.thetas.tolist()]
+    cols = [texts(col, "%r") for col in (*table.pr_d.T, *table.cells.T, table.thetas)]
     if table.counts is not None:  # sampled tables only
         point["counts"] = dict.fromkeys(keys)
-        cols[:0] = table.counts.T.tolist()
+        cols[:0] = [texts(col, "%r") for col in table.counts.T]
     _write_json(out_dir / "sweep_summary.json", {
         "mode": mode, **sampling, "noise": list(noise), "points": [point]}, zip(*cols))
     return 0
@@ -272,7 +272,7 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
     model = noisefit.model_curves(result.delta_phi, data.thetas)
     rows = [f"{t:.12g},{d},{dp},{ap}" for t in data.thetas.tolist() for d, dp, ap in protocol.CELLS]
     write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
-              "%s,%.12g,%.12g", [rows, data.cells.ravel().tolist(), model.cells.ravel().tolist()])
+              [rows, texts(data.cells.ravel(), "%.12g"), texts(model.cells.ravel(), "%.12g")])
     return 0
 
 

@@ -16,7 +16,7 @@ sequence or an (m, 3) array of m candidates, checked by `deviations`.
 Every block takes scalar angles or arrays of angles; array arguments
 broadcast against each other and give an (..., 4, 4) stack whose items
 equal the scalar calls bit for bit; `kets` relies on that to build each
-block once per distinct phase.
+block once per distinct phase bit pattern (`shared.distinct`).
 
 Angle convention for the controlled-Y: cy(theta) acts as exp[-i theta Y]
 on the agent when the demon is in |0>, so that cy(theta) applied to the
@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .qlin import ID2, PAULI_X, PAULI_Y, dag, kron
+from .shared import distinct
 
 _XX = kron(PAULI_X, PAULI_X)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -142,18 +143,10 @@ def cy(theta, delta_phi_2=0.0, delta_phi_3=0.0) -> np.ndarray:
 def _once_per_phase(block, phases: np.ndarray) -> np.ndarray:
     """block(phases), built once per distinct phase and gathered back.
 
-    Equal to block(phases) bit for bit: stack items equal single calls,
-    and +0.0 and -0.0 enter u_zz as pi/8 + delta/4, the same angle.
+    Equal to block(phases) bit for bit: stack items equal single calls.
     """
-    if len(phases) < 2:
-        return block(phases)
-    order = np.argsort(phases)
-    ordered = phases[order]
-    first = np.empty(len(ordered), dtype=bool)
-    first[0], first[1:] = True, ordered[1:] != ordered[:-1]
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    return block(ordered[first])[group]
+    u, inverse = distinct(phases)
+    return block(u)[inverse]
 
 
 def kets(delta_phi, thetas) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from . import gates
 from .gates import in_range
 from .qlin import ID2, kron
-from .shared import draw_probs, stream, write_csv
+from .shared import draw_probs, stream, texts, write_csv
 
 DEFAULT_SHOTS = 3500
 DEFAULT_SEED = 20240901
@@ -210,16 +210,16 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
     read_tables_csv groups rows by the written theta, so a grid with two
     thetas alike at 12 significant digits is refused before the file opens.
     """
-    keys = ["%.12g" % t for t in table.thetas.tolist()]
+    keys = texts(table.thetas, "%.12g")
     seen = {}
     for theta, key in zip(table.thetas.tolist(), keys):
         if key in seen:
             raise ValueError(f"thetas {seen[key]!r} and {theta!r} both print as {key} "
                              "at 12 significant digits")
         seen[key] = theta
-    counts = [""] * (8 * len(keys)) if table.counts is None else table.counts.ravel().tolist()
-    write_csv(path, CSV_HEADER, "%s,%s,%s,%.12g", [[key for key in keys for _ in CELLS],
-              _CELL_FIELDS * len(keys), counts, table.cells.ravel().tolist()])
+    counts = [""] * (8 * len(keys)) if table.counts is None else texts(table.counts.ravel(), "%s")
+    write_csv(path, CSV_HEADER, [[key for key in keys for _ in CELLS], _CELL_FIELDS * len(keys),
+                                 counts, texts(table.cells.ravel(), "%.12g")])
 
 
 def read_tables_csv(path) -> OutcomeTable:

@@ -1,4 +1,4 @@
-"""Keyed random streams, draw rounding and the CSV line writer.
+"""Keyed random streams, draw rounding, the bit-pattern dedupe and the CSV writer.
 
 The circuit, tomography, fit and CLI layers all use these, so this
 module sits below them and imports no other demongain module.
@@ -38,8 +38,31 @@ def stream(seed: int, purpose: str, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def write_csv(path, header: str, row: str, columns) -> None:
-    """Write `header`, then `row % values` per row of `columns`, in CRLF lines as csv.writer."""
+def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct bit patterns of a 1-d numeric array, and the index that gathers them back.
+
+    u[inverse] equals `values` bit for bit. Keyed on the integer view, so
+    -0.0 and 0.0 stay apart; np.unique would merge them and import numpy.ma.
+    """
+    if len(values) < 2:  # nothing to merge: spares single-row kets the sort
+        return values, np.zeros(len(values), dtype=np.intp)
+    bits = values.view(f"i{values.itemsize}")
+    order = np.argsort(bits)
+    ordered = bits[order]
+    first = np.empty(len(order), dtype=bool)
+    first[0], first[1:] = True, ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return values[order[first]], inverse
+
+
+def texts(values: np.ndarray, spec: str) -> list:
+    """`spec % v` for each v of a 1-d numeric array, formatting each distinct bit pattern once."""
+    u, inverse = distinct(values)
+    return np.array([spec % v for v in u.tolist()], dtype=object)[inverse].tolist()
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write `header`, then the rows of text `columns` joined by ",", CRLF-ended as csv.writer."""
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        fh.writelines(map((row + "\r\n").__mod__, zip(*columns)))
+        fh.write("\r\n".join([header, *map(",".join, zip(*columns)), ""]))

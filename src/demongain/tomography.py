@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qlin
 from .qlin import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, kron
-from .shared import draw_probs, stream, write_csv
+from .shared import draw_probs, stream, texts, write_csv
 
 AXES = ("X", "Y", "Z")
 ALL_SETTINGS: tuple[tuple[str, str], ...] = tuple(product(AXES, AXES))
@@ -331,4 +331,4 @@ def write_counts_csv(path, counts: np.ndarray) -> None:
     counts = np.asarray(counts)
     if counts.shape != (9, 4):
         raise ValueError(f"expected (9, 4) counts per setting, got shape {counts.shape}")
-    write_csv(path, "setting_a,setting_d,outcome,count", "%s,%d", [_COUNT_ROWS, counts.flat])
+    write_csv(path, "setting_a,setting_d,outcome,count", [_COUNT_ROWS, texts(counts.ravel(), "%d")])

@@ -519,10 +519,12 @@ def test_cli_import_leaves_scipy_out():
     # 0.6 MB; np.unique, which np.percentile calls, would import it), queue
     # (1-2 ms), logging and concurrent.futures (7-8 ms). Neither the import, nor a
     # study that draws ahead on a helper thread and scores its bootstrap
-    # blocks, nor a fit with spread refits loads them.
+    # blocks, nor a fit with spread refits, nor the artifact writers (an
+    # exact and a sampled sweep, a tomogram CSV) load them.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     probe = """if True:
-        import os, sys
+        import os, sys, tempfile
+        from pathlib import Path
         def loaded(*names):
             return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
         costly = ("scipy", "numpy.ma", "queue", "logging", "concurrent.futures")
@@ -536,9 +538,15 @@ def test_cli_import_leaves_scipy_out():
         data = protocol.run_shots([0.0, 0.4, 0.8, 1.2], (0.01, 0.1, 0.2), 500, 3)
         noisefit.bootstrap_spread(data, noisefit.fit(data), 500, 3, 5)
         print(loaded(*costly))
+        with tempfile.TemporaryDirectory() as d:
+            out = Path(d)
+            for mode in ("exact", "sampled"):
+                demongain.cli.cmd_sweep(out, out, 0.0, 1.5, 33, 100, 1, mode, (0.01, 0.1, 0.2))
+            tomography.write_counts_csv(out / "counts.csv", [[25, 25, 25, 25]] * 9)
+        print(loaded(*costly))
     """
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split("\n") == ["[]", "[]", "[]", ""]
+    assert done.stdout.split("\n") == ["[]", "[]", "[]", "[]", ""]
 
 
 def test_planted_dataset_matches_study_deviations(tmp_path):

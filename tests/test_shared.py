@@ -1,0 +1,50 @@
+"""shared.distinct: the bit-pattern dedupe under the artifact writers and gates.kets."""
+
+import struct
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from demongain.shared import distinct
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+# +0.0, -0.0, two NaN payloads, both infinities and the smallest subnormal,
+# each a distinct bit pattern; the float arrays are built from bits so the
+# NaN payloads survive.
+SPECIAL_BITS = [_bits(x) for x in (0.0, -0.0, np.inf, -np.inf, 5e-324)] + [
+    0x7FF8000000000000, 0x7FF8000000000001]
+FLOAT_ARRAYS = st.lists(st.sampled_from(SPECIAL_BITS) | st.floats().map(_bits), max_size=50).map(
+    lambda bits: np.array(bits, dtype=np.int64).view(np.float64))
+INT_ARRAYS = st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=50).map(
+    lambda ints: np.array(ints, dtype=np.int64))
+
+
+def _check(values: np.ndarray) -> None:
+    u, inverse = distinct(values)
+    assert u.dtype == values.dtype and inverse.shape == values.shape
+    assert np.array_equal(u[inverse].view(np.int64), values.view(np.int64))
+    assert len(set(u.view(np.int64).tolist())) == len(u)
+
+
+@given(FLOAT_ARRAYS)
+@example(np.array([], dtype=np.float64))
+@example(np.array([-0.0]))
+@example(np.array([0.0, -0.0, 0.0, -0.0]))
+@example(np.array(SPECIAL_BITS * 2, dtype=np.int64).view(np.float64))
+@settings(max_examples=200, deadline=None)
+def test_distinct_floats_gather_back_bit_for_bit(values):
+    _check(values)
+
+
+@given(INT_ARRAYS)
+@example(np.array([], dtype=np.int64))
+@example(np.array([7], dtype=np.int64))
+@settings(max_examples=200, deadline=None)
+def test_distinct_ints_gather_back_bit_for_bit(values):
+    _check(values)
+

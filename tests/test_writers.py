@@ -26,11 +26,14 @@ from conftest import (
 HALF_PI = np.pi / 2
 
 # Cells at the edges of float text: exact zeros and ones, a value below
-# 12 significant digits of its neighbours, and the smallest subnormal.
+# 12 significant digits of its neighbours, and the smallest subnormal. The
+# last row repeats values of the rows above and puts -0.0 (written "-0")
+# into columns that hold 0.0, so a dedupe keyed by value would print both alike.
 EDGE_CELLS = np.array([
     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 - 1e-13, 1e-13, 0.0, 5e-324, 0.0, 0.0, 0.0, 0.0],
     [0.5, 0.0, 0.25, 0.0, 0.0, 1e-13, 0.25 - 1e-13, 5e-324],
+    [0.5, -0.0, 0.25, -0.0, 0.0, 1e-13, 0.25 - 1e-13, -0.0],
 ])
 
 
@@ -55,7 +58,7 @@ def _sweep_matches_oracles(out: Path, table: OutcomeTable, noise, shots, seed):
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
 def test_sweep_artifacts_at_edge_cells(tmp_path, sampled):
-    thetas = np.array([0.0, 0.7, HALF_PI])
+    thetas = np.array([0.0, 0.7, 1.2, HALF_PI])
     counts = (EDGE_CELLS * 4).astype(int) if sampled else None  # counts need not match cells
     table = OutcomeTable(thetas=thetas, cells=EDGE_CELLS, counts=counts)
     _sweep_matches_oracles(tmp_path, table, (0.0, -0.0, 5e-324), 4, 2**64 - 1)
@@ -83,7 +86,11 @@ def test_sweep_artifacts_on_random_grids(thetas, deltas, shots, seed):
 def test_fit_overlay_matches_oracle(tmp_path):
     dataset = tmp_path / "tables.csv"
     table = run_shots(np.linspace(0, HALF_PI, 9), PLANTED_DELTA_PHI, 3500, 5)
+    # every other theta's empty cells are written "-0", so the data column
+    # read back holds both -0.0 and 0.0
+    table.cells[::2][table.cells[::2] == 0.0] = -0.0
     protocol.write_tables_csv(dataset, table)
+    assert b",-0\r\n" in dataset.read_bytes() and b",0\r\n" in dataset.read_bytes()
     assert cli.cmd_fit(tmp_path, tmp_path, "tables.csv", None, 0, 3500, 0) == 0
     data = read_tables_csv(dataset)
     fitted = json.loads((tmp_path / "fit_result.json").read_text())["delta_phi"]
