@@ -165,10 +165,6 @@ def outcome_table_exact(thetas, delta_phi) -> OutcomeTable:
     thetas = np.asarray(thetas, dtype=float)
     cells = joint_cells(gates.kets(np.ravel(delta_phi), thetas)[0])
     cells[cells < 1e-15] = 0.0
-    tol = 1e-9
-    if not (np.all((cells >= -tol) & (cells <= 1 + tol))
-            and np.all(np.abs(cells.sum(axis=-1) - 1.0) <= tol)):
-        raise ValueError("exact cells are not probabilities summing to 1")
     return OutcomeTable(thetas=thetas, cells=cells)
 
 
@@ -217,7 +213,7 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
             raise ValueError(f"thetas {seen[key]!r} and {theta!r} both print as {key} "
                              "at 12 significant digits")
         seen[key] = theta
-    counts = [""] * (8 * len(keys)) if table.counts is None else texts(table.counts.ravel(), "%s")
+    counts = [""] * (8 * len(keys)) if table.counts is None else texts(table.counts.ravel(), "%d")
     write_csv(path, CSV_HEADER, [[key for key in keys for _ in CELLS], _CELL_FIELDS * len(keys),
                                  counts, texts(table.cells.ravel(), "%.12g")])
 

@@ -6,14 +6,13 @@ energetically higher state). Counts and probabilities are (..., 9, 4)
 arrays: settings in ALL_SETTINGS order, outcomes (++, +-, -+, --) with
 the agent sign first. Of the outputs, only the counts CSV names them.
 
-tomography_study draws bootstrap block 0 inline and each later block at
-most one theta ahead, on a helper thread that meets the main thread at
-a threading.Barrier; on one CPU it draws every block inline.
+tomography_study draws bootstrap block 0 on the main thread and each
+later block at most one theta ahead, on a helper thread that meets the
+main thread at a threading.Barrier.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from itertools import product
@@ -235,15 +234,13 @@ def tomography_study(
     rho_hat[i]'s setting probabilities, rounded as for the counts, in one
     multinomial call on stream(seed, "bootstrap", i); `bootstrap` scores it.
 
-    The draws run at most one theta ahead. With at least two CPUs and
-    two thetas, the main thread draws block 0, then scores block i while
-    a helper thread draws block i + 1; they meet at a threading.Barrier(2)
-    before each hand-over. The helper calls only shared.stream and numpy,
-    whose multinomial loop releases the GIL, so every layer function runs
-    on the main thread; a barrier needs no queue module, whose import
-    costs about 1.5 ms per CLI start. Otherwise each block is drawn
-    inline. Either way the results equal drawing and scoring each theta
-    in turn, bit for bit.
+    The draws run at most one theta ahead. The main thread draws block 0,
+    then scores block i while a helper thread draws block i + 1; they meet
+    at a threading.Barrier(2) before each hand-over. The helper calls only
+    shared.stream and numpy, whose multinomial loop releases the GIL, so
+    every layer function runs on the main thread; a barrier needs no queue
+    module, whose import costs about 1.5 ms per CLI start. The results
+    equal drawing and scoring each theta in turn, bit for bit.
     """
     counts = simulate_tomogram_counts(rhos, shots, seed)
     rho_hat = linear_inversion(counts)
@@ -257,10 +254,6 @@ def tomography_study(
         """Block i, equal to drawing resample by resample and setting by setting."""
         return stream(seed, "bootstrap", i).multinomial(shots, dists[i], size=(resamples, 9))
 
-    cpus = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-            else range(os.cpu_count() or 1))  # not every platform has CPU affinity
-    if len(cpus) < 2 or len(dists) < 2:
-        return counts, rho_hat, [bootstrap(draw(i)) for i in range(len(dists))]
     blocks = [None] * len(dists)  # a drawn block, or the error its draw raised
     step = threading.Barrier(2)  # passed once per block handed over; aborted to stop the helper
 

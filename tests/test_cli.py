@@ -531,7 +531,6 @@ def test_cli_import_leaves_scipy_out():
         import demongain.cli
         from demongain import noisefit, protocol, tomography
         print(loaded(*costly))
-        os.sched_getaffinity = lambda pid: {0, 1}
         rhos = protocol.prepare_resource(protocol.ProtocolConfig(theta=[0.0, 0.5, 1.0]))
         tomography.tomography_study(rhos, 100, 50, 1)
         print(loaded(*costly))

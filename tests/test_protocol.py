@@ -216,6 +216,18 @@ class TestOutcomeTableExact:
         got = energies_from_table(outcome_table_exact([theta], IDEAL))[0]
         assert got == pytest.approx(expect, abs=1e-12)
 
+    @given(
+        deltas=st.tuples(*[st.floats(-np.pi / 2, np.pi / 2, exclude_min=True, exclude_max=True)] * 3),
+        thetas=st.lists(st.floats(0, np.pi / 2), min_size=1, max_size=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cells_are_probabilities(self, deltas, thetas):
+        # gates.kets gives unit kets, so no input outcome_table_exact accepts
+        # reaches a cell outside [0, 1] or a row off 1
+        cells = outcome_table_exact(thetas, deltas).cells
+        assert np.all((cells >= 0.0) & (cells <= 1.0))
+        assert np.all(np.abs(cells.sum(axis=-1) - 1.0) <= 1e-12)
+
 
 class TestRunShots:
     def test_seed_determinism(self):
@@ -364,6 +376,15 @@ class TestSerialization:
         back = read_tables_csv(path)
         assert back.counts is None
         assert back.cells == pytest.approx(table.cells, abs=1e-11)
+
+    def test_csv_round_trip_float_counts(self, tmp_path):
+        table = protocol.OutcomeTable(thetas=np.array([0.1]), cells=np.full((1, 8), 0.125),
+                                      counts=np.full((1, 8), 5.0))
+        path = tmp_path / "tables.csv"
+        write_tables_csv(path, table)
+        back = read_tables_csv(path)
+        assert np.array_equal(back.counts, table.counts)
+        assert np.array_equal(back.cells, table.cells)
 
     def test_thetas_alike_at_12_digits_rejected(self, tmp_path):
         table = outcome_table_exact([1.0, 1.0 + 1e-13], IDEAL)

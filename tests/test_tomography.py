@@ -478,11 +478,21 @@ class TestTomographyStudy:
 THETAS9 = prepare_resource(ProtocolConfig(theta=np.linspace(0, np.pi / 2, 9)))
 
 
-@pytest.fixture(params=[{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-def cpus(request, monkeypatch):
-    """tomography_study draws inline on one CPU and one theta ahead on a thread with two."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param)
-    return request.param
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request):
+    """Pin the test's thread, and so the helper it starts, to its first one or two CPUs.
+
+    tomography_study takes the one path on either: a lost hand-off would
+    hang on one CPU, where the two threads cannot run side by side.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    own = os.sched_getaffinity(0)
+    if len(own) < request.param:
+        pytest.skip(f"needs {request.param} CPUs, the process has {len(own)}")
+    os.sched_setaffinity(0, sorted(own)[:request.param])
+    yield
+    os.sched_setaffinity(0, own)
 
 
 def _drawing_threads(monkeypatch):
@@ -512,21 +522,34 @@ class TestDrawsAhead:
         # the first block is drawn before there is anything to score
         main = threading.main_thread()
         on_main = [threads[i] is main for i in range(n)]
-        assert on_main == [True] + [len(cpus) == 1] * (n - 1)
+        assert on_main == [True] + [False] * (n - 1)
 
     @pytest.mark.parametrize("count, helped", [(None, 0), (1, 0), (4, 2)])
     def test_counts_cpus_without_affinity(self, count, helped, monkeypatch):
-        # os.cpu_count() may be None where there is no sched_getaffinity
+        # whatever os.cpu_count() reports where there is no sched_getaffinity
+        # (None included), the helper draws every block after the first
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         threads = _drawing_threads(monkeypatch)
-        tomography_study(THETAS9[:3], 100, 2, seed=1)
+        _, rho_hat, boots = tomography_study(THETAS9[:helped + 1], 100, 2, seed=1)
+        assert boots == [bootstrap(draw_resamples(r, 100, 2, seed=1, index=i)) for i, r in enumerate(rho_hat)]
         assert sum(t is not threading.main_thread() for t in threads.values()) == helped
 
-    def test_equal_under_fast_thread_switching(self, monkeypatch):
+    def test_never_asks_for_the_cpu_count(self, monkeypatch):
+        # the helper thread draws ahead whatever the host: one path, no probe
+        def ask(*args):
+            raise AssertionError("tomography_study asked for the CPU count")
+
+        monkeypatch.setattr(os, "sched_getaffinity", ask, raising=False)
+        monkeypatch.setattr(os, "cpu_count", ask)
+        threads = _drawing_threads(monkeypatch)
+        _, rho_hat, boots = tomography_study(THETAS9[:3], 100, 2, seed=1)
+        assert boots == [bootstrap(draw_resamples(r, 100, 2, seed=1, index=i)) for i, r in enumerate(rho_hat)]
+        assert sum(t is not threading.main_thread() for t in threads.values()) == 2
+
+    def test_equal_under_fast_thread_switching(self):
         # a lost or reordered handoff between the helper and the caller would
         # hang or swap blocks; switching threads every microsecond exposes it
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         _, rho_hat, _ = tomography_study(THETAS9, 100, 0, seed=5)
         want = [bootstrap(draw_resamples(r, 100, 2, seed=5, index=i)) for i, r in enumerate(rho_hat)]
         got = []
@@ -545,7 +568,6 @@ class TestDrawsAhead:
     def test_layer_functions_run_on_the_main_thread(self, monkeypatch):
         # perfbench's Tracer keeps one span stack, and the reachability test's
         # profiler sees only the thread that set it
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         modules = [qlin, gates, protocol, tg, noisefit, cli]
         off_main = []
 
@@ -603,8 +625,8 @@ class TestDrawsAhead:
         with pytest.raises(RuntimeError) as exc:
             tomography_study(THETAS9, 100, 50, seed=3)
         assert exc.value is boom
-        # with two CPUs the helper thread was drawing ahead when theta 2 failed
-        assert alive == [before + (len(cpus) > 1)]
+        # the helper thread was drawing ahead when theta 2 failed
+        assert alive == [before + 1]
         assert threading.active_count() == before
 
     def test_rejects_one_resample(self):
