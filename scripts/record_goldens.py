@@ -113,19 +113,6 @@ def compare(old, new, path: str = "") -> tuple[list[float], list[tuple[str, str]
             changes + [c for _, inner in parts for c in inner])
 
 
-def moves(old, new) -> list[float]:
-    """|new - old| of every number that moved.
-
-    A changed layout raises a ValueError that names where: the path of a
-    key that appeared or went, of a list whose length changed, or of a
-    value that changed type.
-    """
-    moved, changes = compare(old, new)
-    if changes:
-        raise ValueError(_described(*changes[0]))
-    return moved
-
-
 def _described(path: str, what: str) -> str:
     return f"key {path} {what}" if what in ("went", "appeared") else f"{path}: {what}"
 

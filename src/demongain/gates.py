@@ -61,31 +61,17 @@ def in_range(values, name: str, high: float, shown: str) -> np.ndarray:
     return values
 
 
-def _col(x) -> np.ndarray:
-    """Angles as an array with two trailing unit axes, for matrix broadcasting."""
-    return np.asarray(x, dtype=float)[..., None, None]
-
-
-def _rot2(theta, phi) -> np.ndarray:
-    """exp[-i (theta/2) (cos(phi) X + sin(phi) Y)]."""
-    axis = np.cos(_col(phi)) * PAULI_X + np.sin(_col(phi)) * PAULI_Y
-    return np.cos(_col(theta) / 2) * ID2 - 1j * np.sin(_col(theta) / 2) * axis
-
-
-def _embed(u2: np.ndarray, target: str) -> np.ndarray:
-    if target == "A":
-        return kron(u2, ID2)
-    if target == "D":
-        return kron(ID2, u2)
-    raise ValueError(f"target must be 'A' or 'D', got {target!r}")
-
-
 def local_rot(theta, phi, target: str) -> np.ndarray:
-    """Single-qubit rotation about an XY-plane axis, embedded on one qubit."""
-    return _embed(_rot2(theta, phi), target)
+    """exp[-i (theta/2) (cos(phi) X + sin(phi) Y)] on the agent ("A") or the demon ("D")."""
+    if target not in ("A", "D"):
+        raise ValueError(f"target must be 'A' or 'D', got {target!r}")
+    theta, phi = (np.asarray(x, dtype=float)[..., None, None] for x in (theta, phi))
+    axis = np.cos(phi) * PAULI_X + np.sin(phi) * PAULI_Y
+    u2 = np.cos(theta / 2) * ID2 - 1j * np.sin(theta / 2) * axis
+    return kron(u2, ID2) if target == "A" else kron(ID2, u2)
 
 
-_H_A = _embed(_HADAMARD, "A")
+_H_A = kron(_HADAMARD, ID2)
 _BELL_OPEN = local_rot(np.pi / 2, np.pi / 2, "A") @ local_rot(np.pi / 2, np.pi / 2, "D")
 _BELL_CLOSE = local_rot(np.pi / 2, np.pi, "A")
 

@@ -171,19 +171,16 @@ def outcome_table_exact(thetas, delta_phi) -> OutcomeTable:
 def run_shots(thetas, delta_phi, shots: int, seed: int, purpose: str = "shots") -> OutcomeTable:
     """Shot-sampled outcome tables under the three gate deviations `delta_phi`.
 
-    Shots are independent, so a theta's eight counts are one multinomial
-    from its `joint_cells`, rounded by `draw_probs`. All thetas draw in
-    grid order from one stream(seed, purpose, 0), each its own shots:
-    "shots" for a sweep, "verify" for verify's own sampled check, so the
-    two never share a stream under one seed.
+    Shots are independent: each theta's eight counts are one multinomial of
+    `shots` from its `outcome_table_exact` cells, rounded by `draw_probs`,
+    drawn in grid order from one stream(seed, purpose, 0): purpose "shots"
+    for a sweep, "verify" for verify's own check, so they never share one.
     """
-    thetas = np.asarray(thetas, dtype=float)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    kets = gates.kets(np.ravel(delta_phi), thetas)[0]
-    q = draw_probs(joint_cells(kets))
-    counts = stream(seed, purpose, 0).multinomial(shots, q)
-    return OutcomeTable(thetas=thetas, cells=counts / shots, counts=counts)
+    exact = outcome_table_exact(thetas, delta_phi)
+    counts = stream(seed, purpose, 0).multinomial(shots, draw_probs(exact.cells))
+    return OutcomeTable(thetas=exact.thetas, cells=counts / shots, counts=counts)
 
 
 def energies_from_table(t: OutcomeTable) -> np.ndarray:
@@ -203,8 +200,8 @@ _CELL_FIELDS = ["%d,%d,%d" % cell for cell in CELLS]  # d,d_prime,a_prime of eac
 def write_tables_csv(path, table: OutcomeTable) -> None:
     """Write one row per (theta, cell); count is empty in exact mode.
 
-    read_tables_csv groups rows by the written theta, so a grid with two
-    thetas alike at 12 significant digits is refused before the file opens.
+    Before the file opens it refuses thetas alike at 12 significant digits,
+    which read_tables_csv would merge, and counts that are not whole numbers.
     """
     keys = texts(table.thetas, "%.12g")
     seen = {}
@@ -213,6 +210,12 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
             raise ValueError(f"thetas {seen[key]!r} and {theta!r} both print as {key} "
                              "at 12 significant digits")
         seen[key] = theta
+    if table.counts is not None:
+        whole = np.isfinite(table.counts) & (table.counts == np.floor(table.counts))
+        if not whole.all():
+            i, c = np.argwhere(~whole)[0]
+            raise ValueError(f"theta {keys[i]}, cell {CELLS[c]}: count {table.counts[i, c]} "
+                             "is not a whole number")
     counts = [""] * (8 * len(keys)) if table.counts is None else texts(table.counts.ravel(), "%d")
     write_csv(path, CSV_HEADER, [[key for key in keys for _ in CELLS], _CELL_FIELDS * len(keys),
                                  counts, texts(table.cells.ravel(), "%.12g")])

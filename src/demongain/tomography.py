@@ -6,9 +6,9 @@ energetically higher state). Counts and probabilities are (..., 9, 4)
 arrays: settings in ALL_SETTINGS order, outcomes (++, +-, -+, --) with
 the agent sign first. Of the outputs, only the counts CSV names them.
 
-tomography_study draws bootstrap block 0 on the main thread and each
-later block at most one theta ahead, on a helper thread that meets the
-main thread at a threading.Barrier.
+tomography_study draws every bootstrap block on a helper thread, at most
+one theta ahead of the main thread, which scores them; the two meet at a
+threading.Barrier.
 """
 
 from __future__ import annotations
@@ -234,13 +234,13 @@ def tomography_study(
     rho_hat[i]'s setting probabilities, rounded as for the counts, in one
     multinomial call on stream(seed, "bootstrap", i); `bootstrap` scores it.
 
-    The draws run at most one theta ahead. The main thread draws block 0,
-    then scores block i while a helper thread draws block i + 1; they meet
-    at a threading.Barrier(2) before each hand-over. The helper calls only
-    shared.stream and numpy, whose multinomial loop releases the GIL, so
-    every layer function runs on the main thread; a barrier needs no queue
-    module, whose import costs about 1.5 ms per CLI start. The results
-    equal drawing and scoring each theta in turn, bit for bit.
+    A helper thread draws every block, at most one theta ahead: the main
+    thread scores block i while the helper draws block i + 1, and they
+    meet at a threading.Barrier(2) before each hand-over, block 0's too.
+    The helper calls only shared.stream and numpy, whose multinomial loop
+    releases the GIL, so every layer function runs on the main thread; a
+    barrier needs no queue module, whose import costs about 1.5 ms per CLI
+    start. The results equal drawing and scoring each theta in turn, bit for bit.
     """
     counts = simulate_tomogram_counts(rhos, shots, seed)
     rho_hat = linear_inversion(counts)
@@ -249,18 +249,14 @@ def tomography_study(
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
     dists = draw_probs(setting_probs(rho_hat))
-
-    def draw(i: int) -> np.ndarray:
-        """Block i, equal to drawing resample by resample and setting by setting."""
-        return stream(seed, "bootstrap", i).multinomial(shots, dists[i], size=(resamples, 9))
-
     blocks = [None] * len(dists)  # a drawn block, or the error its draw raised
     step = threading.Barrier(2)  # passed once per block handed over; aborted to stop the helper
 
     def serve() -> None:
-        for i in range(1, len(blocks)):
+        for i in range(len(blocks)):
             try:
-                blocks[i] = draw(i)
+                blocks[i] = stream(seed, "bootstrap", i).multinomial(
+                    shots, dists[i], size=(resamples, 9))
             except BaseException as exc:  # raised again on the main thread
                 blocks[i] = exc
             try:
@@ -270,9 +266,9 @@ def tomography_study(
 
     helper = threading.Thread(target=serve)
     helper.start()
+    boots = []
     try:
-        boots = [bootstrap(draw(0))]
-        for i in range(1, len(blocks)):
+        for i in range(len(blocks)):
             step.wait()
             block, blocks[i] = blocks[i], None
             if isinstance(block, BaseException):

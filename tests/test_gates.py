@@ -85,6 +85,10 @@ class TestLocalRot:
         out = u @ np.array([1, 0, 0, 0], dtype=complex)
         assert np.allclose(out, np.array([1, 0, 1, 0]) / np.sqrt(2))
 
+    def test_rejects_other_targets(self):
+        with pytest.raises(ValueError, match=r"^target must be 'A' or 'D', got 'B'$"):
+            local_rot(0.1, 0.0, "B")
+
 
 class TestUzz:
     def test_ideal_diagonal(self):

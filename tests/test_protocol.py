@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demongain import gates, protocol
@@ -32,6 +32,7 @@ from demongain.protocol import (
     write_tables_csv,
 )
 from demongain.qlin import partial_trace
+from demongain.shared import draw_probs, stream
 from demongain.tomography import concurrence
 
 from conftest import random_density, resource_ket
@@ -273,6 +274,24 @@ class TestRunShots:
         assert {f"{d}{dp}{ap}": n for (d, dp, ap), n in zip(CELLS, t.counts[0])} == case["counts"]
         assert {str(d): p for d, p in enumerate(t.pr_d[0])} == case["pr_d"]
 
+    @given(
+        thetas=st.lists(st.sampled_from([0.0, np.pi / 2]) | st.floats(0, np.pi / 2),
+                        min_size=1, max_size=16),
+        deltas=st.just(IDEAL) | st.tuples(
+            *[st.floats(-np.pi / 2, np.pi / 2, exclude_min=True, exclude_max=True)] * 3),
+        shots=st.integers(1, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(thetas=[0.0, np.pi / 4, np.pi / 2], deltas=IDEAL, shots=3500, seed=DEFAULT_SEED)
+    @settings(max_examples=100, deadline=None)
+    def test_counts_are_one_draw_from_the_exact_cells(self, thetas, deltas, shots, seed):
+        # outcome_table_exact zeroes cells below 1e-15, which draw_probs'
+        # 12-decimal rounding zeroes anyway: the kets' own cells draw alike
+        q = draw_probs(outcome_table_exact(thetas, deltas).cells)
+        assert np.array_equal(q, draw_probs(joint_cells(gates.kets(deltas, thetas)[0])))
+        want = stream(seed, "shots", 0).multinomial(shots, q)
+        assert np.array_equal(run_shots(thetas, deltas, shots, seed).counts, want)
+
 
 class TestClosedFormGain:
     """The conditional swap's gain is one matrix element: delta_W = <1_A 0_D|rho|1_A 0_D>."""
@@ -385,6 +404,18 @@ class TestSerialization:
         back = read_tables_csv(path)
         assert np.array_equal(back.counts, table.counts)
         assert np.array_equal(back.cells, table.cells)
+
+    @pytest.mark.parametrize("bad", [5.5, np.nan, np.inf])
+    def test_non_integral_count_rejected(self, tmp_path, bad):
+        counts = np.full((2, 8), 5.0)
+        counts[1, 3] = bad
+        table = protocol.OutcomeTable(thetas=np.array([0.1, 0.2]), cells=np.full((2, 8), 0.125),
+                                      counts=counts)
+        path = tmp_path / "tables.csv"
+        with pytest.raises(ValueError,
+                           match=rf"^theta 0\.2, cell \(0, 1, 1\): count {bad} is not a whole number$"):
+            write_tables_csv(path, table)
+        assert not path.exists()
 
     def test_thetas_alike_at_12_digits_rejected(self, tmp_path):
         table = outcome_table_exact([1.0, 1.0 + 1e-13], IDEAL)

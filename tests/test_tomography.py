@@ -519,21 +519,10 @@ class TestDrawsAhead:
         assert len(boots) == n
         for i, b in enumerate(boots):
             assert b == bootstrap(draw_resamples(rho_hat[i], 100, resamples, seed=11, index=i))
-        # the first block is drawn before there is anything to score
+        # the helper thread draws every block, the first one included
         main = threading.main_thread()
         on_main = [threads[i] is main for i in range(n)]
-        assert on_main == [True] + [False] * (n - 1)
-
-    @pytest.mark.parametrize("count, helped", [(None, 0), (1, 0), (4, 2)])
-    def test_counts_cpus_without_affinity(self, count, helped, monkeypatch):
-        # whatever os.cpu_count() reports where there is no sched_getaffinity
-        # (None included), the helper draws every block after the first
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        threads = _drawing_threads(monkeypatch)
-        _, rho_hat, boots = tomography_study(THETAS9[:helped + 1], 100, 2, seed=1)
-        assert boots == [bootstrap(draw_resamples(r, 100, 2, seed=1, index=i)) for i, r in enumerate(rho_hat)]
-        assert sum(t is not threading.main_thread() for t in threads.values()) == helped
+        assert on_main == [False] * n
 
     def test_never_asks_for_the_cpu_count(self, monkeypatch):
         # the helper thread draws ahead whatever the host: one path, no probe
@@ -545,7 +534,7 @@ class TestDrawsAhead:
         threads = _drawing_threads(monkeypatch)
         _, rho_hat, boots = tomography_study(THETAS9[:3], 100, 2, seed=1)
         assert boots == [bootstrap(draw_resamples(r, 100, 2, seed=1, index=i)) for i, r in enumerate(rho_hat)]
-        assert sum(t is not threading.main_thread() for t in threads.values()) == 2
+        assert sum(t is not threading.main_thread() for t in threads.values()) == 3
 
     def test_equal_under_fast_thread_switching(self):
         # a lost or reordered handoff between the helper and the caller would
@@ -589,24 +578,26 @@ class TestDrawsAhead:
                     monkeypatch.setattr(mod, name, wrappers[id(obj)][1])
         threads = _drawing_threads(monkeypatch)
         tg.tomography_study(THETAS9, 100, 50, seed=3)
-        assert sum(t is not threading.main_thread() for t in threads.values()) == 8
+        assert sum(t is not threading.main_thread() for t in threads.values()) == 9
         assert off_main == []
 
     def test_a_failing_draw_raises_from_the_study(self, cpus, monkeypatch):
-        boom = RuntimeError("draw failed")
+        # block 0, drawn before anything is scored, and a later block
         real = tg.stream
+        for failing in (0, 3):
+            boom = RuntimeError(f"draw {failing} failed")
 
-        def stream_failing_at_3(seed, purpose, index):
-            if index == 3:
-                raise boom
-            return real(seed, purpose, index)
+            def stream_failing(seed, purpose, index):
+                if index == failing:
+                    raise boom
+                return real(seed, purpose, index)
 
-        monkeypatch.setattr(tg, "stream", stream_failing_at_3)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as exc:
-            tomography_study(THETAS9, 100, 50, seed=3)
-        assert exc.value is boom
-        assert threading.active_count() == before
+            monkeypatch.setattr(tg, "stream", stream_failing)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError) as exc:
+                tomography_study(THETAS9, 100, 50, seed=3)
+            assert exc.value is boom
+            assert threading.active_count() == before
 
     def test_a_failing_score_raises_from_the_study(self, cpus, monkeypatch):
         boom = RuntimeError("score failed")
