@@ -201,7 +201,7 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
     """Write one row per (theta, cell); count is empty in exact mode.
 
     Before the file opens it refuses thetas alike at 12 significant digits,
-    which read_tables_csv would merge, and counts that are not whole numbers.
+    which read_tables_csv would merge, and counts that are negative or not whole.
     """
     keys = texts(table.thetas, "%.12g")
     seen = {}
@@ -212,10 +212,12 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
         seen[key] = theta
     if table.counts is not None:
         whole = np.isfinite(table.counts) & (table.counts == np.floor(table.counts))
-        if not whole.all():
-            i, c = np.argwhere(~whole)[0]
-            raise ValueError(f"theta {keys[i]}, cell {CELLS[c]}: count {table.counts[i, c]} "
-                             "is not a whole number")
+        bad = ~whole | (table.counts < 0)
+        if bad.any():
+            i, c = np.argwhere(bad)[0]
+            n = table.counts[i, c]
+            what = f"negative count {n:.0f}" if whole[i, c] else f"count {n} is not a whole number"
+            raise ValueError(f"theta {keys[i]}, cell {CELLS[c]}: {what}")
     counts = [""] * (8 * len(keys)) if table.counts is None else texts(table.counts.ravel(), "%d")
     write_csv(path, CSV_HEADER, [[key for key in keys for _ in CELLS], _CELL_FIELDS * len(keys),
                                  counts, texts(table.cells.ravel(), "%.12g")])

@@ -417,6 +417,18 @@ class TestSerialization:
             write_tables_csv(path, table)
         assert not path.exists()
 
+    @pytest.mark.parametrize("dtype", [int, float])
+    def test_negative_count_rejected(self, tmp_path, dtype):
+        # read_tables_csv refuses a negative count, so the writer refuses it first
+        counts = np.full((1, 8), 5, dtype=dtype)
+        counts[0, 2] = -1
+        table = protocol.OutcomeTable(thetas=np.array([0.1]), cells=np.full((1, 8), 0.125),
+                                      counts=counts)
+        path = tmp_path / "tables.csv"
+        with pytest.raises(ValueError, match=r"^theta 0\.1, cell \(0, 1, 0\): negative count -1$"):
+            write_tables_csv(path, table)
+        assert not path.exists()
+
     def test_thetas_alike_at_12_digits_rejected(self, tmp_path):
         table = outcome_table_exact([1.0, 1.0 + 1e-13], IDEAL)
         path = tmp_path / "tables.csv"
