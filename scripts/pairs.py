@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternated perfbench pairs of two source trees, summarized per metric.
 
-    python3 scripts/pairs.py OLD NEW --workload W --seconds S --pairs N --scratch DIR
+    python3 scripts/pairs.py OLD NEW --workload W ... --seconds S --pairs N --scratch DIR
 
 OLD and NEW are source trees, such as a checkout and a `git archive`
 copy. Both are copied fresh to DIR/a and DIR/b, old to a and new to b;
@@ -11,14 +11,15 @@ code, splits between the halves instead of reading as a win. Pair k runs
 
     python3 perfbench/run.py --workload W --seed k --seconds S --trace 0
 
-in each copy, the old tree first in odd pairs and the new tree first in
-even ones, and reads the last line of its standard output. Nothing is
-written outside DIR.
+in each copy for each workload W named (--workload repeats), in turn,
+the old tree first in odd pairs and the new tree first in even ones, and
+reads the last line of its standard output. Nothing is written outside
+DIR.
 
-For each end-to-end metric of NEW's BENCHMARK.json it prints both
-medians, the paired median change (the median over pairs of new / old
-- 1), and in how many pairs the new tree was better, in all and in each
-half; then the failed checks of each side.
+For each workload, in one block each, it prints per end-to-end metric
+of NEW's BENCHMARK.json both medians, the paired median change (the
+median over pairs of new / old - 1), and in how many pairs the new tree
+was better, in all and in each half; then the failed checks of each side.
 """
 
 import argparse
@@ -100,11 +101,20 @@ def summarize(results: list[dict], specs: list[dict]) -> list[str]:
     return lines
 
 
+def report(results: list[dict], specs: list[dict]) -> list[str]:
+    """One `summarize` block per workload of results [{side: {workload: result}}]."""
+    lines = []
+    for workload in results[0]["old"]:
+        lines += [f"{workload}:", *summarize([{side: r[side][workload] for side in r}
+                                              for r in results], specs)]
+    return lines
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True, help="repeat for more")
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--scratch", type=Path, required=True, help="the one directory written to")
@@ -116,10 +126,10 @@ def main(argv=None) -> None:
     if args.pairs < 2:
         raise SystemExit("--pairs must be >= 2, one in each directory layout")
     specs = json.loads((new / "BENCHMARK.json").read_text())["end_to_end"]
-    results = collect(old, new, scratch, args.pairs,
-                      lambda tree, seed: perfbench(tree, args.workload, seed, args.seconds))
-    print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, {old} -> {new}")
-    print("\n".join(summarize(results, specs)))
+    results = collect(old, new, scratch, args.pairs, lambda tree, seed: {
+        w: perfbench(tree, w, seed, args.seconds) for w in args.workload})
+    print(f"{args.pairs} pairs of {args.seconds:g} s, {old} -> {new}")
+    print("\n".join(report(results, specs)))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .shared import stream
 BOUNDS = (-np.pi / 4, np.pi / 4)  # each deviation's search range
 _EMPTY = np.delete(np.arange(len(CELLS)), LIVE)  # np.setdiff1d would import numpy.ma
 _GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot, in BOUNDS
+_GRID = np.array(list(product(_GRID_AXIS, repeat=3)))  # its 216 rows, delta_phi_3 fastest
 _H = 1e-6  # central-difference step
 _OFFSETS = np.vstack([np.zeros(3), _H * np.eye(3), -_H * np.eye(3)])  # x, x + h e_k, x - h e_k
 # Weights use max(p, floor): live cells of a noiseless model reach p ~ 1e-33.
@@ -106,9 +107,8 @@ def _check_empty_cells(data: OutcomeTable) -> None:
 
 def _grid_seed(obs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Grid point of least chi-square."""
-    combos = np.array(list(product(_GRID_AXIS, repeat=3)))
-    cost = (_weighted(model_cells(combos, thetas)[..., LIVE], obs) ** 2).sum(axis=(1, 2))
-    return combos[np.argmin(cost)]
+    cost = (_weighted(model_cells(_GRID, thetas)[..., LIVE], obs) ** 2).sum(axis=(1, 2))
+    return _GRID[np.argmin(cost)]
 
 
 def _lm_point(r, jac, damping, x) -> np.ndarray:

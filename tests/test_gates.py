@@ -7,7 +7,7 @@ from demongain import gates, noisefit, protocol
 from demongain.gates import (
     PLANTED_DELTA_PHI, apply, bell_prep, cy, cz_half, deviations, kets, local_rot, u_zz,
 )
-from demongain.noisefit import _GRID_AXIS
+from demongain.noisefit import _GRID, _GRID_AXIS
 from demongain.protocol import CONDITIONAL_SWAP, ProtocolConfig
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
@@ -259,24 +259,36 @@ class TestBatched:
 
     def test_kets_equal_per_row_calls(self, rng):
         # the fit's candidate shapes: the seed grid, linearization stars
-        # x, x +- h e_k, and the repeated rows of a first lockstep round
+        # x, x +- h e_k, and the repeated rows of a first lockstep round;
+        # then rows that share only a prefix, which kets evaluates once
         def stars(xs):
             return np.concatenate([[x, *(x + s * 1e-6 * e for e in np.eye(3) for s in (1, -1))]
                                    for x in xs])
 
         one_star = stars(rng.uniform(-0.3, 0.3, (1, 3)))
+        # 3 x 5 x 2 distinct phases: the pair key i1 * 5 + i2 is unique only
+        # when it scales slot 1's index by slot 2's count
+        product_grid = np.array(list(product(*(rng.uniform(-0.3, 0.3, k) for k in (3, 5, 2)))))
         cases = {
-            "grid": np.array(list(product(_GRID_AXIS, repeat=3))),
+            "grid": _GRID,
             "one star": one_star,
             "20 stars": stars(rng.uniform(-0.3, 0.3, (20, 3))),
-            "repeated rows": np.tile(one_star, (20, 1)),
+            "20 identical stars": np.tile(one_star, (20, 1)),
             "signed zeros": np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0.1, -0.0, 0.0]]),
             "random": rng.uniform(-0.7, 0.7, (50, 3)),
+            "equal dphi_2 under other dphi_1": np.array(
+                [[0.1, 0.3, 0.05], [0.2, 0.3, 0.05], [0.2, 0.3, -0.1], [0.1, -0.2, 0.05]]),
+            "equal (dphi_1, dphi_2) under other dphi_3": np.array(
+                [[0.1, 0.3, -0.2], [0.1, 0.3, 0.0], [0.2, 0.3, 0.0], [0.1, 0.3, 0.4]]),
+            "3x5x2 product grid": product_grid,
+            "3x5x2 product grid, shuffled": rng.permutation(product_grid),
         }
         thetas = np.linspace(0, np.pi / 2, 17)
         for name, params in cases.items():
             rows = np.array([kets(p[None], thetas)[0] for p in params])
             assert np.array_equal(kets(params, thetas), rows), name
+            assert kets(params, []).shape == (len(params), 0, 4), name
+        assert kets(np.empty((0, 3)), thetas).shape == (0, 17, 4)
 
     def test_kets_build_each_block_once_per_distinct_phase(self, monkeypatch):
         seen = {"bell_prep": [], "_cnot_d_to_a": []}
@@ -289,6 +301,13 @@ class TestBatched:
 
         for name, calls in seen.items():
             monkeypatch.setattr(gates, name, counted(getattr(gates, name), calls))
-        kets(np.array(list(product(_GRID_AXIS, repeat=3))), np.linspace(0, np.pi / 2, 17))
-        assert [list(d) for d in seen["bell_prep"]] == [list(_GRID_AXIS)]
-        assert [list(d) for d in seen["_cnot_d_to_a"]] == [list(_GRID_AXIS)] * 2
+        # the seed grid, and a grid whose slots hold 3, 5 and 2 other phases
+        axes = (0.01 * np.arange(1, 4), 0.1 + 0.01 * np.arange(5), 0.2 + 0.01 * np.arange(2))
+        for grid, (a1, a2, a3) in ((_GRID, (_GRID_AXIS,) * 3),
+                                   (np.array(list(product(*axes))), axes)):
+            for calls in seen.values():
+                calls.clear()
+            kets(grid, np.linspace(0, np.pi / 2, 17))
+            # one bell_prep on slot 1's phases, one CNOT stack of slot 2's, then slot 3's
+            assert [list(d) for d in seen["bell_prep"]] == [list(a1)]
+            assert [list(d) for d in seen["_cnot_d_to_a"]] == [list(a2) + list(a3)]

@@ -70,3 +70,44 @@ def test_results_follow_the_tree_not_the_directory(tmp_path):
     assert ran == [(1, "old", "a"), (1, "new", "b"), (2, "new", "b"), (2, "old", "a"),
                    (3, "old", "b"), (3, "new", "a"), (4, "new", "a"), (4, "old", "b")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old", "scratch"]
+
+
+def test_reports_one_block_per_workload():
+    results = [{"old": {"w1": _result(0.10), "w2": _result(0.20)},
+                "new": {"w1": _result(0.09), "w2": _result(0.22, failed=1)}},
+               {"old": {"w1": _result(0.10), "w2": _result(0.20)},
+                "new": {"w1": _result(0.08), "w2": _result(0.21)}}]
+    lines = pairs["report"](results, SPECS)
+    blocks = len(SPECS) + 4  # name, header, one row per metric, two failed-check rows
+    assert len(lines) == 2 * blocks
+    w1, w2 = lines[:blocks], lines[blocks:]
+    assert (w1[0], w2[0]) == ("w1:", "w2:")
+    assert w1[1:] == pairs["summarize"]([{s: r[s]["w1"] for s in r} for r in results], SPECS)
+    assert _row(w1, "cmd_s.p50")[-4:] == ["-15.00%", "2/2", "(1/1,", "1/1)"]
+    assert _row(w2, "cmd_s.p50")[-4:] == ["+7.50%", "0/2", "(0/1,", "0/1)"]
+    assert w2[-1] == "failed checks, new: 1 of 16"
+
+
+def test_main_runs_every_named_workload_in_both_trees(tmp_path, monkeypatch, capsys):
+    for side in ("old", "new"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "side.txt").write_text(side)
+        (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    ran = []
+
+    def perfbench(tree, workload, seed, seconds):
+        side = (tree / "side.txt").read_text()
+        ran.append((seed, side, workload))
+        return _result({"w1": 0.1, "w2": 0.2}[workload] * (0.9 if side == "new" else 1.0))
+
+    monkeypatch.setitem(pairs["main"].__globals__, "perfbench", perfbench)
+    pairs["main"]([str(tmp_path / "old"), str(tmp_path / "new"), "--workload", "w1",
+                   "--workload", "w2", "--seconds", "1", "--pairs", "2",
+                   "--scratch", str(tmp_path / "scratch")])
+    # each pair runs both workloads in one tree, then in the other, in alternated order
+    assert ran == [(1, "old", "w1"), (1, "old", "w2"), (1, "new", "w1"), (1, "new", "w2"),
+                   (2, "new", "w1"), (2, "new", "w2"), (2, "old", "w1"), (2, "old", "w2")]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.endswith(":")] == ["w1:", "w2:"]
+    assert [_row(out[out.index(w):], "cmd_s.p50")[-4:] for w in ("w1:", "w2:")] == [
+        ["-10.00%", "2/2", "(1/1,", "1/1)"]] * 2
