@@ -17,9 +17,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _as_square(m, dims=(2, 4), stacked: bool = False) -> np.ndarray:
+def _as_square(m, dims=(2, 4)) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] not in dims:
         raise ValueError(f"expected dimension in {dims}, got {m.shape[-1]}")
@@ -31,10 +31,20 @@ def dag(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m) -> bool:
-    """True when every matrix of `m` (a matrix or a stack) is Hermitian within HERMITICITY_TOL."""
+def hermitian(m) -> np.ndarray:
+    """(m + m^dag)/2 of a matrix or (..., n, n) stack, the one Hermiticity check.
+
+    Rejects m if any matrix's max-abs deviation from Hermiticity exceeds
+    HERMITICITY_TOL or is NaN; an empty stack passes. The sum is halved
+    as reals, since complex division flips the sign of some zero parts; so an
+    exactly Hermitian m comes back bit for bit but for +0.0 imaginary diagonals.
+    """
+    m = _as_square(m)
     m_dag = dag(m)
-    return np.array_equal(m, m_dag) or np.max(np.abs(m - m_dag), initial=0.0) <= HERMITICITY_TOL
+    dev = np.max(np.abs(m - m_dag), initial=0.0)
+    if not dev <= HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
+    return (np.add(m, m_dag, order="C").view(float) / 2).view(complex)
 
 
 def kron(a, b) -> np.ndarray:
@@ -42,23 +52,20 @@ def kron(a, b) -> np.ndarray:
 
     Either factor may be an (..., 2, 2) stack; leading axes broadcast.
     """
-    a = _as_square(a, dims=(2,), stacked=True)
-    b = _as_square(b, dims=(2,), stacked=True)
+    a = _as_square(a, dims=(2,))
+    b = _as_square(b, dims=(2,))
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 operator.
-
-    keep="A" returns the agent marginal, keep="D" the demon marginal.
-    """
+    """Agent (keep="A") or demon (keep="D") marginal of a 4x4 operator or (..., 4, 4) stack."""
     rho = _as_square(rho, dims=(4,))
-    r = rho.reshape(2, 2, 2, 2)  # (a, d, a', d')
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # (..., a, d, a', d')
     if keep == "A":
-        return np.einsum("ajbj->ab", r)
+        return np.einsum("...ajbj->...ab", r)
     if keep == "D":
-        return np.einsum("iaib->ab", r)
+        return np.einsum("...iaib->...ab", r)
     raise ValueError(f"keep must be 'A' or 'D', got {keep!r}")
 
 
@@ -66,17 +73,8 @@ def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix, or of a (..., n, n) stack.
 
     Returns (eigenvalues sorted descending, eigenvectors as columns in the
-    matching order), with the input's leading axes. Rejects the input if
-    any matrix's max-abs deviation from Hermiticity exceeds HERMITICITY_TOL.
+    matching order), with the input's leading axes, of `hermitian(h)`: for
+    an exactly Hermitian h, the matrix zheevd reads is h bit for bit.
     """
-    h = _as_square(h, stacked=True)
-    h_dag = dag(h)
-    # (h + h^dag)/2 differs from an exactly Hermitian h only in the sign of
-    # zero imaginary diagonal parts, which zheevd does not read
-    if not np.array_equal(h, h_dag):
-        dev = np.max(np.abs(h - h_dag), initial=0.0)
-        if not dev <= HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: max |h - h^dag| = {dev:.3e}")
-        h = (h + h_dag) / 2
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(hermitian(h))
     return w[..., ::-1], v[..., ::-1]

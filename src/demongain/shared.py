@@ -44,7 +44,7 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u[inverse] equals `values` bit for bit. Keyed on the integer view, so
     -0.0 and 0.0 stay apart; np.unique would merge them and import numpy.ma.
     """
-    if len(values) < 2:  # nothing to merge: spares single-row kets the sort
+    if len(values) < 2:  # spares single-row kets the sort; n = 0 has no first[0] to set
         return values, np.zeros(len(values), dtype=np.intp)
     bits = values.view(f"i{values.itemsize}")
     order = np.argsort(bits)

@@ -193,9 +193,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 def purity(rho: np.ndarray) -> float | np.ndarray:
     """Tr(rho^2) of a (4, 4) matrix or (..., 4, 4) stack; may exceed 1 if not PSD."""
-    rho = np.asarray(rho, dtype=complex)
-    if not qlin.is_hermitian(rho):
-        raise ValueError("purity requires a Hermitian matrix")
+    rho = qlin.hermitian(rho)  # refuses non-Hermitian input; exact input keeps its sum bit for bit
     return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))  # sum |rho_ij|^2 = Tr(rho rho^dag)
 
 

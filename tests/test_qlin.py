@@ -72,6 +72,15 @@ class TestPartialTrace:
         assert np.allclose(np.diag(partial_trace(rho, "D")).real, [0.5, 0.5])
         assert np.allclose(np.diag(partial_trace(rho, "A")).real, [7 / 8, 1 / 8])
 
+    @pytest.mark.parametrize("keep", ["A", "D"])
+    def test_stack_matches_single(self, rng, keep):
+        stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        got = partial_trace(stack, keep)
+        assert got.shape == (2, 3, 2, 2)
+        for i in range(2):
+            for j in range(3):
+                assert got[i, j].tobytes() == partial_trace(stack[i, j], keep).tobytes()
+
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_trace_out_scales_by_trace(self, seed):
@@ -79,6 +88,61 @@ class TestPartialTrace:
         a, b = _rand_c22(rng), _rand_c22(rng)
         assert np.allclose(partial_trace(kron(a, b), "D"), b * np.trace(a), atol=1e-12)
         assert np.allclose(partial_trace(kron(a, b), "A"), a * np.trace(b), atol=1e-12)
+
+
+class TestHermitian:
+    DIAG = np.arange(4)
+
+    def test_exact_stack_comes_back_equal(self, rng):
+        # only -0.0 imaginary diagonal parts change, to +0.0
+        h = np.array([random_density(rng) for _ in range(6)])
+        h.imag[:, self.DIAG, self.DIAG] = np.where(np.arange(4) % 2, -0.0, 0.0)
+        assert np.array_equal(h, qlin.dag(h))
+        want = h.copy()
+        want.imag[:, self.DIAG, self.DIAG] = 0.0
+        assert qlin.hermitian(h).tobytes() == want.tobytes()
+
+    def test_near_hermitian_stack_is_symmetrized(self, rng):
+        h = np.array([random_density(rng) for _ in range(6)])
+        h[2, 1, 0] += 1e-12
+        h[4, 3, 2] -= 1e-12j
+        got = qlin.hermitian(h)
+        assert np.array_equal(got, qlin.dag(got)) and not np.array_equal(got, h)
+        swap = lambda x: x.swapaxes(-1, -2)
+        assert got.real.tobytes() == ((h.real + swap(h.real)) / 2).tobytes()
+        assert got.imag.tobytes() == ((h.imag - swap(h.imag)) / 2).tobytes()
+
+    def test_keeps_the_sign_of_zero_real_parts(self):
+        # (m + m^dag) / 2 in complex arithmetic turns some -0.0 real parts
+        # into +0.0, in either triangle, depending on the imaginary part's sign
+        h = np.eye(4, dtype=complex)
+        for (i, j), y in {(1, 0): 1.0, (2, 0): -1.0, (3, 1): 0.0, (3, 2): -0.0}.items():
+            h[i, j], h[j, i] = complex(-0.0, y), complex(-0.0, -y)
+        got = qlin.hermitian(h)
+        assert got.real.tobytes() == h.real.tobytes()
+        assert np.signbit(got.real).sum() == 8
+        got, want = eig_hermitian(h), np.linalg.eigh(h)
+        assert got[0].tobytes() == want[0][::-1].tobytes()
+        assert got[1].tobytes() == want[1][:, ::-1].tobytes()
+
+    @pytest.mark.parametrize("dev", [1e-9, np.nan])
+    def test_rejects_deviation_and_nan(self, rng, dev):
+        h = np.array([random_density(rng) for _ in range(3)])
+        h[1, 0, 2] += dev
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: max \|h - h\^dag\| = "):
+            qlin.hermitian(h)
+
+    def test_tolerance_is_inclusive(self):
+        h = np.eye(4, dtype=complex)
+        h[0, 1] = qlin.HERMITICITY_TOL
+        assert np.array_equal(qlin.hermitian(h)[0, 1], qlin.HERMITICITY_TOL / 2)
+
+    def test_empty_stack_passes(self):
+        assert qlin.hermitian(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            qlin.hermitian(np.ones((4, 3)))
 
 
 class TestEigHermitian:
@@ -129,9 +193,10 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(np.full((4, 4), np.nan))
 
-    def test_exact_stack_skips_symmetrizing_bit_for_bit(self, rng):
-        # an exactly Hermitian stack goes to eigh as it is; -0.0 imaginary
-        # diagonal parts are all that (h + h^dag)/2 would change
+    def test_exact_stack_decomposes_as_given_bit_for_bit(self, rng):
+        # qlin.hermitian of an exactly Hermitian stack changes only its -0.0
+        # imaginary diagonal parts, which zheevd does not read; so
+        # eig_hermitian decomposes h as it is
         h = np.array([random_density(rng) for _ in range(6)])
         diag = np.arange(4)
         h.imag[:, diag, diag] = -0.0
@@ -139,6 +204,12 @@ class TestEigHermitian:
         w, v = np.linalg.eigh((h + qlin.dag(h)) / 2)
         got = eig_hermitian(h)
         assert got[0].tobytes() == w[..., ::-1].tobytes() and got[1].tobytes() == v[..., ::-1].tobytes()
+        w, v = np.linalg.eigh(h)
+        assert got[0].tobytes() == w[..., ::-1].tobytes() and got[1].tobytes() == v[..., ::-1].tobytes()
+
+    def test_empty_stack(self):
+        w, v = eig_hermitian(np.zeros((0, 4, 4)))
+        assert w.shape == (0, 4) and v.shape == (0, 4, 4)
 
     def test_near_hermitian_stack_is_symmetrized(self, rng):
         h = np.array([random_density(rng) for _ in range(6)])

@@ -161,6 +161,16 @@ class TestLinearInversion:
         with pytest.raises(ValueError, match=rf"^setting \('Y', 'Y'\) has {what}$"):
             linear_inversion(block)
 
+    def test_float_view_equals_the_complex_contraction_bit_for_bit(self, rng):
+        # _INVERSION contracts the real frequencies without complex
+        # arithmetic; the complex einsum with _inversion_map gives the same bits
+        rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=5))
+        block = draw_resamples(rho_hat, 100, 500, seed=5)
+        probs = setting_probs(np.array([random_density(rng) for _ in range(200)]))
+        for counts in (block, probs):
+            want = np.einsum("...ji,jixy->...xy", tg._freqs(counts), tg._inversion_map())
+            assert linear_inversion(counts).tobytes() == want.tobytes()
+
     def test_array_shape_rejected(self):
         for shape in [(8, 4), (36,), (2, 4, 9)]:
             with pytest.raises(ValueError, match=r"\(\.\.\., 9, 4\)"):
@@ -262,6 +272,33 @@ class TestPurity:
         # purity operates on the raw inversion, eigenvalues and all
         rho = np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex)
         assert purity(rho) == pytest.approx(1.1**2 + 0.01, abs=1e-12)
+
+    def test_exact_stack_sums_the_raw_entries_bit_for_bit(self, rng):
+        # a 500-resample inversion block, and random states with -0.0 imaginary diagonals
+        rho_hat = linear_inversion(simulate_tomogram_counts(BELL, 100, seed=3))
+        block = linear_inversion(draw_resamples(rho_hat, 100, 500, seed=3))
+        states = np.array([random_density(rng) for _ in range(50)])
+        states.imag[:, np.arange(4), np.arange(4)] = -0.0
+        for rho in (block, states):
+            assert np.array_equal(rho, qlin.dag(rho))
+            raw = np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))
+            assert purity(rho).tobytes() == raw.tobytes()
+
+    def test_empty_stack(self):
+        assert purity(np.zeros((0, 4, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("dev", [1e-9, np.nan])
+    def test_refused_as_eig_hermitian_refuses(self, dev):
+        # one check in qlin: the same message from both callers
+        rho = ID4 / 4
+        rho[0, 3] += dev
+        messages = []
+        for f in (purity, qlin.eig_hermitian):
+            with pytest.raises(ValueError) as err:
+                f(rho)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("matrix is not Hermitian: max |h - h^dag| = ")
 
 
 class TestStackedKernels:
