@@ -34,7 +34,8 @@ import numpy as np
 
 from . import noisefit, protocol, tomography
 from .gates import PLANTED_DELTA_PHI, deviations
-from .protocol import DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
+from .protocol import CELLS, DEFAULT_SEED, DEFAULT_SHOTS, ProtocolConfig
+from .qlin import ID2, PAULI_X, dag, kron
 from .shared import texts, write_csv
 
 SCHEMA_VERSION = 1
@@ -207,7 +208,7 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
               [texts(col, "%.12g") for col in (table.thetas, *energies)])
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
-    keys = ["".join(map(str, cell)) for cell in protocol.CELLS]  # "d d' a'", e.g. "010"
+    keys = ["".join(map(str, cell)) for cell in CELLS]  # "d d' a'", e.g. "010"
     point = {"pr_d": dict.fromkeys("01"), "pr_joint": dict.fromkeys(keys), "theta": None}
     cols = [texts(col, "%r") for col in (*table.pr_d.T, *table.cells.T, table.thetas)]
     if table.counts is not None:  # sampled tables only
@@ -263,14 +264,13 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
             seed) -> int:
     data = protocol.read_tables_csv(manifest_dir / dataset)
     result = noisefit.fit(data, init=init)
-    if spread_resamples:
-        result.per_parameter_spread = noisefit.bootstrap_spread(
-            data, result, shots=spread_shots, resamples=spread_resamples, seed=seed
-        )
+    spread = noisefit.bootstrap_spread(data, result, shots=spread_shots, resamples=spread_resamples,
+                                       seed=seed) if spread_resamples else None
     _write_json(out_dir / "fit_result.json", {
-        **asdict(result), "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
+        **asdict(result), "per_parameter_spread": spread,
+        "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
     model = noisefit.model_curves(result.delta_phi, data.thetas)
-    rows = [f"{t:.12g},{d},{dp},{ap}" for t in data.thetas.tolist() for d, dp, ap in protocol.CELLS]
+    rows = [f"{t},{d},{dp},{ap}" for t in texts(data.thetas, "%.12g") for d, dp, ap in CELLS]
     write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
               [rows, texts(data.cells.ravel(), "%.12g"), texts(model.cells.ravel(), "%.12g")])
     return 0
@@ -308,13 +308,11 @@ def _verify_checks():
     dev = np.max(np.abs(tomography.concurrence(rhos) - np.abs(np.cos(thetas))))
     yield "concurrence law |cos(theta)|", dev <= 1e-10, dev
 
-    dev = 0.0
-    for _ in range(20):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho)
-        rec = tomography.linear_inversion(tomography.setting_probs(rho))
-        dev = max(dev, np.max(np.abs(rec - rho)))
+    a = rng.normal(size=(20, 2, 4, 4))  # state k's real part, then its imaginary part
+    a = a[:, 0] + 1j * a[:, 1]
+    mixed = a @ dag(a)
+    mixed /= np.trace(mixed, axis1=-2, axis2=-1)[:, None, None]
+    dev = np.max(np.abs(tomography.linear_inversion(tomography.setting_probs(mixed)) - mixed))
     yield "linear inversion exact on moments", dev <= 1e-12, dev
 
     for at, delta_phi in (("", (0.0, 0.0, 0.0)), (" at planted noise", PLANTED_DELTA_PHI)):
@@ -326,7 +324,7 @@ def _verify_checks():
 
     # the 16 two-branch policies over {I, SWAP, X_D, X_D SWAP}, as (16, 1, 2, 4, 4)
     swap_u, ident = protocol.CONDITIONAL_SWAP
-    x_d = np.kron(np.eye(2), np.array([[0, 1], [1, 0]])).astype(complex)
+    x_d = kron(ID2, PAULI_X)
     candidates = [ident, swap_u, x_d, x_d @ swap_u]
     policies = np.array(list(product(candidates, repeat=2)))[:, None]
     margin = np.max(

@@ -67,7 +67,6 @@ class FitResult:
     iterations: int = 0
     at_bound: bool = False
     fisher_stderr: tuple[float, float, float] | None = None
-    per_parameter_spread: tuple[float, float, float] | None = None
 
 
 def model_curves(delta_phi, thetas) -> OutcomeTable:

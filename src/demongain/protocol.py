@@ -226,9 +226,9 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
 def read_tables_csv(path) -> OutcomeTable:
     """Inverse of write_tables_csv, thetas in file order.
 
-    Every theta needs all eight (d, d', a') rows with a probability in
-    [0, 1], summing to 1 within 1e-9, and no negative count; a ValueError
-    names the theta and cell that break this. Counts are kept when every row has one.
+    Every row needs the header's fields, no more, and every theta all eight (d, d', a')
+    rows with a probability in [0, 1], summing to 1 within 1e-9, and no negative count;
+    a ValueError names the theta and cell that break this. Counts are kept when every row has one.
     """
     grouped: dict[str, dict] = {}
     with open(path, newline="") as fh:
@@ -239,6 +239,8 @@ def read_tables_csv(path) -> OutcomeTable:
         for row in reader:
             key = row["theta"]
             where = f"{path}: theta {key}, cell ({row['d']}, {row['d_prime']}, {row['a_prime']})"
+            if None in row:  # csv.DictReader files the fields past the header under None
+                raise ValueError(f"{where}: more fields than the header")
             try:
                 theta = float(key)
                 cell = (int(row["d"]), int(row["d_prime"]), int(row["a_prime"]))

@@ -479,6 +479,28 @@ class TestFit:
         with pytest.raises(SystemExit, match=r"theta 0, cell \(1, 0, 0\): not a number"):
             _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
 
+    @pytest.mark.parametrize("row, text, message", [
+        (3, "0,0,1,0,,0.483418657474,7", r"theta 0, cell \(0, 1, 0\): more fields than the header"),
+        (0, "theta,d,d_prime,a_prime,count,prob", r"missing column\(s\) probability"),
+        (2, "0,0,0,2,,0", r"theta 0, cell \(0, 0, 2\): unknown or repeated cell"),
+        (2, "0,0,0,0,,0", r"theta 0, cell \(0, 0, 0\): unknown or repeated cell"),
+        (1, "0,0,0,0,,1.5", r"theta 0, cell \(0, 0, 0\): probability 1\.5 outside \[0, 1\]"),
+        (1, "0,0,0,0,,nan", r"theta 0, cell \(0, 0, 0\): probability nan outside \[0, 1\]"),
+        (4, "0,0,1,1", r"theta 0, cell \(0, 1, 1\): not a number"),
+    ], ids=["extra field", "missing column", "unknown cell", "repeated cell", "probability 1.5",
+            "probability nan", "short row"])
+    def test_malformed_row_exits_with_one_line(self, tmp_path, row, text, message):
+        # one row of the planted curves rewritten; csv.DictReader would drop
+        # an extra field without a word and fill a short row with None
+        rows = (ROOT / "manifests/data/planted_tables.csv").read_text().splitlines()
+        rows[row] = text
+        dataset = tmp_path / "tables.csv"
+        dataset.write_text("\n".join(rows) + "\n")
+        manifest = _write_manifest(tmp_path, {"fit": {"dataset": str(dataset)}})
+        pattern = f"^demongain fit: {re.escape(str(dataset))}: {message}$"
+        with pytest.raises(SystemExit, match=pattern):
+            _run(["fit", "--manifest", manifest, "--out", str(tmp_path / "o")])
+
     def test_negative_count_exits(self, tmp_path):
         # the (0, 0, 0) row of theta 0.3 keeps its probability; only its count turns negative
         dataset = tmp_path / "tables.csv"
@@ -696,6 +718,26 @@ class TestVerify:
         z = np.abs(table.pr_d[:, 1] - 0.5) / np.sqrt(0.25 / DEFAULT_SHOTS)
         assert measure == pytest.approx(z.max(), rel=1e-12, abs=0.0)
         assert 0.0 < measure <= 4.0
+
+    def test_inversion_check_equals_the_per_state_loop_bit_for_bit(self, monkeypatch):
+        # oracle: the check as a loop over 20 states, each drawn real part
+        # first; the stack must hold the same states and give the same measure
+        rng = np.random.default_rng(0)
+        states, dev = [], 0.0
+        for _ in range(20):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho = a @ a.conj().T
+            rho /= np.trace(rho)
+            rec = tomography.linear_inversion(tomography.setting_probs(rho))
+            dev = max(dev, np.max(np.abs(rec - rho)))
+            states.append(rho)
+        seen, setting_probs = [], tomography.setting_probs
+        monkeypatch.setattr(tomography, "setting_probs",
+                            lambda rho: seen.append(rho.copy()) or setting_probs(rho))
+        measure = {name: m for name, _, m in cli._verify_checks()}["linear inversion exact on moments"]
+        assert len(seen) == 1 and seen[0].shape == (20, 4, 4)  # one call on the stack
+        assert seen[0].tobytes() == np.array(states).tobytes()
+        assert 0.0 < measure == dev
 
     def test_seed_is_not_an_option(self, tmp_path, capsys):
         # verify draws from fixed seeds, so a --seed would be ignored

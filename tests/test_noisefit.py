@@ -437,7 +437,7 @@ def _fit_json(tmp_path, data: OutcomeTable) -> dict:
 
 class TestFitJson:
     def test_write(self, tmp_path, monkeypatch):
-        # every FitResult field as it is, and delta_phi in units of pi/2
+        # every FitResult field as it is, no spread without refits, and delta_phi in units of pi/2
         res = FitResult(delta_phi=(0.01, 0.02, 0.03), residual=1e-9, converged=True)
         monkeypatch.setattr(noisefit, "fit", lambda data, init=None: res)
         assert _fit_json(tmp_path, model_curves(PLANTED_DELTA_PHI, THETAS)) == {
