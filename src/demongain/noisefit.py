@@ -6,16 +6,26 @@ the candidates and the theta grid, read out by `protocol.joint_cells`.
 Only the four `LIVE` cells of the eight can hold probability for any
 deviations; the fit reads those and refuses data in the other four.
 
+Each ket is linear in exp(+-i delta_phi_k / 2) for every k, so every cell
+is a + b cos(delta_phi_k) + c sin(delta_phi_k) in each deviation: a sum of
+27 coefficients times the products of (1, cos, sin) over the three slots.
+The fit reads those coefficients off one `model_cells` call at the 27
+nodes {-pi/4, 0, pi/4}^3 per theta grid; a candidate's cells and their
+exact derivatives are then one small matrix product (the structure of
+sequential circuit optimizers and general parameter-shift rules:
+Nakanishi, Fujii & Todo, PRR 2, 043158, 2020; Wierichs et al., Quantum 6,
+677, 2022).
+
 The loss is Pearson's chi-square over the live cells at every theta,
 the sum of squared Poisson-weighted residuals (obs - p)/sqrt(p): for
 shot data, the quadratic form of the multinomial likelihood, so the
 fitted spread meets the Fisher bound. A 6^3 grid seeds Levenberg-Marquardt
 (damped Gauss-Newton) iterations on those residuals (More, "The
-Levenberg-Marquardt algorithm", 1978), each linearized by central
-differences from one 7-candidate `model_cells` call, solved by SVD under
-lstsq's rcond rule and clipped to BOUNDS. Both stages are deterministic.
-Spread refits iterate in lockstep blocks, one `model_cells` call and one
-stacked SVD a round; each equals a lone fit bit for bit.
+Levenberg-Marquardt algorithm", 1978), each linearized by the exact
+derivatives, solved by SVD under lstsq's rcond rule and clipped to BOUNDS.
+Both stages are deterministic. Spread refits iterate in lockstep blocks,
+one stacked product and one stacked SVD a round; each equals a lone fit
+bit for bit.
 """
 
 from __future__ import annotations
@@ -33,13 +43,12 @@ BOUNDS = (-np.pi / 4, np.pi / 4)  # each deviation's search range
 _EMPTY = np.delete(np.arange(len(CELLS)), LIVE)  # np.setdiff1d would import numpy.ma
 _GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot, in BOUNDS
 _GRID = np.array(list(product(_GRID_AXIS, repeat=3)))  # its 216 rows, delta_phi_3 fastest
-_H = 1e-6  # central-difference step
-_OFFSETS = np.vstack([np.zeros(3), _H * np.eye(3), -_H * np.eye(3)])  # x, x + h e_k, x - h e_k
+_NODES = np.array(list(product((-np.pi / 4, 0.0, np.pi / 4), repeat=3)))  # the table's 27 nodes
 # Weights use max(p, floor): live cells of a noiseless model reach p ~ 1e-33.
 _WEIGHT_FLOOR = 1e-12
-# Stop once the undamped step is this short (radians). Central differences
-# leave ~1e-9 of noise in the step near a sampled optimum, against a
-# statistical spread of ~1e-2 at 3500 shots.
+# Stop once the undamped step is this short (radians): far below the
+# statistical spread of ~1e-2 at 3500 shots, and far above the rounding
+# that the exact derivatives leave in the step near an optimum.
 _XTOL = 1e-8
 _MAX_ITER = 100
 # Directions of J weaker than this fraction of its strongest count as
@@ -104,9 +113,40 @@ def _check_empty_cells(data: OutcomeTable) -> None:
         )
 
 
-def _grid_seed(obs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _table(thetas: np.ndarray) -> np.ndarray:
+    """(27, 4n) coefficients of the live cells on the features of `_features`.
+
+    One model_cells call at the 27 nodes; along each slot the node values
+    y(-pi/4), y(0), y(pi/4) give a + b cos + c sin by the node inverse in
+    closed form: c = (y+ - y-)/sqrt(2), b = (y+ + y- - 2 y0)/(sqrt(2) - 2), a = y0 - b.
+    """
+    y = model_cells(_NODES, thetas)[..., LIVE].reshape(3, 3, 3, -1)
+    for axis in range(3):
+        lo, mid, hi = np.moveaxis(y, axis, 0)
+        cos = (lo + hi - 2 * mid) / (np.sqrt(2) - 2)
+        y = np.moveaxis(np.stack([mid - cos, cos, (hi - lo) / np.sqrt(2)]), 0, axis)
+    return y.reshape(27, -1)
+
+
+def _features(x: np.ndarray) -> np.ndarray:
+    """(k, 4, 27) features of candidates x (k, 3); the table maps them to p and its derivatives.
+
+    Row 0 holds the products of (1, cos x_j, sin x_j) over the slots j,
+    delta_phi_3 fastest; in row 1 + j slot j's factor is its derivative
+    (0, -sin x_j, cos x_j).
+    """
+    c, s = np.cos(x), np.sin(x)
+    one, zero = np.ones_like(c), np.zeros_like(c)
+    u = np.stack([one, c, s, zero, -s, c], axis=-1).reshape(len(x), 3, 2, 3)  # slot, factor, basis
+    f = u[:, range(3), np.eye(4, 3, k=-1, dtype=int)]  # (k, 4, 3, 3); row 1 + j: d/dx_j
+    return (f[:, :, 0, :, None, None] * f[:, :, 1, None, :, None] * f[:, :, 2, None, None, :]
+            ).reshape(len(x), 4, 27)
+
+
+def _grid_seed(obs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Grid point of least chi-square."""
-    cost = (_weighted(model_cells(_GRID, thetas)[..., LIVE], obs) ** 2).sum(axis=(1, 2))
+    p = (_features(_GRID)[:, :1] @ table)[:, 0]  # one product per row, as in _linearize
+    cost = (_weighted(p, obs.ravel()) ** 2).sum(axis=1)
     return _GRID[np.argmin(cost)]
 
 
@@ -134,31 +174,37 @@ def _lm_point(r, jac, damping, x) -> np.ndarray:
     return np.clip(x + s, *BOUNDS)
 
 
-def _linearize(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
-    """Live-cell p (k, 7, n, 4) at x and x +/- h e_k, residuals r (k, 4n) at x, J (k, 4n, 3).
+def _linearize(obs: np.ndarray, table: np.ndarray, x: np.ndarray):
+    """Live-cell p and dp/dx_j (k, 4, n, 4) at x (k, 3), residuals r (k, 4n), J (k, 4n, 3).
 
-    Row i of x (k, 3) is weighed against its own obs[i] (n, 4); one model_cells call.
+    Row i of x is weighed against its own obs[i] (n, 4). Each row's features
+    meet the table in a product of their own, so a row's bits do not depend
+    on how many rows share the call. J = (dr/dp)(dp/dx), with dr/dp =
+    -(obs + p)/(2 p^1.5) above _WEIGHT_FLOOR and -1/sqrt(floor) at or below it.
     """
-    p = model_cells((x[:, None] + _OFFSETS).reshape(-1, 3), thetas)[..., LIVE]
-    p = p.reshape(len(x), 7, *obs.shape[1:])
-    r = _weighted(p, obs[:, None]).reshape(len(x), 7, -1)
-    return p, r[:, 0], np.swapaxes(r[:, 1:4] - r[:, 4:], 1, 2) / (2 * _H)
+    p = _features(x) @ table  # (k, 4, 4n)
+    o, w = obs.reshape(len(x), -1), np.maximum(p[:, 0], _WEIGHT_FLOOR)
+    slope = np.where(p[:, 0] > _WEIGHT_FLOOR, -(o + w) / (2 * w * np.sqrt(w)),
+                     -1 / np.sqrt(_WEIGHT_FLOOR))
+    jac = slope[..., None] * np.swapaxes(p[:, 1:], 1, 2)
+    return p.reshape(len(x), 4, *obs.shape[1:]), _weighted(p[:, 0], o), jac
 
 
-def _descend(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
+def _descend(obs: np.ndarray, table: np.ndarray, x: np.ndarray):
     """Levenberg-Marquardt from each row of x (R, 3) on its dataset obs[i] (n, 4).
 
     Rows iterate in lockstep: a round takes all undamped steps and damped trials
     from one `_lm_point` call and linearizes the unconverged rows' trials with one
-    model_cells call. Each row keeps its own damping, iteration count, r @ r
-    acceptance and stop tests, so it takes exactly the steps it would alone.
-    Returns per row: x, p at the last accepted x, converged, iterations.
+    `_linearize` call on the theta grid's coefficient table. Each row keeps its own
+    damping, iteration count, r @ r acceptance and stop tests, so it takes
+    exactly the steps it would alone.
+    Returns per row: x, p and dp/dx at the last accepted x, converged, iterations.
     """
     def dot(a):  # each row's a @ a, by the dot product that a lone row takes
         return (a[:, None] @ a[..., None])[:, 0, 0]
 
     x = x.copy()
-    p, r, jac = _linearize(obs, thetas, x)
+    p, r, jac = _linearize(obs, table, x)
     damping, iterations = np.full(len(x), _DAMPING0), np.zeros(len(x), dtype=int)
     converged = np.zeros(len(x), dtype=bool)
     i = np.arange(len(x))  # rows still iterating
@@ -172,7 +218,7 @@ def _descend(obs: np.ndarray, thetas: np.ndarray, x: np.ndarray):
         if not i.size:
             break
         iterations[i] += 1
-        p_t, r_t, jac_t = _linearize(obs[i], thetas, trial)
+        p_t, r_t, jac_t = _linearize(obs[i], table, trial)
         better = dot(r_t) <= dot(r[i])
         up = i[better]
         x[up], p[up], r[up], jac[up] = trial[better], p_t[better], r_t[better], jac_t[better]
@@ -192,8 +238,10 @@ def fit(data: OutcomeTable, init=None) -> FitResult:
     1e-8 rad; it is then taken. It stops unconverged after 100
     iterations, or when no damping up to 1e8 lowers the loss.
     `fisher_stderr` is sqrt(diag(I^-1)) with I = sum over theta of its
-    shots (count total) times J^T W J, J the live cells' derivatives and
-    W = 1/p; None without counts or when I is singular.
+    shots (count total) times J^T W J, J the live cells' exact derivatives
+    from the coefficient table and W = 1/p; None without counts or when I
+    is singular. The model is invariant under (d1, d2, d3) -> (d1, -d2, -d3),
+    and the seed grid on [0, 0.25 pi/2]^3 returns the positive twin by convention.
     """
     if len(data.thetas) == 0:
         raise ValueError("dataset is empty")
@@ -201,16 +249,15 @@ def fit(data: OutcomeTable, init=None) -> FitResult:
         raise ValueError("thetas must be strictly increasing")
     _check_empty_cells(data)
 
-    obs = data.cells[:, LIVE]
-    x = (_grid_seed(obs, data.thetas) if init is None
+    obs, table = data.cells[:, LIVE], _table(data.thetas)
+    x = (_grid_seed(obs, table) if init is None
          else np.clip(gates.deviations(np.ravel(init))[0], *BOUNDS))
-    (x,), (p,), (converged,), (iterations,) = _descend(obs[None], data.thetas, x[None])
+    (x,), (p,), (converged,), (iterations,) = _descend(obs[None], table, x[None])
 
     stderr = None
     if data.counts is not None:
-        dp = (p[1:4] - p[4:]) / (2 * _H)  # (3, n, 4)
         shots = data.counts.sum(axis=1)[:, None]
-        info = np.einsum("knc,lnc,nc->kl", dp, dp, shots / np.maximum(p[0], _WEIGHT_FLOOR))
+        info = np.einsum("knc,lnc,nc->kl", p[1:], p[1:], shots / np.maximum(p[0], _WEIGHT_FLOOR))
         w, v = np.linalg.eigh(info)
         if w[0] > 1e-12 * w[-1]:
             stderr = tuple(float(s) for s in np.sqrt((v**2 / w).sum(axis=1)))
@@ -245,10 +292,10 @@ def bootstrap_spread(
     if shots < 1:
         raise ValueError("shots must be >= 1")
     dists = data.cells / data.cells.sum(axis=-1, keepdims=True)
-    x = np.tile(np.clip(fitted.delta_phi, *BOUNDS), (_BLOCK, 1))
+    x, table = np.tile(np.clip(fitted.delta_phi, *BOUNDS), (_BLOCK, 1)), _table(data.thetas)
     fits = np.empty((resamples, 3))
     for start in range(0, resamples, _BLOCK):
         block = range(start, min(start + _BLOCK, resamples))
         counts = np.array([stream(seed, "fit spread", r).multinomial(shots, dists) for r in block])
-        fits[start:block.stop] = _descend(counts[..., LIVE] / shots, data.thetas, x[:len(block)])[0]
+        fits[start:block.stop] = _descend(counts[..., LIVE] / shots, table, x[:len(block)])[0]
     return tuple(float(s) for s in fits.std(axis=0))

@@ -93,15 +93,14 @@ def draw_resamples(rho_hat, shots: int, resamples: int, seed: int, index: int = 
 
 def lone_fit(data: OutcomeTable, init=None) -> FitResult:
     """noisefit.fit on one dataset, iterated alone."""
-    obs = data.cells[:, LIVE]
+    obs, table = data.cells[:, LIVE], noisefit._table(data.thetas)
 
     def linearize(x):
-        p = noisefit.model_cells(x + noisefit._OFFSETS, data.thetas)[..., LIVE]
-        r = noisefit._weighted(p, obs).reshape(7, -1)
-        return p, r[0], ((r[1:4] - r[4:]) / (2 * noisefit._H)).T
+        (p,), (r,), (jac,) = noisefit._linearize(obs[None], table, x[None])
+        return p, r, jac
 
     if init is None:
-        x = noisefit._grid_seed(obs, data.thetas)
+        x = noisefit._grid_seed(obs, table)
     else:
         x = np.clip(init, *BOUNDS)
     p, r, jac = linearize(x)
@@ -121,7 +120,7 @@ def lone_fit(data: OutcomeTable, init=None) -> FitResult:
 
     stderr = None
     if data.counts is not None:
-        dp = (p[1:4] - p[4:]) / (2 * noisefit._H)
+        dp = p[1:]  # (3, n, 4): the exact derivatives
         shots = data.counts.sum(axis=1)[:, None]
         info = np.einsum("knc,lnc,nc->kl", dp, dp, shots / np.maximum(p[0], noisefit._WEIGHT_FLOOR))
         w, v = np.linalg.eigh(info)

@@ -4,6 +4,7 @@ import json
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -91,6 +92,67 @@ class TestModelCells:
         cells = model_cells(p, THETAS)
         assert np.all(cells >= -1e-15)
         assert np.allclose(cells.sum(axis=-1), 1.0, atol=1e-12)
+
+
+class TestTable:
+    """The coefficient table against the kets it is read from."""
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [np.sort(np.random.default_rng(4).uniform(0.0, HALF_PI, 17)), np.array([0.7]),
+         np.linspace(0.0, HALF_PI, 5)],
+        ids=["17 theta", "1 theta", "with 0 and pi/2"],
+    )
+    def test_product_equals_model_cells(self, thetas):
+        x = np.random.default_rng(5).uniform(*noisefit.BOUNDS, size=(500, 3))
+        p = noisefit._linearize(np.zeros((500, len(thetas), 4)), noisefit._table(thetas), x)[0]
+        assert np.max(np.abs(p[:, 0] - model_cells(x, thetas)[..., LIVE])) <= 1e-13
+
+    def test_derivatives_equal_the_shift_rule(self):
+        # dp/dx_k = [p(x + s e_k) - p(x - s e_k)] / (2 sin s) holds exactly for
+        # a + b cos + c sin at any shift; s = pi/2 would leave kets' range
+        s = np.pi / 4
+        x = np.random.default_rng(6).uniform(*noisefit.BOUNDS, size=(100, 3))
+        p = noisefit._linearize(np.zeros((100, 17, 4)), noisefit._table(THETAS), x)[0]
+        for k in range(3):
+            shift = s * np.eye(3)[k]
+            rule = (model_cells(x + shift, THETAS) - model_cells(x - shift, THETAS))[..., LIVE]
+            assert np.max(np.abs(p[:, 1 + k] - rule / (2 * np.sin(s)))) <= 1e-13
+
+    @pytest.mark.parametrize("rows, n", [(216, 17), (128, 33)])
+    def test_stacked_linearize_rows_equal_lone_rows(self, rows, n):
+        # each row takes a product of its own: a 2-D product of the stack
+        # gives other bits for some rows at these shapes
+        rng = np.random.default_rng(7)
+        thetas = np.linspace(0.0, HALF_PI, n)
+        table = noisefit._table(thetas)
+        x = rng.uniform(*noisefit.BOUNDS, size=(rows, 3))
+        obs = rng.dirichlet(np.ones(4), size=(rows, n))
+        whole = noisefit._linearize(obs, table, x)
+        for i in range(rows):
+            lone = noisefit._linearize(obs[i:i + 1], table, x[i:i + 1])
+            assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(whole, lone)), i
+
+    @pytest.mark.parametrize("max_iter", [100, 2])
+    def test_one_model_cells_call_per_fit_and_per_spread(self, monkeypatch, max_iter):
+        # the table's 27 nodes, whatever the iteration count; fit's residual
+        # then evaluates the result once more
+        monkeypatch.setattr(noisefit, "_MAX_ITER", max_iter)
+        rows = []
+
+        def counted(delta_phi, thetas, _f=noisefit.model_cells):
+            rows.append(len(np.atleast_2d(delta_phi)))
+            return _f(delta_phi, thetas)
+
+        monkeypatch.setattr(noisefit, "model_cells", counted)
+        ds = sampled(PLANTED_DELTA_PHI, 0)
+        for init in (None, PLANTED_DELTA_PHI):
+            rows.clear()
+            res = fit(ds, init=init)
+            assert res.iterations >= min(max_iter, 2) and rows == [27, 1]
+        rows.clear()
+        bootstrap_spread(ds, res, shots=SHOTS, resamples=noisefit._BLOCK + 1, seed=5)
+        assert rows == [27]
 
 
 class TestCurveDataset:
@@ -248,6 +310,20 @@ class TestSensitivity:
             moved = model_cells(p[None, :], THETAS)[0]
             assert np.max(np.abs(moved - base)) > 1e-5
 
+    def test_the_only_sign_twin_flips_slots_2_and_3(self):
+        # X(x)X commutes with Z(x)Z, so flipping delta_phi_2 and delta_phi_3
+        # together leaves every cell; any other sign flip moves them
+        p = np.array([0.05, 0.1, 0.2])
+        base = model_cells(p[None], THETAS)[0]
+        for signs in product((1, -1), repeat=3):
+            if signs == (1, 1, 1):
+                continue
+            moved = np.max(np.abs(model_cells((p * signs)[None], THETAS)[0] - base))
+            if signs == (1, -1, -1):
+                assert moved <= 1e-15
+            else:
+                assert moved > 1e-3, signs
+
     def test_no_slot_exchange_symmetry(self):
         p = np.array(PLANTED_DELTA_PHI)
         swapped = p[[0, 2, 1]]
@@ -380,19 +456,19 @@ class TestStep:
 
     @pytest.mark.parametrize("case", LOCKSTEP_CASES)
     def test_solves_are_batched_per_round(self, monkeypatch, case):
-        # a lockstep round is one model_cells call; the steps of all its rows
+        # a lockstep round is one _linearize call; the steps of all its rows
         # take one or two stacked solves, however many rows iterate
         delta_phi, shots = LOCKSTEP_CASES[case]
         ds = sampled(delta_phi, 0, shots)
         res = fit(ds)
         calls = []
-        for module, name in ((np.linalg, "svd"), (np.linalg, "lstsq"), (noisefit, "model_cells")):
+        for module, name in ((np.linalg, "svd"), (np.linalg, "lstsq"), (noisefit, "_linearize")):
             def wrapped(*args, _f=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapped)
         bootstrap_spread(ds, res, shots=shots, resamples=noisefit._BLOCK + 1, seed=5)
-        rounds = " ".join(calls).split("model_cells")
+        rounds = " ".join(calls).split("_linearize")
         assert len(rounds) > 2 and max(len(part.split()) for part in rounds) <= 3
 
 
