@@ -19,7 +19,12 @@ DIR.
 For each workload, in one block each, it prints per end-to-end metric
 of NEW's BENCHMARK.json both medians, the paired median change (the
 median over pairs of new / old - 1), and in how many pairs the new tree
-was better, in all and in each half; then the failed checks of each side.
+was better, in all and in each half. A second table gives per metric
+each side's quartiles (numpy's linear rule) and whether the rule for
+claiming a gain holds: the new tree better in at least nine tenths of
+the pairs, ties counting for neither, and the medians apart in its
+favour by more than the old tree's interquartile range. Last come the
+failed checks of each side.
 """
 
 import argparse
@@ -84,6 +89,8 @@ def summarize(results: list[dict], specs: list[dict]) -> list[str]:
     """One line per metric of `specs` (BENCHMARK.json's end_to_end), then the failed checks."""
     lines = [f"{'metric':12s} {'unit':5s} {'old median':>11s} {'new median':>11s} "
              f"{'paired':>8s}  new better (before, after the swap)"]
+    rules = [f"{'metric':12s} {'old q1':>11s} {'old q3':>11s} {'new q1':>11s} {'new q3':>11s}  "
+             "gain rule: >= 9/10 pairs, median gap > old q3 - q1"]
     half = halfway(len(results))
     for spec in specs:
         old, new = ([r[side]["metrics"][spec["name"]]["value"] for r in results]
@@ -94,6 +101,14 @@ def summarize(results: list[dict], specs: list[dict]) -> list[str]:
         lines.append(f"{spec['name']:12s} {spec['unit']:5s} {statistics.median(old):11.5g} "
                      f"{statistics.median(new):11.5g} {change:+8.2%}  {sum(wins)}/{len(wins)} "
                      f"({sum(wins[:half])}/{half}, {sum(wins[half:])}/{len(wins) - half})")
+        (q1, _, q3), (n1, _, n3) = (statistics.quantiles(x, n=4, method="inclusive")
+                                    for x in (old, new))
+        gap = sign * (statistics.median(old) - statistics.median(new))
+        why = [f"{sum(wins)}/{len(wins)} pairs"] if 10 * sum(wins) < 9 * len(wins) else []
+        why += [f"gap {gap:.5g} <= {q3 - q1:.5g}"] if gap <= q3 - q1 else []
+        rules.append(f"{spec['name']:12s} {q1:11.5g} {q3:11.5g} {n1:11.5g} {n3:11.5g}  "
+                     + ("fails: " + ", ".join(why) if why else "holds"))
+    lines += rules
     for side in ("old", "new"):
         failed = sum(r[side]["failed"] for r in results)
         attempted = sum(r[side]["attempted"] for r in results)

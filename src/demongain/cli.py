@@ -14,7 +14,8 @@ checks the library at fixed tolerances and seeds.
 A relative "dataset" path is read from the manifest's directory. Only this
 module builds JSON: sorted keys, indent 2, a schema_version field, floats
 as Python's shortest round-trip repr. CSV rows, written by `shared.write_csv`
-from `shared.texts` columns, end in CRLF and carry 12 significant digits.
+from `shared.texts` columns, end in CRLF and carry 12 significant digits; a
+sweep formats each value once per format, across its columns and files.
 Unreadable or malformed input ends the run with a one-line error; an
 unknown section or key, or a value of the wrong type, form or range, is
 named by section and key, e.g. "manifest sweep.shot: unknown key"; an
@@ -201,19 +202,19 @@ def cmd_sweep(out_dir: Path, manifest_dir: Path, theta_start, theta_end, theta_s
     else:
         table = protocol.run_shots(thetas, noise, shots, seed)
 
-    protocol.write_tables_csv(out_dir / "outcome_tables.csv", table)
     c = protocol.analytic_concurrence(table.thetas)
     energies = [*protocol.energies_from_table(table).T, c, protocol.gain_lower_bound(c)]
+    # theta and the energies share the table's one %.12g pass; their texts die before the JSON's
     write_csv(out_dir / "energies.csv", "theta,w_i,w_f,delta_w,concurrence_analytic,bound",
-              [texts(col, "%.12g") for col in (table.thetas, *energies)])
+              protocol.write_tables_csv(out_dir / "outcome_tables.csv", table, *energies))
     # exact tables draw no shots: the sampling settings would be unused
     sampling = {} if mode == "exact" else {"shots": shots, "seed": seed}
     keys = ["".join(map(str, cell)) for cell in CELLS]  # "d d' a'", e.g. "010"
     point = {"pr_d": dict.fromkeys("01"), "pr_joint": dict.fromkeys(keys), "theta": None}
-    cols = [texts(col, "%r") for col in (*table.pr_d.T, *table.cells.T, table.thetas)]
+    cols = texts("%r", *table.pr_d.T, *table.cells.T, table.thetas)
     if table.counts is not None:  # sampled tables only
         point["counts"] = dict.fromkeys(keys)
-        cols[:0] = [texts(col, "%r") for col in table.counts.T]
+        cols[:0] = texts("%r", *table.counts.T)
     _write_json(out_dir / "sweep_summary.json", {
         "mode": mode, **sampling, "noise": list(noise), "points": [point]}, zip(*cols))
     return 0
@@ -270,9 +271,9 @@ def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, 
         **asdict(result), "per_parameter_spread": spread,
         "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
     model = noisefit.model_curves(result.delta_phi, data.thetas)
-    rows = [f"{t},{d},{dp},{ap}" for t in texts(data.thetas, "%.12g") for d, dp, ap in CELLS]
-    write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model",
-              [rows, texts(data.cells.ravel(), "%.12g"), texts(model.cells.ravel(), "%.12g")])
+    thetas, *cells = texts("%.12g", data.thetas, data.cells.ravel(), model.cells.ravel())
+    rows = [f"{t},{d},{dp},{ap}" for t in thetas for d, dp, ap in CELLS]
+    write_csv(out_dir / "fit_overlay.csv", "theta,d,d_prime,a_prime,data,model", [rows, *cells])
     return 0
 
 

@@ -145,7 +145,10 @@ def _features(x: np.ndarray) -> np.ndarray:
 
 def _grid_seed(obs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Grid point of least chi-square."""
-    p = (_features(_GRID)[:, :1] @ table)[:, 0]  # one product per row, as in _linearize
+    c, s = np.cos(_GRID), np.sin(_GRID)
+    u = np.stack([np.ones_like(c), c, s], axis=-1)  # (216, slot, basis): row 0 of _features
+    f = u[:, 0, :, None, None] * u[:, 1, None, :, None] * u[:, 2, None, None, :]
+    p = (f.reshape(-1, 1, 27) @ table)[:, 0]  # one product per row, as in _linearize
     cost = (_weighted(p, obs.ravel()) ** 2).sum(axis=1)
     return _GRID[np.argmin(cost)]
 

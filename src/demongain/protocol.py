@@ -197,13 +197,15 @@ CSV_HEADER = "theta,d,d_prime,a_prime,count,probability"
 _CELL_FIELDS = ["%d,%d,%d" % cell for cell in CELLS]  # d,d_prime,a_prime of each cell's row
 
 
-def write_tables_csv(path, table: OutcomeTable) -> None:
+def write_tables_csv(path, table: OutcomeTable, *columns: np.ndarray) -> list[list]:
     """Write one row per (theta, cell); count is empty in exact mode.
 
     Before the file opens it refuses thetas alike at 12 significant digits,
     which read_tables_csv would merge, and counts that are negative or not whole.
+    Returns the theta texts, then those of each further `column`, formatted
+    in the table's one "%.12g" pass: a value they share with it is formatted once.
     """
-    keys = texts(table.thetas, "%.12g")
+    keys, cells, *more = texts("%.12g", table.thetas, table.cells.ravel(), *columns)
     seen = {}
     for theta, key in zip(table.thetas.tolist(), keys):
         if key in seen:
@@ -218,9 +220,10 @@ def write_tables_csv(path, table: OutcomeTable) -> None:
             n = table.counts[i, c]
             what = f"negative count {n:.0f}" if whole[i, c] else f"count {n} is not a whole number"
             raise ValueError(f"theta {keys[i]}, cell {CELLS[c]}: {what}")
-    counts = [""] * (8 * len(keys)) if table.counts is None else texts(table.counts.ravel(), "%d")
+    counts = [""] * len(cells) if table.counts is None else texts("%d", table.counts.ravel())[0]
     write_csv(path, CSV_HEADER, [[key for key in keys for _ in CELLS], _CELL_FIELDS * len(keys),
-                                 counts, texts(table.cells.ravel(), "%.12g")])
+                                 counts, cells])
+    return [keys, *more]
 
 
 def read_tables_csv(path) -> OutcomeTable:

@@ -56,10 +56,11 @@ def distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order[first]], inverse
 
 
-def texts(values: np.ndarray, spec: str) -> list:
-    """`spec % v` for each v of a 1-d numeric array, formatting each distinct bit pattern once."""
-    u, inverse = distinct(values)
-    return np.array([spec % v for v in u.tolist()], dtype=object)[inverse].tolist()
+def texts(spec: str, *columns: np.ndarray) -> list[list]:
+    """`spec % v` per v of 1-d columns of one dtype; each bit pattern among them formatted once."""
+    u, inverse = distinct(np.concatenate(columns))
+    flat = np.array([spec % v for v in u.tolist()], dtype=object)[inverse]
+    return [part.tolist() for part in np.split(flat, np.cumsum([len(c) for c in columns[:-1]]))]
 
 
 def write_csv(path, header: str, columns) -> None:

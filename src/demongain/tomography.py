@@ -318,4 +318,5 @@ def write_counts_csv(path, counts: np.ndarray) -> None:
     counts = np.asarray(counts)
     if counts.shape != (9, 4):
         raise ValueError(f"expected (9, 4) counts per setting, got shape {counts.shape}")
-    write_csv(path, "setting_a,setting_d,outcome,count", [_COUNT_ROWS, texts(counts.ravel(), "%d")])
+    write_csv(path, "setting_a,setting_d,outcome,count",
+              [_COUNT_ROWS, *texts("%d", counts.ravel())])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demongain import cli, tomography
+from demongain import cli, protocol, tomography
 from demongain.cli import MANIFEST, main
 from demongain.gates import PLANTED_DELTA_PHI
 from demongain.noisefit import model_curves
@@ -238,6 +238,30 @@ class TestSweepPoints:
         assert [list(p["counts"].values()) for p in points] == table.counts.tolist()
         assert [list(p["pr_joint"].values()) for p in points] == table.cells.tolist()
         assert list(points[0]["counts"]) == ["000", "001", "010", "011", "100", "101", "110", "111"]
+
+
+@pytest.mark.parametrize("mode, noise", [("exact", (0.0, 0.0, 0.0)),
+                                         ("sampled", PLANTED_DELTA_PHI)])
+def test_sweep_formats_each_value_once_per_spec(tmp_path, monkeypatch, mode, noise):
+    # every spec handed to texts records the values it formats; a value is
+    # keyed by its spec, type and bit pattern, so -0.0 and 0.0 count apart
+    formatted = []
+
+    class Counted(str):
+        def __mod__(self, value):
+            bits = value if isinstance(value, int) else np.float64(value).tobytes()
+            formatted.append((str(self), type(value), bits))
+            return str.__mod__(self, value)
+
+    for module in (cli, protocol):
+        def counted(*args, _texts=module.texts):
+            return _texts(*(Counted(a) if isinstance(a, str) else a for a in args))
+
+        monkeypatch.setattr(module, "texts", counted)
+    assert cli.cmd_sweep(tmp_path, tmp_path, 0.0, HALF_PI, 33, 500, 3, mode, noise) == 0
+    assert {spec for spec, _, _ in formatted} == (
+        {"%.12g", "%r"} if mode == "exact" else {"%.12g", "%r", "%d"})
+    assert len(formatted) == len(set(formatted))
 
 
 class TestTomo:

@@ -133,6 +133,22 @@ class TestTable:
             lone = noisefit._linearize(obs[i:i + 1], table, x[i:i + 1])
             assert all(a[i].tobytes() == b[0].tobytes() for a, b in zip(whole, lone)), i
 
+    @pytest.mark.parametrize("n", [1, 5, 17, 33])
+    def test_grid_seed_cells_equal_the_full_feature_product(self, monkeypatch, n):
+        # the seed grid builds only the value row of _features; its cells must
+        # keep the bits of row 0 of the full product
+        table = noisefit._table(np.linspace(0.0, HALF_PI, n))
+        seen = []
+
+        def weighted(p, obs, _f=noisefit._weighted):
+            seen.append(p)
+            return _f(p, obs)
+
+        monkeypatch.setattr(noisefit, "_weighted", weighted)
+        noisefit._grid_seed(np.full((n, 4), 0.25), table)
+        full = (noisefit._features(noisefit._GRID)[:, :1] @ table)[:, 0]
+        assert len(seen) == 1 and seen[0].tobytes() == full.tobytes()
+
     @pytest.mark.parametrize("max_iter", [100, 2])
     def test_one_model_cells_call_per_fit_and_per_spread(self, monkeypatch, max_iter):
         # the table's 27 nodes, whatever the iteration count; fit's residual

@@ -35,6 +35,37 @@ def test_counts_wins_by_each_metrics_direction():
     assert lines[-2:] == ["failed checks, old: 0 of 32", "failed checks, new: 0 of 32"]
 
 
+def _rule(lines, name):
+    """The gain-rule row of metric `name`: the second row that starts with it."""
+    return [line.split() for line in lines if line.startswith(name + " ")][1]
+
+
+def test_gain_rule_holds_when_every_pair_wins_by_more_than_the_old_spread():
+    old = [0.100 + 0.001 * k for k in range(10)]  # q1 0.10225, q3 0.10675
+    lines = pairs["summarize"]([{"old": _result(o), "new": _result(o - 0.01)} for o in old], SPECS)
+    assert _rule(lines, "cmd_s.p50") == ["cmd_s.p50", "0.10225", "0.10675", "0.09225", "0.09675",
+                                         "holds"]
+    assert _rule(lines, "items_per_s")[-1] == "holds"  # higher is better there
+    # a tie is no win and no gap
+    assert _rule(lines, "setup_s")[-7:] == ["fails:", "0/10", "pairs,", "gap", "0", "<=", "0"]
+
+
+def test_gain_rule_fails_below_nine_tenths_of_the_pairs():
+    old = [0.100 + 0.001 * k for k in range(10)]
+    new = [o + (0.001 if k in (3, 7) else -0.01) for k, o in enumerate(old)]
+    lines = pairs["summarize"]([{"old": _result(o), "new": _result(n)} for o, n in zip(old, new)],
+                               SPECS)
+    assert _row(lines, "cmd_s.p50")[5] == "8/10"
+    assert _rule(lines, "cmd_s.p50")[-3:] == ["fails:", "8/10", "pairs"]
+
+
+def test_gain_rule_fails_when_the_median_gap_is_within_the_old_spread():
+    old = [0.100 + 0.001 * k for k in range(10)]
+    lines = pairs["summarize"]([{"old": _result(o), "new": _result(o - 0.001)} for o in old], SPECS)
+    assert _row(lines, "cmd_s.p50")[5] == "10/10"
+    assert _rule(lines, "cmd_s.p50")[-5:] == ["fails:", "gap", "0.001", "<=", "0.0045"]
+
+
 def test_reports_failed_checks_per_side():
     results = [{"old": _result(0.1), "new": _result(0.1, failed=2)},
                {"old": _result(0.1, failed=1), "new": _result(0.1)}]
@@ -78,7 +109,8 @@ def test_reports_one_block_per_workload():
                {"old": {"w1": _result(0.10), "w2": _result(0.20)},
                 "new": {"w1": _result(0.08), "w2": _result(0.21)}}]
     lines = pairs["report"](results, SPECS)
-    blocks = len(SPECS) + 4  # name, header, one row per metric, two failed-check rows
+    # name, two headers, two rows per metric, two failed-check rows
+    blocks = 2 * len(SPECS) + 5
     assert len(lines) == 2 * blocks
     w1, w2 = lines[:blocks], lines[blocks:]
     assert (w1[0], w2[0]) == ("w1:", "w2:")

@@ -1,4 +1,4 @@
-"""shared.distinct: the bit-pattern dedupe under the artifact writers and gates.kets."""
+"""shared.distinct and shared.texts: the bit-pattern dedupe and the formatting pass over it."""
 
 import struct
 
@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demongain.shared import distinct
+from demongain.shared import distinct, texts
 
 
 def _bits(x: float) -> int:
@@ -48,3 +48,32 @@ def test_distinct_floats_gather_back_bit_for_bit(values):
 def test_distinct_ints_gather_back_bit_for_bit(values):
     _check(values)
 
+
+# several arrays drawn from one pool of bit patterns, so values repeat across
+# arrays; the pool mixes the special patterns with arbitrary floats
+FLOAT_COLUMNS = st.lists(st.sampled_from(SPECIAL_BITS) | st.floats().map(_bits), min_size=1,
+                         max_size=12).flatmap(lambda pool: st.lists(
+                             st.lists(st.sampled_from(pool), max_size=20).map(
+                                 lambda bits: np.array(bits, dtype=np.int64).view(np.float64)),
+                             min_size=1, max_size=5))
+
+
+def _check_texts(spec: str, columns: list) -> None:
+    assert texts(spec, *columns) == [[spec % v for v in c.tolist()] for c in columns]
+
+
+@given(FLOAT_COLUMNS, st.sampled_from(["%r", "%.12g"]))
+@example([np.array([0.0, 5e-324]), np.array([-0.0]), np.array([]), np.array([-0.0, 0.0])], "%r")
+@example([np.array([-0.0, 0.0]), np.array([0.0, 5e-324, -0.0])], "%.12g")
+@example([np.array([])], "%r")
+@settings(max_examples=200, deadline=None)
+def test_texts_of_float_columns_equal_per_value_formatting(columns, spec):
+    _check_texts(spec, columns)
+
+
+@given(st.lists(INT_ARRAYS, min_size=1, max_size=5), st.sampled_from(["%d", "%r"]))
+@example([np.array([0, 7], dtype=np.int64), np.array([], dtype=np.int64),
+          np.array([7, -2**63], dtype=np.int64)], "%d")
+@settings(max_examples=200, deadline=None)
+def test_texts_of_int_columns_equal_per_value_formatting(columns, spec):
+    _check_texts(spec, columns)
