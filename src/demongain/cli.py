@@ -264,12 +264,10 @@ def cmd_tomo(out_dir: Path, manifest_dir: Path, thetas, shots_per_setting, resam
 def cmd_fit(out_dir: Path, manifest_dir: Path, dataset, init, spread_resamples, spread_shots,
             seed) -> int:
     data = protocol.read_tables_csv(manifest_dir / dataset)
-    result = noisefit.fit(data, init=init)
-    spread = noisefit.bootstrap_spread(data, result, shots=spread_shots, resamples=spread_resamples,
-                                       seed=seed) if spread_resamples else None
+    spread = (spread_shots, spread_resamples, seed) if spread_resamples else None
+    result = noisefit.fit(data, init=init, spread=spread)
     _write_json(out_dir / "fit_result.json", {
-        **asdict(result), "per_parameter_spread": spread,
-        "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
+        **asdict(result), "delta_phi_over_half_pi": [d / (np.pi / 2) for d in result.delta_phi]})
     model = noisefit.model_curves(result.delta_phi, data.thetas)
     thetas, *cells = texts("%.12g", data.thetas, data.cells.ravel(), model.cells.ravel())
     rows = [f"{t},{d},{dp},{ap}" for t in thetas for d, dp, ap in CELLS]

@@ -16,8 +16,7 @@ sequence or an (m, 3) array of m candidates, checked by `deviations`.
 Every block takes scalar angles or arrays of angles; array arguments
 broadcast against each other and give an (..., 4, 4) stack whose items
 equal the scalar calls bit for bit; `kets` relies on that to build each
-block once per distinct phase bit pattern (`shared.distinct`) and to
-apply each prefix of the circuit once per distinct prefix of phases.
+block for all rows of deviations in one call.
 
 Angle convention for the controlled-Y: cy(theta) acts as exp[-i theta Y]
 on the agent when the demon is in |0>, so that cy(theta) applied to the
@@ -30,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .qlin import ID2, PAULI_X, PAULI_Y, dag, kron
-from .shared import distinct
 
 _XX = kron(PAULI_X, PAULI_X)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -132,22 +130,16 @@ def kets(delta_phi, thetas) -> np.ndarray:
 
     `delta_phi` is a length-3 sequence (m = 1) or an (m, 3) array. Column 0
     of bell_prep, then the four factors of cy applied to the state vectors,
-    so no (m, n, 4, 4) product is formed. Fit candidates share prefixes of
-    their rows, so each block is built once per distinct phase of its slot,
-    ry_half . bell_prep is applied once per distinct delta_phi_1, the first
-    CNOT and second ry_half once per distinct (delta_phi_1, delta_phi_2)
-    pair, and only the last CNOT once per row.
+    so no (m, n, 4, 4) product is formed: one chain per row, with each
+    block built for all rows in one call (both CNOTs in one).
     Each angle must lie in [0, pi/2] and the deviations pass `deviations`:
     every state, table and fit model is checked here.
     """
     rows = deviations(delta_phi)
     ry_half = local_rot(in_range(thetas, "theta", np.pi / 2, "pi/2"), np.pi / 2, "A")
-    (u1, i1), (u2, i2), (u3, i3) = (distinct(rows[:, k]) for k in range(3))
-    cnots = _cnot_d_to_a(np.concatenate([u2, u3]))[:, None]  # slot 2's, then slot 3's
-    s = ry_half @ bell_prep(u1)[:, None, :, :1]  # (len(u1), n, 4, 1) columns
-    pairs, i12 = distinct(i1 * len(u2) + i2)
-    s = ry_half @ (cnots[pairs % len(u2)] @ s[pairs // len(u2)])
-    return (cnots[len(u2) + i3] @ s[i12])[..., 0]
+    cnot2, cnot3 = _cnot_d_to_a(rows[:, 1:].T)[:, :, None]  # slot 2's and slot 3's, (m, 1, 4, 4)
+    s = ry_half @ bell_prep(rows[:, 0])[:, None, :, :1]  # (m, n, 4, 1) columns
+    return (cnot3 @ (ry_half @ (cnot2 @ s)))[..., 0]
 
 
 def apply(u: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ Levenberg-Marquardt algorithm", 1978), each linearized by the exact
 derivatives, solved by SVD under lstsq's rcond rule and clipped to BOUNDS.
 Both stages are deterministic. Spread refits iterate in lockstep blocks,
 one stacked product and one stacked SVD a round; each equals a lone fit
-bit for bit.
+bit for bit. A fit and its spread refits read one table per run.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ _EMPTY = np.delete(np.arange(len(CELLS)), LIVE)  # np.setdiff1d would import num
 _GRID_AXIS = np.arange(6) * 0.05 * np.pi / 2  # seed grid: [0, 0.25 pi/2] per slot, in BOUNDS
 _GRID = np.array(list(product(_GRID_AXIS, repeat=3)))  # its 216 rows, delta_phi_3 fastest
 _NODES = np.array(list(product((-np.pi / 4, 0.0, np.pi / 4), repeat=3)))  # the table's 27 nodes
+_SLOTS, _ROWS = np.arange(3), np.eye(4, 3, k=-1, dtype=int)  # the gather in _features
+_EYE = np.eye(3)
 # Weights use max(p, floor): live cells of a noiseless model reach p ~ 1e-33.
 _WEIGHT_FLOOR = 1e-12
 # Stop once the undamped step is this short (radians): far below the
@@ -76,6 +78,7 @@ class FitResult:
     iterations: int = 0
     at_bound: bool = False
     fisher_stderr: tuple[float, float, float] | None = None
+    per_parameter_spread: tuple[float, float, float] | None = None
 
 
 def model_curves(delta_phi, thetas) -> OutcomeTable:
@@ -138,17 +141,17 @@ def _features(x: np.ndarray) -> np.ndarray:
     c, s = np.cos(x), np.sin(x)
     one, zero = np.ones_like(c), np.zeros_like(c)
     u = np.stack([one, c, s, zero, -s, c], axis=-1).reshape(len(x), 3, 2, 3)  # slot, factor, basis
-    f = u[:, range(3), np.eye(4, 3, k=-1, dtype=int)]  # (k, 4, 3, 3); row 1 + j: d/dx_j
+    f = u[:, _SLOTS, _ROWS]  # (k, 4, 3, 3); row 1 + j: d/dx_j
     return (f[:, :, 0, :, None, None] * f[:, :, 1, None, :, None] * f[:, :, 2, None, None, :]
             ).reshape(len(x), 4, 27)
 
 
+_GRID_FEATURES = _features(_GRID)[:, :1].copy()  # (216, 1, 27): the seed grid's value rows
+
+
 def _grid_seed(obs: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Grid point of least chi-square."""
-    c, s = np.cos(_GRID), np.sin(_GRID)
-    u = np.stack([np.ones_like(c), c, s], axis=-1)  # (216, slot, basis): row 0 of _features
-    f = u[:, 0, :, None, None] * u[:, 1, None, :, None] * u[:, 2, None, None, :]
-    p = (f.reshape(-1, 1, 27) @ table)[:, 0]  # one product per row, as in _linearize
+    p = (_GRID_FEATURES @ table)[:, 0]  # one product per row, as in _linearize
     cost = (_weighted(p, obs.ravel()) ** 2).sum(axis=1)
     return _GRID[np.argmin(cost)]
 
@@ -164,8 +167,8 @@ def _lm_point(r, jac, damping, x) -> np.ndarray:
     """
     def solve(free):
         j = np.multiply(jac, free[..., None, :], order="C")  # one layout for every stack
-        d = np.sqrt(damping)[..., None, None] * np.linalg.norm(j, axis=-2)[..., None, :]
-        u, sv, vt = np.linalg.svd(np.concatenate([j, d * np.eye(3)], axis=-2), full_matrices=False)
+        d = np.sqrt(damping)[..., None, None] * np.sqrt(np.add.reduce(j * j, axis=-2))[..., None, :]
+        u, sv, vt = np.linalg.svd(np.concatenate([j, d * _EYE], axis=-2), full_matrices=False)
         c = (np.swapaxes(u[..., :r.shape[-1], :], -1, -2) @ -r[..., None])[..., 0]
         c = np.divide(c, sv, out=np.zeros_like(c), where=sv > _RCOND * sv[..., :1])
         return (np.swapaxes(vt, -1, -2) @ c[..., None])[..., 0]
@@ -212,9 +215,10 @@ def _descend(obs: np.ndarray, table: np.ndarray, x: np.ndarray):
     converged = np.zeros(len(x), dtype=bool)
     i = np.arange(len(x))  # rows still iterating
     while (i := i[(iterations[i] < _MAX_ITER) & (damping[i] <= _MAX_DAMPING)]).size:
-        both = np.append(i, i)
-        steps = _lm_point(r[both], jac[both], np.append(np.zeros(len(i)), damping[i]), x[both])
-        gauss_newton, trial = np.split(steps, 2)
+        both = np.concatenate([i, i])
+        steps = _lm_point(r[both], jac[both], np.concatenate([np.zeros(len(i)), damping[i]]),
+                          x[both])
+        gauss_newton, trial = steps[:len(i)], steps[len(i):]
         done = np.sqrt(dot(gauss_newton - x[i])) <= _XTOL
         x[i[done]], converged[i[done]] = gauss_newton[done], True
         i, trial = i[~done], trial[~done]
@@ -229,7 +233,7 @@ def _descend(obs: np.ndarray, table: np.ndarray, x: np.ndarray):
     return x, p, converged, iterations
 
 
-def fit(data: OutcomeTable, init=None) -> FitResult:
+def fit(data: OutcomeTable, init=None, spread=None) -> FitResult:
     """Recover the three phase deviations from outcome curves.
 
     `data` needs a strictly increasing theta grid and no probability or
@@ -245,6 +249,8 @@ def fit(data: OutcomeTable, init=None) -> FitResult:
     from the coefficient table and W = 1/p; None without counts or when I
     is singular. The model is invariant under (d1, d2, d3) -> (d1, -d2, -d3),
     and the seed grid on [0, 0.25 pi/2]^3 returns the positive twin by convention.
+    With `spread`, (shots, resamples, seed), `per_parameter_spread` is
+    `bootstrap_spread` of the result; the fit and its refits share one table.
     """
     if len(data.thetas) == 0:
         raise ValueError("dataset is empty")
@@ -264,7 +270,7 @@ def fit(data: OutcomeTable, init=None) -> FitResult:
         w, v = np.linalg.eigh(info)
         if w[0] > 1e-12 * w[-1]:
             stderr = tuple(float(s) for s in np.sqrt((v**2 / w).sum(axis=1)))
-    return FitResult(
+    result = FitResult(
         delta_phi=tuple(float(d) for d in x),
         residual=residual(x, data),
         converged=bool(converged),
@@ -272,6 +278,9 @@ def fit(data: OutcomeTable, init=None) -> FitResult:
         at_bound=bool(np.any((x <= BOUNDS[0]) | (x >= BOUNDS[1]))),
         fisher_stderr=stderr,
     )
+    if spread is not None:
+        result.per_parameter_spread = bootstrap_spread(data, result, *spread, table=table)
+    return result
 
 
 def bootstrap_spread(
@@ -280,6 +289,7 @@ def bootstrap_spread(
     shots: int,
     resamples: int,
     seed: int,
+    table: np.ndarray | None = None,
 ) -> tuple[float, float, float]:
     """Per-parameter spread from refits on multinomially resampled tables.
 
@@ -288,14 +298,18 @@ def bootstrap_spread(
     seeded at the original optimum), and reports the standard deviation
     per parameter. Resample r draws from stream(seed, "fit spread", r).
     Blocks of _BLOCK resamples are drawn and refitted in lockstep, and
-    each refit equals `fit` on its resampled table bit for bit.
+    each refit equals `fit` on its resampled table bit for bit. The refits
+    read `table`, the coefficient table of data.thetas that `fit` passes on;
+    a call without it builds its own.
     """
     if resamples < 2:
         raise ValueError("resamples must be >= 2")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     dists = data.cells / data.cells.sum(axis=-1, keepdims=True)
-    x, table = np.tile(np.clip(fitted.delta_phi, *BOUNDS), (_BLOCK, 1)), _table(data.thetas)
+    if table is None:
+        table = _table(data.thetas)
+    x = np.tile(np.clip(fitted.delta_phi, *BOUNDS), (_BLOCK, 1))
     fits = np.empty((resamples, 3))
     for start in range(0, resamples, _BLOCK):
         block = range(start, min(start + _BLOCK, resamples))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -235,29 +236,35 @@ def read_tables_csv(path) -> OutcomeTable:
     """
     grouped: dict[str, dict] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        at = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        missing = [c for c in CSV_HEADER.split(",") if c not in at]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        fields, pad = itemgetter(*(at[c] for c in CSV_HEADER.split(","))), [None] * len(header)
+
+        def fail(what):  # formatted only for the row that fails
+            return ValueError(f"{path}: theta {key}, cell ({d}, {dp}, {ap}): {what}")
+
         for row in reader:
-            key = row["theta"]
-            where = f"{path}: theta {key}, cell ({row['d']}, {row['d_prime']}, {row['a_prime']})"
-            if None in row:  # csv.DictReader files the fields past the header under None
-                raise ValueError(f"{where}: more fields than the header")
+            if not row:  # a blank line, which csv.DictReader skips too
+                continue
+            key, d, dp, ap, c, p = fields(row + pad[len(row):])  # None past a short row's end
+            if len(row) > len(header):
+                raise fail("more fields than the header")
             try:
-                theta = float(key)
-                cell = (int(row["d"]), int(row["d_prime"]), int(row["a_prime"]))
-                p = float(row["probability"])
-                count = None if row["count"] == "" else int(row["count"])
+                theta, cell, p = float(key), (int(d), int(dp), int(ap)), float(p)
+                count = None if c == "" else int(c)
             except (TypeError, ValueError):
-                raise ValueError(f"{where}: not a number") from None
+                raise fail("not a number") from None
             g = grouped.setdefault(key, {"theta": theta, "rows": {}})
             if cell not in CELLS or cell in g["rows"]:
-                raise ValueError(f"{where}: unknown or repeated cell")
+                raise fail("unknown or repeated cell")
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{where}: probability {p} outside [0, 1]")
+                raise fail(f"probability {p} outside [0, 1]")
             if count is not None and count < 0:
-                raise ValueError(f"{where}: negative count {count}")
+                raise fail(f"negative count {count}")
             g["rows"][cell] = (p, count)
     for key, g in grouped.items():
         absent = [c for c in CELLS if c not in g["rows"]]

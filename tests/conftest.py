@@ -8,6 +8,7 @@ from demongain import noisefit, qlin
 from demongain.noisefit import BOUNDS, LIVE, FitResult
 from demongain.protocol import (
     CELLS,
+    CSV_HEADER,
     OutcomeTable,
     analytic_concurrence,
     energies_from_table,
@@ -204,3 +205,53 @@ def counts_csv_oracle(path, counts) -> None:
         for (sa, sd), row in zip(ALL_SETTINGS, np.asarray(counts).tolist()):
             for name, c in zip(("++", "+-", "-+", "--"), row):
                 w.writerow([sa, sd, name, int(c)])
+
+
+# Reference reader: the csv.DictReader form of protocol.read_tables_csv that
+# the positional reader replaced, which must read and refuse as it does.
+
+
+def read_tables_csv_oracle(path) -> OutcomeTable:
+    """outcome_tables.csv read through csv.DictReader, one f-string per row."""
+    grouped: dict[str, dict] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_HEADER.split(",") if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            key = row["theta"]
+            where = f"{path}: theta {key}, cell ({row['d']}, {row['d_prime']}, {row['a_prime']})"
+            if None in row:  # csv.DictReader files the fields past the header under None
+                raise ValueError(f"{where}: more fields than the header")
+            try:
+                theta = float(key)
+                cell = (int(row["d"]), int(row["d_prime"]), int(row["a_prime"]))
+                p = float(row["probability"])
+                count = None if row["count"] == "" else int(row["count"])
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: not a number") from None
+            g = grouped.setdefault(key, {"theta": theta, "rows": {}})
+            if cell not in CELLS or cell in g["rows"]:
+                raise ValueError(f"{where}: unknown or repeated cell")
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{where}: probability {p} outside [0, 1]")
+            if count is not None and count < 0:
+                raise ValueError(f"{where}: negative count {count}")
+            g["rows"][cell] = (p, count)
+    for key, g in grouped.items():
+        absent = [c for c in CELLS if c not in g["rows"]]
+        if absent:
+            raise ValueError(f"{path}: theta {key} has no row for cell {absent[0]}")
+        total = sum(p for p, _ in g["rows"].values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"{path}: theta {key}: probabilities sum to {total:.12g}, not 1")
+    cells = [[g["rows"][c][0] for c in CELLS] for g in grouped.values()]
+    counts = [[g["rows"][c][1] for c in CELLS] for g in grouped.values()]
+    if any(None in r for r in counts):
+        counts = None
+    return OutcomeTable(
+        thetas=np.array([g["theta"] for g in grouped.values()]),
+        cells=np.array(cells).reshape(-1, 8),
+        counts=None if counts is None else np.array(counts, dtype=int).reshape(-1, 8),
+    )

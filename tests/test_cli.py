@@ -30,7 +30,7 @@ from demongain.protocol import (
     write_tables_csv,
 )
 
-from conftest import resource_ket
+from conftest import read_tables_csv_oracle, resource_ket
 
 HALF_PI = np.pi / 2
 ROOT = Path(__file__).resolve().parent.parent
@@ -551,6 +551,70 @@ class TestFit:
         assert "\n" not in str(exc.value)
 
 
+def _csv_text(rows, end="\r\n") -> str:
+    return "".join(",".join(row) + end for row in rows)
+
+
+def _reordered(rows):
+    """Rows with the columns in the order probability, theta, count, a_prime, d, d_prime."""
+    return [[row[i] for i in (5, 0, 4, 3, 1, 2)] for row in rows]
+
+
+# Layouts of a two-theta sampled table: the rows of fields as written, to the
+# text of the file read. Each outcome is "read" or words of the error.
+READER_CASES = {
+    "columns in another order": (lambda r: _csv_text(_reordered(r)), "read"),
+    "an extra named column": (
+        lambda r: _csv_text([r[0] + ["note"]] + [row + ["x"] for row in r[1:]]), "read"),
+    "a repeated column name": (  # the last "count" column, all empty, is the one read
+        lambda r: _csv_text([r[0] + ["count"]] + [row + [""] for row in r[1:]]), "read"),
+    "blank lines": (lambda r: _csv_text(r[:3] + [[]] + r[3:] + [[], []]), "read"),
+    "a blank line before the header": (lambda r: _csv_text([[]] + r), "missing column(s) theta"),
+    "quoted fields": (lambda r: _csv_text([[f'"{f}"' for f in row] for row in r]), "read"),
+    "a quoted comma": (
+        lambda r: _csv_text(r[:2] + [['"0,3"', *r[2][1:]]] + r[3:]), "theta 0,3, cell (0, 0, 1)"),
+    "LF line endings": (lambda r: _csv_text(r, "\n"), "read"),
+    "CRLF line endings": (lambda r: _csv_text(r), "read"),
+    "no final line end": (lambda r: _csv_text(r)[:-2], "read"),
+    "an empty file": (lambda r: "", "missing column(s) theta, d, d_prime"),
+    "a header-only file": (lambda r: _csv_text(r[:1]), "read"),
+    "a short row in another order": (
+        lambda r: _csv_text(_reordered(r[:4]) + [[r[4][5]]] + r[5:]),
+        "theta None, cell (None, None, None): not a number"),
+    "a long row in another order": (
+        lambda r: _csv_text(_reordered(r[:4]) + [[r[4][5], *r[4]]] + r[5:]),
+        "more fields than the header"),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_reader_reads_and_refuses_as_dict_reader(tmp_path, case):
+    # the positional reader against the csv.DictReader form it replaced:
+    # the same arrays, bit for bit, or the same one-line error
+    written = tmp_path / "written.csv"
+    write_tables_csv(written, run_shots([0.3, 0.9], PLANTED_DELTA_PHI, 3500, 7))
+    with open(written, newline="") as fh:
+        rows = list(csv.reader(fh))
+    layout, outcome = READER_CASES[case]
+    path = tmp_path / "tables.csv"
+    path.write_bytes(layout(rows).encode())
+
+    def read(reader):
+        try:
+            table = reader(path)
+        except ValueError as exc:
+            return str(exc)
+        arrays = (table.thetas, table.cells, table.counts)
+        return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    got = read(read_tables_csv)
+    assert got == read(read_tables_csv_oracle)
+    if outcome == "read":
+        assert not isinstance(got, str), got
+    else:
+        assert got.startswith(f"{path}: ") and outcome in got, got
+
+
 @pytest.mark.parametrize("path", sorted((ROOT / "manifests").glob("*.json")), ids=lambda p: p.name)
 def test_checked_in_manifest_runs(path, tmp_path, monkeypatch):
     # from an unrelated working directory, so relative paths must resolve
@@ -581,7 +645,7 @@ def test_cli_import_leaves_scipy_out():
         tomography.tomography_study(rhos, 100, 50, 1)
         print(loaded(*costly))
         data = protocol.run_shots([0.0, 0.4, 0.8, 1.2], (0.01, 0.1, 0.2), 500, 3)
-        noisefit.bootstrap_spread(data, noisefit.fit(data), 500, 3, 5)
+        noisefit.fit(data, spread=(500, 3, 5))
         print(loaded(*costly))
         with tempfile.TemporaryDirectory() as d:
             out = Path(d)

@@ -7,7 +7,7 @@ from demongain import gates, noisefit, protocol
 from demongain.gates import (
     PLANTED_DELTA_PHI, apply, bell_prep, cy, cz_half, deviations, kets, local_rot, u_zz,
 )
-from demongain.noisefit import _GRID, _GRID_AXIS
+from demongain.noisefit import _GRID
 from demongain.protocol import CONDITIONAL_SWAP, ProtocolConfig
 from demongain.qlin import ID2, PAULI_X, PAULI_Y, kron
 
@@ -290,7 +290,7 @@ class TestBatched:
             assert kets(params, []).shape == (len(params), 0, 4), name
         assert kets(np.empty((0, 3)), thetas).shape == (0, 17, 4)
 
-    def test_kets_build_each_block_once_per_distinct_phase(self, monkeypatch):
+    def test_kets_build_each_block_in_one_call(self, monkeypatch):
         seen = {"bell_prep": [], "_cnot_d_to_a": []}
 
         def counted(block, calls):
@@ -303,11 +303,10 @@ class TestBatched:
             monkeypatch.setattr(gates, name, counted(getattr(gates, name), calls))
         # the seed grid, and a grid whose slots hold 3, 5 and 2 other phases
         axes = (0.01 * np.arange(1, 4), 0.1 + 0.01 * np.arange(5), 0.2 + 0.01 * np.arange(2))
-        for grid, (a1, a2, a3) in ((_GRID, (_GRID_AXIS,) * 3),
-                                   (np.array(list(product(*axes))), axes)):
+        for grid in (_GRID, np.array(list(product(*axes)))):
             for calls in seen.values():
                 calls.clear()
             kets(grid, np.linspace(0, np.pi / 2, 17))
-            # one bell_prep on slot 1's phases, one CNOT stack of slot 2's, then slot 3's
-            assert [list(d) for d in seen["bell_prep"]] == [list(a1)]
-            assert [list(d) for d in seen["_cnot_d_to_a"]] == [list(a2) + list(a3)]
+            # one bell_prep on slot 1's column, one CNOT stack of slot 2's and slot 3's columns
+            assert [d.tolist() for d in seen["bell_prep"]] == [grid[:, 0].tolist()]
+            assert [d.tolist() for d in seen["_cnot_d_to_a"]] == [grid[:, 1:].T.tolist()]

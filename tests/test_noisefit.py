@@ -152,7 +152,8 @@ class TestTable:
     @pytest.mark.parametrize("max_iter", [100, 2])
     def test_one_model_cells_call_per_fit_and_per_spread(self, monkeypatch, max_iter):
         # the table's 27 nodes, whatever the iteration count; fit's residual
-        # then evaluates the result once more
+        # then evaluates the result once more, and its spread refits read
+        # the fit's table
         monkeypatch.setattr(noisefit, "_MAX_ITER", max_iter)
         rows = []
 
@@ -162,13 +163,17 @@ class TestTable:
 
         monkeypatch.setattr(noisefit, "model_cells", counted)
         ds = sampled(PLANTED_DELTA_PHI, 0)
+        spread = (SHOTS, noisefit._BLOCK + 1, 5)
         for init in (None, PLANTED_DELTA_PHI):
             rows.clear()
             res = fit(ds, init=init)
             assert res.iterations >= min(max_iter, 2) and rows == [27, 1]
+            rows.clear()
+            refitted = fit(ds, init=init, spread=spread)
+            assert rows == [27, 1] and replace(refitted, per_parameter_spread=None) == res
         rows.clear()
-        bootstrap_spread(ds, res, shots=SHOTS, resamples=noisefit._BLOCK + 1, seed=5)
-        assert rows == [27]
+        alone = bootstrap_spread(ds, res, *spread)
+        assert rows == [27] and refitted.per_parameter_spread == alone
 
 
 class TestCurveDataset:
@@ -531,7 +536,7 @@ class TestFitJson:
     def test_write(self, tmp_path, monkeypatch):
         # every FitResult field as it is, no spread without refits, and delta_phi in units of pi/2
         res = FitResult(delta_phi=(0.01, 0.02, 0.03), residual=1e-9, converged=True)
-        monkeypatch.setattr(noisefit, "fit", lambda data, init=None: res)
+        monkeypatch.setattr(noisefit, "fit", lambda data, init=None, spread=None: res)
         assert _fit_json(tmp_path, model_curves(PLANTED_DELTA_PHI, THETAS)) == {
             "schema_version": 1,
             "delta_phi": [0.01, 0.02, 0.03],
