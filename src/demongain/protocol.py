@@ -266,19 +266,19 @@ def read_tables_csv(path) -> OutcomeTable:
             if count is not None and count < 0:
                 raise fail(f"negative count {count}")
             g["rows"][cell] = (p, count)
+    table = []  # (probability, count) of every row, theta by theta in CELLS order
     for key, g in grouped.items():
-        absent = [c for c in CELLS if c not in g["rows"]]
-        if absent:
-            raise ValueError(f"{path}: theta {key} has no row for cell {absent[0]}")
-        total = sum(p for p, _ in g["rows"].values())
+        rows = g["rows"]
+        if len(rows) < 8:  # the loop let in only distinct cells of CELLS
+            absent = next(c for c in CELLS if c not in rows)
+            raise ValueError(f"{path}: theta {key} has no row for cell {absent}")
+        total = sum([p for p, _ in rows.values()])  # file order: its rounding decides the refusal
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{path}: theta {key}: probabilities sum to {total:.12g}, not 1")
-    cells = [[g["rows"][c][0] for c in CELLS] for g in grouped.values()]
-    counts = [[g["rows"][c][1] for c in CELLS] for g in grouped.values()]
-    if any(None in r for r in counts):
-        counts = None
+        table += map(rows.__getitem__, CELLS)
+    cells, counts = zip(*table) if table else ((), ())
     return OutcomeTable(
         thetas=np.array([g["theta"] for g in grouped.values()]),
         cells=np.array(cells).reshape(-1, 8),
-        counts=None if counts is None else np.array(counts, dtype=int).reshape(-1, 8),
+        counts=None if None in counts else np.array(counts, dtype=int).reshape(-1, 8),
     )

@@ -93,8 +93,11 @@ def setting_probs(rho: np.ndarray) -> np.ndarray:
 def simulate_tomogram_counts(rhos: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """(n, 9, 4) multinomial shot counts of (n, 4, 4) states, or (9, 4) of one.
 
-    Setting j of state i draws from Philox(key=[seed + i, j]), the key
-    built as uint64 so that every seed below 2**64 keeps its own key.
+    Setting j of state i draws from Philox(key=[seed + i, j]), taken as
+    uint64 so that every seed below 2**64 keeps its own key. One Philox
+    draws them all: before each setting its state is reset to the start
+    of that key's stream (counter and buffer as a new Philox has them),
+    which gives a new generator's counts without building one per key.
     These are the last raw keys, not `stream`'s: re-keying them would move
     every tomogram and the finite-shot concurrence mean that acceptance
     criterion 06 bounds, so they wait until that bound is settled.
@@ -108,12 +111,15 @@ def simulate_tomogram_counts(rhos: np.ndarray, shots: int, seed: int) -> np.ndar
     if seed + len(flat) > 2**64:
         raise ValueError(f"seed + theta index must stay below 2**64, got seed {seed} "
                          f"for {len(flat)} theta")
-    counts = [
-        np.random.Generator(np.random.Philox(key=np.array([seed + i, j], dtype=np.uint64)))
-        .multinomial(shots, p)
-        for i, ps in enumerate(flat) for j, p in enumerate(ps)
-    ]
-    return np.reshape(counts, probs.shape)
+    bits = np.random.Philox(key=0)  # re-keyed before every draw
+    rng, start = np.random.Generator(bits), bits.state
+    counts = np.empty(flat.shape, dtype=np.int64)
+    for i, ps in enumerate(flat):
+        for j, p in enumerate(ps):
+            start["state"]["key"][:] = seed + i, j
+            bits.state = start
+            counts[i, j] = rng.multinomial(shots, p)
+    return counts.reshape(probs.shape)
 
 
 def _freqs(counts) -> np.ndarray:
@@ -121,7 +127,9 @@ def _freqs(counts) -> np.ndarray:
     v = np.asarray(counts, dtype=float)
     if v.shape[-2:] != (9, 4):
         raise ValueError(f"expected (..., 9, 4) counts per setting, got shape {v.shape}")
-    total = v.sum(axis=-1, keepdims=True)
+    # v.sum(axis=-1)'s order, without numpy's reduction loop over four entries;
+    # an all -0.0 setting sums to -0.0 here and 0.0 there, both "no counts"
+    total = v[..., :1] + v[..., 1:2] + v[..., 2:3] + v[..., 3:]
     # a non-finite count makes its setting's total non-finite
     if v.size and np.isfinite(total).all() and v.min() >= 0 and total.all():
         return v / total
@@ -156,13 +164,23 @@ _SQRT_ZERO_TOL = 1e-13
 
 
 def _clamped_sqrt(w: np.ndarray) -> np.ndarray:
+    """Square roots of (..., 4) eigenvalues in descending order, snapped and clamped."""
     w = np.clip(w, 0.0, None)
-    w[w < _SQRT_ZERO_TOL * np.maximum(w.max(axis=-1, keepdims=True), 1.0)] = 0.0
+    w[w < _SQRT_ZERO_TOL * np.maximum(w[..., :1], 1.0)] = 0.0  # column 0 is the largest
     return np.sqrt(w)
 
 
 # Y(x)Y = diag(_YY_SIGN) times the reversal of the basis order
 _YY_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+
+
+def _spin_flip(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrence of the states with descending eigenpairs (w, v); see concurrence."""
+    w = np.clip(w, 0.0, None)
+    k = (v.swapaxes(-1, -2) @ (_YY_SIGN * v[..., ::-1, :])).conj()  # K, conjugated once
+    s = _clamped_sqrt(w)[..., :, None] * k * np.sqrt(w)[..., None, :]
+    lam = _clamped_sqrt(np.linalg.eigvalsh(s @ dag(s))[..., ::-1])  # descending
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -182,19 +200,31 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     the lambda_i^2 are the eigenvalues of S S^dag. Near-zero eigenvalues
     are snapped to 0 before the square roots of sqrt(rho) and the lambda_i^2.
     """
-    w, v = qlin.eig_hermitian(rho)
-    w = np.clip(w, 0.0, None)
-    k = dag(v) @ (_YY_SIGN * v[..., ::-1, :].conj())
-    s = _clamped_sqrt(w)[..., :, None] * k * np.sqrt(w)[..., None, :]
-    lam = _clamped_sqrt(np.linalg.eigvalsh(s @ dag(s))[..., ::-1])  # descending
-    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    c = _spin_flip(*qlin.eig_hermitian(rho))
     return float(c) if c.ndim == 0 else c
+
+
+def _sum_squares(h: np.ndarray) -> np.ndarray:
+    return np.sum(h.real**2 + h.imag**2, axis=(-2, -1))  # sum |h_ij|^2 = Tr(h h^dag)
 
 
 def purity(rho: np.ndarray) -> float | np.ndarray:
     """Tr(rho^2) of a (4, 4) matrix or (..., 4, 4) stack; may exceed 1 if not PSD."""
-    rho = qlin.hermitian(rho)  # refuses non-Hermitian input; exact input keeps its sum bit for bit
-    return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))  # sum |rho_ij|^2 = Tr(rho rho^dag)
+    # refuses non-Hermitian input; exact input keeps its sum bit for bit
+    return _sum_squares(qlin.hermitian(rho))
+
+
+def _scores(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """concurrence(rho) and purity(rho), bit for bit, from one Hermiticity check.
+
+    The checked stack is what eig_hermitian would decompose and purity sum.
+    """
+    h = qlin.hermitian(rho)
+    pur = _sum_squares(h)
+    w, v = np.linalg.eigh(h)  # eig_hermitian's solve, without its second check
+    # freed before the spin flip's stacks; kept, they raised a tomo run's peak RSS ~0.2 MB
+    del rho, h
+    return _spin_flip(w[..., ::-1], v[..., ::-1]), pur
 
 
 def bootstrap(counts) -> BootstrapSummary:
@@ -202,15 +232,15 @@ def bootstrap(counts) -> BootstrapSummary:
 
     `counts` is a (resamples, 9, 4) block of parametric resamples, as
     tomography_study draws it. The resamples are inverted and scored as
-    one stacked batch.
+    one stacked batch, checked for Hermiticity once: `_scores` gives
+    what concurrence and purity give, bit for bit, and refuses what they refuse.
     """
     counts = np.asarray(counts)
     if counts.ndim != 3 or len(counts) < 2:
         raise ValueError(f"expected (resamples, 9, 4) counts with resamples >= 2, "
                          f"got shape {counts.shape}")
-    rho_r = linear_inversion(counts)
     # np.percentile's linear rule, bit for bit, without the numpy.ma import its np.unique makes
-    scores = np.sort([concurrence(rho_r), purity(rho_r)])
+    scores = np.sort(_scores(linear_inversion(counts)))
     v = (len(counts) - 1) * (np.array(PERCENTILES) / 100)
     i = np.floor(v).astype(int)
     t = v - i

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from demongain import noisefit, qlin
+from demongain import noisefit, qlin, tomography
 from demongain.noisefit import BOUNDS, LIVE, FitResult
 from demongain.protocol import (
     CELLS,
@@ -15,7 +15,7 @@ from demongain.protocol import (
     gain_lower_bound,
 )
 from demongain.shared import draw_probs, stream
-from demongain.tomography import ALL_SETTINGS, _clamped_sqrt, setting_probs
+from demongain.tomography import ALL_SETTINGS, _YY_SIGN, _clamped_sqrt, setting_probs
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:
@@ -84,6 +84,88 @@ def draw_resamples(rho_hat, shots: int, resamples: int, seed: int, index: int = 
     """
     dists = draw_probs(setting_probs(rho_hat))
     return stream(seed, "bootstrap", index).multinomial(shots, dists, size=(resamples, 9))
+
+
+def record_drawn_keys(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch np.random.Generator to list the key of every Philox stream drawn from its start.
+
+    A draw from a Philox whose counter and buffer are as a new one has
+    them appends its key, so a stream that two draws start from is listed
+    twice, and a generator that is built but re-keyed before it draws is
+    not listed. The program draws through `multinomial` and `normal` only.
+    """
+    keys = []
+
+    class Recording(np.random.Generator):
+        def _note_start(self):
+            state = self.bit_generator.state
+            if (state["bit_generator"] == "Philox" and state["buffer_pos"] == 4
+                    and not state["state"]["counter"].any()):
+                keys.append(tuple(state["state"]["key"].tolist()))
+
+        def multinomial(self, *args, **kwargs):
+            self._note_start()
+            return super().multinomial(*args, **kwargs)
+
+        def normal(self, *args, **kwargs):
+            self._note_start()
+            return super().normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    return keys
+
+
+# The forms of tomography's kernels that their faster forms replaced,
+# which those must match bit for bit.
+
+
+def tomogram_counts_oracle(rhos, shots: int, seed: int) -> np.ndarray:
+    """simulate_tomogram_counts with a new Philox(key=[seed + i, j]) per theta i and setting j."""
+    probs = draw_probs(setting_probs(rhos))
+    counts = [
+        np.random.Generator(np.random.Philox(key=np.array([seed + i, j], dtype=np.uint64)))
+        .multinomial(shots, p)
+        for i, ps in enumerate(probs.reshape(-1, 9, 4)) for j, p in enumerate(ps)
+    ]
+    return np.reshape(counts, probs.shape)
+
+
+def freqs_oracle(counts) -> np.ndarray:
+    """tomography._freqs with each setting's total taken by v.sum(axis=-1)."""
+    v = np.asarray(counts, dtype=float)
+    if v.shape[-2:] != (9, 4):
+        raise ValueError(f"expected (..., 9, 4) counts per setting, got shape {v.shape}")
+    total = v.sum(axis=-1, keepdims=True)
+    if v.size and np.isfinite(total).all() and v.min() >= 0 and total.all():
+        return v / total
+    bad = (~np.isfinite(v) | (v < 0)).reshape(-1, 9, 4).any(axis=(0, 2))
+    empty = (total == 0).reshape(-1, 9).any(axis=0)
+    if (bad | empty).any():
+        j = np.flatnonzero(bad | empty)[0]
+        what = "negative or non-finite counts" if bad[j] else "no counts"
+        raise ValueError(f"setting {ALL_SETTINGS[j]} has {what}")
+    return v / total
+
+
+def clamped_sqrt_oracle(w: np.ndarray) -> np.ndarray:
+    """tomography._clamped_sqrt with the largest eigenvalue found by a max over the last axis."""
+    w = np.clip(w, 0.0, None)
+    w[w < tomography._SQRT_ZERO_TOL * np.maximum(w.max(axis=-1, keepdims=True), 1.0)] = 0.0
+    return np.sqrt(w)
+
+
+def overlap_oracle(v: np.ndarray) -> np.ndarray:
+    """K = V^dag (Y(x)Y) V* of descending eigenvectors, both factors conjugated before the product."""
+    return qlin.dag(v) @ (_YY_SIGN * v[..., ::-1, :].conj())
+
+
+def concurrence_oracle(rho: np.ndarray) -> np.ndarray:
+    """tomography.concurrence of a (..., 4, 4) stack through overlap_oracle and clamped_sqrt_oracle."""
+    w, v = qlin.eig_hermitian(rho)
+    w = np.clip(w, 0.0, None)
+    s = clamped_sqrt_oracle(w)[..., :, None] * overlap_oracle(v) * np.sqrt(w)[..., None, :]
+    lam = clamped_sqrt_oracle(np.linalg.eigvalsh(s @ qlin.dag(s))[..., ::-1])
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 # One Levenberg-Marquardt loop per dataset: the form of noisefit.fit and

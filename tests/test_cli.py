@@ -30,7 +30,7 @@ from demongain.protocol import (
     write_tables_csv,
 )
 
-from conftest import read_tables_csv_oracle, resource_ket
+from conftest import read_tables_csv_oracle, record_drawn_keys, resource_ket
 
 HALF_PI = np.pi / 2
 ROOT = Path(__file__).resolve().parent.parent
@@ -680,17 +680,9 @@ def test_full_study_with_relative_out(tmp_path, monkeypatch):
 
 def test_full_study_draws_no_two_streams_from_one_key(tmp_path, monkeypatch):
     # the sampled sweep, the 9 x 9 tomography settings, the nine
-    # bootstraps and verify's sampled check each build one Philox
-    # generator, and no two share a key
-    keys = []
-    philox = np.random.Philox
-
-    def recording(*args, **kwargs):
-        bit_generator = philox(*args, **kwargs)
-        keys.append(tuple(bit_generator.state["state"]["key"].tolist()))
-        return bit_generator
-
-    monkeypatch.setattr(np.random, "Philox", recording)
+    # bootstraps and verify's sampled check each draw from one Philox
+    # stream's start, and no two share a key
+    keys = record_drawn_keys(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", str(tmp_path)])
     runpy.run_path(str(ROOT / "scripts/run_full_study.py"), run_name="__main__")
     assert len(keys) == 1 + 81 + 9 + 1

@@ -30,12 +30,34 @@ from demongain.tomography import (
     write_counts_csv,
 )
 
-from conftest import ID4, draw_resamples, random_density, haar_unitary, wootters_concurrence
+from conftest import (
+    ID4,
+    clamped_sqrt_oracle,
+    concurrence_oracle,
+    draw_resamples,
+    freqs_oracle,
+    haar_unitary,
+    overlap_oracle,
+    random_density,
+    record_drawn_keys,
+    tomogram_counts_oracle,
+    wootters_concurrence,
+)
 
 BELL = prepare_resource(ProtocolConfig(theta=0.0))
 
 
 XX, XY, ZX, YY, ZZ = (tg.ALL_SETTINGS.index(tuple(s)) for s in ("XX", "XY", "ZX", "YY", "ZZ"))
+
+# the nine theta of manifests/tomo_default.json, at the planted noise
+STUDY = prepare_resource(ProtocolConfig(theta=np.linspace(0, np.pi / 2, 9),
+                                        delta_phi=PLANTED_DELTA_PHI))
+
+
+def study_blocks(seed: int, resamples: int = 500) -> list[np.ndarray]:
+    """The nine (resamples, 9, 4) bootstrap blocks of STUDY's tomograms at `seed`."""
+    rho_hat = linear_inversion(simulate_tomogram_counts(STUDY, 100, seed))
+    return [draw_resamples(r, 100, resamples, seed, index=i) for i, r in enumerate(rho_hat)]
 
 
 def _rounded(probs):
@@ -79,6 +101,14 @@ class TestSettingProbs:
         stack[1] = 0.0
         with pytest.raises(ValueError, match=r"setting \('X', 'X'\) diagonal not normalizable"):
             setting_probs(stack)
+
+
+# valid entries of many magnitudes, whose sums round differently in another
+# order, with -0.0 and subnormals; then a few replaced by refused ones
+FREQ_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 0.1, 0.7, 1.0, 1e16]),
+    st.floats(0.0, 1e20), st.integers(0, 10**6).map(float))
+FREQ_REFUSED = st.sampled_from([np.inf, -np.inf, np.nan, -1.0, -5e-324])
 
 
 class TestLinearInversion:
@@ -171,6 +201,39 @@ class TestLinearInversion:
             want = np.einsum("...ji,jixy->...xy", tg._freqs(counts), tg._inversion_map())
             assert linear_inversion(counts).tobytes() == want.tobytes()
 
+    @given(st.integers(0, 2).flatmap(lambda n: st.lists(FREQ_VALUES, min_size=36 * n, max_size=36 * n)),
+           st.lists(st.tuples(st.integers(0, 10**6), FREQ_REFUSED), max_size=3),
+           st.integers(-1, 8), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_totals_equal_the_sum_form_bit_for_bit(self, entries, refused, zero, as_counts):
+        # each setting's total is v.sum(axis=-1)'s, so the frequencies and
+        # the refusals are those of the sum form; `zero` empties a setting
+        # with -0.0 entries, counts are whole numbers
+        v = np.array(entries, dtype=float)
+        for at, value in refused if v.size else ():
+            v[at % v.size] = value
+        v = v.reshape(-1, 9, 4)
+        if zero >= 0:
+            v[:, zero] = -0.0
+        if as_counts:
+            v = (np.nan_to_num(np.abs(v), posinf=0.0) % 1000).astype(np.int64)
+        results = []
+        for f in (tg._freqs, freqs_oracle):
+            with np.errstate(invalid="ignore", over="ignore"):
+                try:
+                    results.append(f(v).tobytes())
+                except ValueError as err:
+                    results.append(str(err))
+        assert results[0] == results[1]
+
+    def test_totals_round_as_the_sum_form_on_random_rows(self):
+        # 20,000 settings of many magnitudes, where another order of the
+        # three adds would round differently in some of them
+        rng = np.random.default_rng(7)
+        v = rng.random((500, 9, 4)) * 10.0 ** rng.integers(-20, 20, size=(500, 9, 4))
+        for counts in (v, v[:, :, ::-1], rng.integers(1, 100, size=(500, 9, 4))):
+            assert tg._freqs(counts).tobytes() == freqs_oracle(counts).tobytes()
+
     def test_array_shape_rejected(self):
         for shape in [(8, 4), (36,), (2, 4, 9)]:
             with pytest.raises(ValueError, match=r"\(\.\.\., 9, 4\)"):
@@ -253,6 +316,35 @@ class TestConcurrence:
             rho_r = linear_inversion(counts)
             worst = max(worst, np.max(np.abs(concurrence(rho_r) - wootters_concurrence(rho_r))))
         assert worst <= 1e-10
+
+    def test_overlap_equals_the_conjugate_first_form_bit_for_bit(self, monkeypatch):
+        # K is conjugated once, after the product; oracle: dag(v) @ (sign * v_rev.conj()).
+        # With unit eigenvalues S is K itself, and it reaches S S^dag through dag
+        seen = []
+        monkeypatch.setattr(tg, "dag", lambda m: seen.append(m) or qlin.dag(m))
+        for block in study_blocks(seed=5):
+            _, v = qlin.eig_hermitian(linear_inversion(block))
+            tg._spin_flip(np.ones(v.shape[:-1]), v)
+            assert seen.pop().tobytes() == overlap_oracle(v).tobytes()
+
+    @given(st.lists(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-13, 1e-14, 1.0, 1.0 + 2**-52, -1e-15]),
+        st.floats(-2.0, 2.0), st.floats(0.0, 1e6)), min_size=4, max_size=4), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_clamped_sqrt_equals_the_max_form_bit_for_bit(self, rows):
+        # on descending input, column 0 is the max that the snap threshold scales by
+        w = -np.sort(-np.array(rows, dtype=float).reshape(-1, 4), axis=-1)
+        assert tg._clamped_sqrt(w.copy()).tobytes() == clamped_sqrt_oracle(w.copy()).tobytes()
+
+    def test_bootstrap_scores_equal_the_parent_forms_bit_for_bit(self):
+        # concurrence through overlap_oracle and clamped_sqrt_oracle; purity of the checked stack
+        for seed in (0, 1):
+            for block in study_blocks(seed):
+                rho_r = linear_inversion(block)
+                want = concurrence_oracle(rho_r).tobytes()
+                c, p = tg._scores(rho_r)
+                assert c.tobytes() == concurrence(rho_r).tobytes() == want
+                assert p.tobytes() == purity(rho_r).tobytes()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -359,6 +451,23 @@ class TestSimulateSetting:
             rng = np.random.Generator(np.random.Philox(key=[11, j]))
             assert np.array_equal(counts[j], rng.multinomial(300, p))
 
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 10])
+    def test_equals_a_new_philox_per_key_bit_for_bit(self, seed):
+        # one Philox, reset to the start of each key's stream, draws what
+        # a new Philox(key=[seed + i, j]) per theta i and setting j draws
+        for rhos in (STUDY, STUDY[4]):
+            counts = simulate_tomogram_counts(rhos, 100, seed)
+            want = tomogram_counts_oracle(rhos, 100, seed)
+            assert counts.shape == want.shape and counts.dtype == want.dtype
+            assert counts.tobytes() == want.tobytes()
+
+    def test_one_philox_per_call(self, monkeypatch):
+        made = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(a) or philox(*a, **k))
+        simulate_tomogram_counts(STUDY, 100, seed=4)
+        assert len(made) == 1
+
     def test_total_counts(self):
         counts = simulate_tomogram_counts(BELL, 250, seed=1)
         assert counts.shape == (9, 4)
@@ -456,20 +565,18 @@ class TestBootstrap:
     @pytest.mark.parametrize("resamples", [2, 500])
     def test_draws_from_one_generator(self, resamples, monkeypatch):
         # all of a theta's resamples are one block from one stream; the
-        # counts take nine raw keys
-        made = []
-        philox = np.random.Philox
-        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: made.append(a) or philox(*a, **k))
+        # counts draw from nine raw keys
+        keys = record_drawn_keys(monkeypatch)
         tomography_study(BELL[None], 100, resamples, seed=4)
-        assert len(made) == 9 + 1
+        assert len(keys) == 9 + 1
+        assert len(set(keys)) == len(keys)
 
     def test_interval_equals_np_percentile_bit_for_bit(self, monkeypatch):
         # bootstrap applies np.percentile's linear rule itself; oracle: np.percentile
         # on (2, R) scores for R = 2..1000, a third of them rounded to hold ties
         rng = np.random.default_rng(11)
         monkeypatch.setattr(tg, "linear_inversion", lambda counts: counts)
-        monkeypatch.setattr(tg, "concurrence", lambda rho: rho[:, 0, 0])
-        monkeypatch.setattr(tg, "purity", lambda rho: rho[:, 0, 1])
+        monkeypatch.setattr(tg, "_scores", lambda rho: (rho[:, 0, 0], rho[:, 0, 1]))
         for r in range(2, 1001):
             scores = rng.normal(size=(2, r))
             if r % 3 == 0:
@@ -479,6 +586,26 @@ class TestBootstrap:
             s = bootstrap(counts)
             lo, hi = np.percentile(scores, tg.PERCENTILES, axis=-1)
             assert [*s.lower.values(), *s.upper.values()] == [*lo.tolist(), *hi.tolist()], r
+
+    def test_one_hermiticity_check_per_block(self, monkeypatch):
+        calls = []
+        hermitian = qlin.hermitian
+        monkeypatch.setattr(qlin, "hermitian", lambda m: calls.append(np.shape(m)) or hermitian(m))
+        bootstrap(study_blocks(seed=3)[2])
+        assert calls == [(500, 4, 4)]
+
+    @pytest.mark.parametrize("dev", [1e-9, np.nan])
+    def test_block_refused_as_eig_hermitian_refuses(self, dev, monkeypatch):
+        block = study_blocks(seed=3)[2]
+        rho_r = linear_inversion(block)
+        rho_r[321, 0, 3] += dev
+        with pytest.raises(ValueError) as want:
+            qlin.eig_hermitian(rho_r)
+        monkeypatch.setattr(tg, "linear_inversion", lambda counts: rho_r)
+        with pytest.raises(ValueError) as err:
+            bootstrap(block)
+        assert str(err.value) == str(want.value)
+        assert str(err.value).startswith("matrix is not Hermitian: max |h - h^dag| = ")
 
     def test_rejects_unnormalizable_setting(self):
         with pytest.raises(ValueError, match="not normalizable"):
